@@ -1,14 +1,16 @@
 """Trace coordinates of the irreducible representation classes.
 
-Traces of the three cone generators are numbers 2cos(pi*t) with t rational,
-so every comparison here is exact rational arithmetic; floating point only
-appears as a cross-check discriminant. The module enumerates the unitary
-classes directly and produces the real (non-unitary) classes by pulling back
-rotations through the coverings that the euler classes select.
+Traces of the three cone generators are numbers 2cos(pi*n/q) with integer
+n and q, so every fold and comparison here is integer arithmetic on cleared
+denominators; floating point only appears as a cross-check discriminant.
+The module enumerates the unitary classes directly and produces the real
+(non-unitary) classes by pulling back rotations through the coverings that
+the euler classes select.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,7 +32,7 @@ from .euler import (
 from .seifert import (
     BrieskornParams,
     SeifertInvariant,
-    euler_number,
+    cleared_euler_number,
     h1_order,
     solve_seifert,
 )
@@ -40,38 +42,55 @@ from .seifert import (
 KAPPA_TOLERANCE = 1e-9
 
 
-def _fold(angle: Fraction) -> Fraction:
-    """Reduce an angle (in units of pi) into [0, 1] using evenness and 2-periodicity of cos."""
-    t = angle % 2
-    return 2 - t if t > 1 else t
-
-
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
+@dataclass(frozen=True, init=False)
 class TraceValue:
-    """The number 2cos(pi*t) for rational t stored in canonical form 0 <= t <= 1.
+    """The number 2cos(pi*n/q), stored as the reduced pair 0 <= n <= q.
 
-    Folding (-1)**q * 2cos(pi*s) into this shape makes equality of trace
-    values literal equality of the stored rationals.
+    Folding (-1)**k * 2cos(pi*s) into this shape makes equality of trace
+    values literal equality of the stored integers.
     """
 
-    t: Fraction
+    n: int
+    q: int
 
-    def __post_init__(self) -> None:
-        t = self.t if isinstance(self.t, Fraction) else Fraction(self.t)
-        object.__setattr__(self, "t", t)
+    def __init__(self, t: Fraction | int) -> None:
+        t = Fraction(t)
         if not 0 <= t <= 1:
             raise ValueError(f"canonical angle must lie in [0, 1], got {t}")
+        object.__setattr__(self, "n", t.numerator)
+        object.__setattr__(self, "q", t.denominator)
+
+    @classmethod
+    def fold(cls, n: int, q: int) -> "TraceValue":
+        """2cos(pi*n/q) for integers n and q > 0, folded into [0, 1] by evenness and 2-periodicity."""
+        n %= 2 * q
+        if n > q:
+            n = 2 * q - n
+        g = math.gcd(n, q)
+        tv = object.__new__(cls)
+        object.__setattr__(tv, "n", n // g)
+        object.__setattr__(tv, "q", q // g)
+        return tv
 
     @classmethod
     def from_angle(cls, angle: Fraction | int) -> "TraceValue":
-        return cls(_fold(Fraction(angle)))
+        return cls.fold(*Fraction(angle).as_integer_ratio())
+
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self.n, self.q)
 
     @property
     def value(self) -> float:
-        return 2.0 * math.cos(math.pi * float(self.t))
+        # n / q is the correctly rounded float(Fraction(n, q))
+        return 2.0 * math.cos(math.pi * (self.n / self.q))
+
+    def __lt__(self, other: "TraceValue") -> bool:
+        return self.n * other.q < other.n * self.q
 
     def __str__(self) -> str:
-        return f"2cos({self.t.numerator}π/{self.t.denominator})"
+        return f"2cos({self.n}π/{self.q})"
 
 
 class ClassLabel(Enum):
@@ -101,10 +120,13 @@ class CharacterTriple:
     def values(self) -> tuple[float, float, float]:
         return (self.tx.value, self.ty.value, self.tz.value)
 
+    def __str__(self) -> str:
+        return "eps %+d (%s, %s, %s)" % (self.epsilon, self.tx, self.ty, self.tz)
+
     @property
-    def key(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Identity of the class: the trace triple alone."""
-        return self.angles
+    def key(self) -> tuple[int, int, int, int, int, int]:
+        """Identity of the class: the trace triple alone, as its reduced integer pairs."""
+        return (self.tx.n, self.tx.q, self.ty.n, self.ty.q, self.tz.n, self.tz.q)
 
 
 @dataclass(frozen=True)
@@ -129,6 +151,19 @@ class CountReport:
         if self.casson_sl2c - 2 * self.casson_abs != self.sl2r:
             raise CountMismatch("count identity sl2c - 2|casson| = sl2r failed")
 
+    @classmethod
+    def of(cls, params: BrieskornParams, su2: int, sl2r: int) -> "CountReport":
+        """Counts of enumerated classes against the closed-form total (a1-1)(a2-1)(a3-1)/4."""
+        total = _total_count(params)
+        return cls(total=total, su2=su2, sl2r=sl2r, casson_abs=su2 // 2, casson_sl2c=total)
+
+
+def _total_count(params: BrieskornParams) -> int:
+    a1, a2, a3 = params.triple
+    product = (a1 - 1) * (a2 - 1) * (a3 - 1)
+    assert product % 4 == 0  # a2, a3 odd
+    return product // 4
+
 
 def trace_of_generator(beta_i: int, a_i: int, order: int, b_i: int) -> TraceValue:
     """Canonical form of the generator trace 2cos(-order * b_i * pi / a_i).
@@ -140,17 +175,13 @@ def trace_of_generator(beta_i: int, a_i: int, order: int, b_i: int) -> TraceValu
         raise ValueError(f"beta_i must lie in (0, {a_i}), got {beta_i}")
     if order < 1:
         raise ValueError("order must be a positive integer")
-    # integer fold of -order*b_i/a_i into [0, 1]; one Fraction at the end
-    folded = (-order * b_i) % (2 * a_i)
-    if folded > a_i:
-        folded = 2 * a_i - folded
     r = (-order * b_i) % a_i
     if r == 0:
         raise DegenerateAngle(
             f"generator of order {a_i} maps to the center (trace +-2)"
         )
     assert r in (beta_i, a_i - beta_i), "residue disagrees with the euler class"
-    return TraceValue(Fraction(folded, a_i))
+    return TraceValue.fold(-order * b_i, a_i)
 
 
 def _check_sphere_data(params: BrieskornParams, sigma: SeifertInvariant) -> None:
@@ -177,10 +208,21 @@ def trace_triple_of(eu: EulerClass, sigma: SeifertInvariant) -> CharacterTriple:
     return CharacterTriple(*traces, epsilon=-1 if order % 2 else 1)
 
 
+def _walls(c: CharacterTriple) -> tuple[int, int, int]:
+    """(|N1 - N2|, N3, min(N1 + N2, 2L - N1 - N2)) for the angles N_i/L over L = lcm(q_i).
+
+    The outer two are the folded difference and sum of the first two angles.
+    """
+    tx, ty, tz = c.tx, c.ty, c.tz
+    lcm = math.lcm(tx.q, ty.q, tz.q)
+    big1, big2 = tx.n * (lcm // tx.q), ty.n * (lcm // ty.q)
+    return abs(big1 - big2), tz.n * (lcm // tz.q), min(big1 + big2, 2 * lcm - big1 - big2)
+
+
 def is_reducible_triple(c: CharacterTriple) -> bool:
     """Exact test: the third angle equals the folded sum or difference of the first two."""
-    t1, t2, t3 = c.angles
-    return t3 == _fold(t1 + t2) or t3 == _fold(t1 - t2)
+    lower, big3, upper = _walls(c)
+    return big3 == lower or big3 == upper
 
 
 def kappa(c: CharacterTriple) -> float:
@@ -194,22 +236,21 @@ def kappa(c: CharacterTriple) -> float:
 
 
 def classify(c: CharacterTriple) -> ClassLabel:
-    """Split a triple into Reducible / SU2 / SL2R by exact rational tests.
+    """Split a triple into Reducible / SU2 / SL2R by exact integer tests.
 
     A triple of elliptic angles is unitary exactly when the third angle lies
     strictly inside the interval the first two can span,
-    |t1 - t2| < t3 < min(t1 + t2, 2 - t1 - t2). The float discriminant must
-    agree in sign, otherwise the data is inconsistent and we refuse to label.
+    |t1 - t2| < t3 < min(t1 + t2, 2 - t1 - t2), compared here over the common
+    denominator. The float discriminant must agree in sign, otherwise the
+    data is inconsistent and we refuse to label.
     """
     for tv in (c.tx, c.ty, c.tz):
-        if tv.t == 0 or tv.t == 1:
+        if tv.n == 0 or tv.n == tv.q:
             raise DegenerateAngle("classification needs all traces strictly inside (-2, 2)")
-    if is_reducible_triple(c):
+    lower, big3, upper = _walls(c)
+    if big3 == lower or big3 == upper:
         return ClassLabel.REDUCIBLE
-    t1, t2, t3 = c.angles
-    lower = abs(t1 - t2)
-    upper = min(t1 + t2, 2 - t1 - t2)
-    label = ClassLabel.SU2 if lower < t3 < upper else ClassLabel.SL2R
+    label = ClassLabel.SU2 if lower < big3 < upper else ClassLabel.SL2R
     k = kappa(c)
     if label is ClassLabel.SU2 and not k < -KAPPA_TOLERANCE:
         raise InconsistentClassification(f"unitary triple with kappa = {k}")
@@ -252,20 +293,16 @@ def enumerate_su2(
                     if lower < big3 < upper:
                         survivors.append((l1, l2, l3, eps))
     survivors.sort()
+    fold = TraceValue.fold
     triples: list[CharacterTriple] = []
     for l1, l2, l3, eps in survivors:
-        triple = CharacterTriple(
-            TraceValue(Fraction(l1, a1)),
-            TraceValue(Fraction(l2, a2)),
-            TraceValue(Fraction(l3, a3)),
-            epsilon=eps,
-        )
+        triple = CharacterTriple(fold(l1, a1), fold(l2, a2), fold(l3, a3), epsilon=eps)
         if classify(triple) is not ClassLabel.SU2:
             raise InconsistentClassification(
                 f"rotation numbers {(l1, l2, l3)} passed the triangle test but failed classify"
             )
         triples.append(triple)
-    expected = (a1 - 1) * (a2 - 1) * (a3 - 1) // 4 - len(enumerate_X0(params))
+    expected = _total_count(params) - len(enumerate_X0(params))
     if len(triples) != expected:
         raise CountMismatch(
             f"found {len(triples)} unitary classes on {params.triple}, expected {expected}"
@@ -277,19 +314,8 @@ def enumerate_su2(
 
 def count_report(params: BrieskornParams) -> CountReport:
     """Class counts for the canonical Seifert data, with identities enforced."""
-    a1, a2, a3 = params.triple
-    product = (a1 - 1) * (a2 - 1) * (a3 - 1)
-    assert product % 4 == 0  # a2, a3 odd
-    total = product // 4
     su2 = len(enumerate_su2(params, solve_seifert(params)))
-    sl2r = len(enumerate_E(params))
-    return CountReport(
-        total=total,
-        su2=su2,
-        sl2r=sl2r,
-        casson_abs=su2 // 2,
-        casson_sl2c=total,
-    )
+    return CountReport.of(params, su2=su2, sl2r=len(enumerate_E(params)))
 
 
 def phi_map(
@@ -308,20 +334,16 @@ def phi_map(
 def reversed_trace_check(eu: EulerClass, sigma: SeifertInvariant) -> bool:
     """Recompute the triple through the orientation-reversed covering.
 
-    The reversed covering must have the negated euler number, the same
+    The reversed covering must have the negated euler number, hence the same
     homology order, and (with the opposite sign convention for the central
     image) the same canonical trace triple.
     """
     params = eu.params
     forward = trace_triple_of(eu, sigma)
-    cover = seifert_from_euler(eu, params)
-    reversed_cover = seifert_from_euler(reverse_orientation(eu), params)
-    if euler_number(reversed_cover) != -euler_number(cover):
+    cover_e = cleared_euler_number(seifert_from_euler(eu, params))
+    reversed_e = cleared_euler_number(seifert_from_euler(reverse_orientation(eu), params))
+    if reversed_e != -cover_e:
         return False
-    order = h1_order(reversed_cover)
-    if order != h1_order(cover):
-        return False
-    reversed_traces = tuple(
-        TraceValue.from_angle(Fraction(order * bi, ai)) for ai, bi in sigma.pairs
-    )
+    order = abs(reversed_e)
+    reversed_traces = tuple(TraceValue.fold(order * bi, ai) for ai, bi in sigma.pairs)
     return (forward.tx, forward.ty, forward.tz) == reversed_traces

@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
 
 from .character import (
     ClassLabel,
+    CountReport,
     classify,
-    count_report,
     enumerate_su2,
     phi_map,
     reversed_trace_check,
@@ -94,6 +96,10 @@ def parse_seifert_override(text: str, params: BrieskornParams) -> tuple[SeifertI
     return sigma, source
 
 
+def _euler_entry(eu) -> dict:
+    return {"beta": eu.beta, "coefficients": list(eu.betas)}
+
+
 def _triple_entry(triple, verify_report=None) -> dict:
     entry = {
         "epsilon": triple.epsilon,
@@ -110,6 +116,71 @@ def _triple_entry(triple, verify_report=None) -> dict:
     return entry
 
 
+def _certify(params, sigma, name, triple, realizer, tol):
+    """Realize one class and check its relations; a failure names the class and its worst relation.
+
+    name is what the message calls the class: its euler class or its trace triple.
+    """
+    X, Y = realizer(triple)
+    report = verify_relations(X, Y, sigma, triple.epsilon, tol)
+    if not report.passed:
+        relation, residual = max(report.residuals.items(), key=lambda item: item[1])
+        raise BrieskornError(
+            f"relation residuals exceed tolerance on {params.triple}: class {name}, "
+            f"relation {relation} residual {residual!r}, "
+            f"gap {report.irreducibility_gap!r}, tol {tol:g}"
+        )
+    return report
+
+
+def sphere_summary(
+    params: BrieskornParams,
+    sigma: SeifertInvariant,
+    verify: bool = False,
+    tol: float = 1e-9,
+):
+    """One pass over a sphere: enumerate, classify, count and (with verify) certify every class.
+
+    Returns the summary record (params, counts, and with verify the
+    verification block), the pulled-back pairs, the unitary triples, and the
+    certificates of the pulled-back then the unitary classes (empty without
+    verify). Every assertion runs before anything is returned.
+    """
+    pairs = phi_map(params, sigma)
+    su2_triples = enumerate_su2(params, sigma)
+    counts = CountReport.of(params, su2=len(su2_triples), sl2r=len(pairs))
+    for eu, triple in pairs:
+        label = classify(triple)
+        if label is not ClassLabel.SL2R:
+            raise InconsistentClassification(
+                f"pulled-back class {eu} classified as {label.value}"
+            )
+    reports = []
+    if verify:
+        # an SL(2,R) class is named by its euler class, a unitary one by its traces
+        reports = [_certify(params, sigma, eu, t, realize_sl2r, tol) for eu, t in pairs]
+        reports += [_certify(params, sigma, t, t, realize_su2, tol) for t in su2_triples]
+    summary = {
+        "params": {
+            "a1": params.a1,
+            "a2": params.a2,
+            "a3": params.a3,
+            "a": params.a,
+            "input_permutation": list(params.permutation),
+        },
+        "counts": dataclasses.asdict(counts),
+    }
+    if verify:
+        summary["verification"] = {
+            "tol": tol,
+            "classes": len(reports),
+            "max_residual": max((r.max_residual for r in reports), default=0.0),
+            "min_gap": min((r.irreducibility_gap for r in reports), default=math.inf),
+            "passed": True,
+        }
+    return summary, pairs, su2_triples, reports
+
+
 def build_record(
     params: BrieskornParams,
     sigma: SeifertInvariant,
@@ -119,81 +190,34 @@ def build_record(
     condition_b: bool = False,
 ) -> dict:
     """Assemble the full analysis for one sphere; every assertion runs before emission."""
-    counts = count_report(params)
-    pairs = phi_map(params, sigma)
-    su2_triples = enumerate_su2(params, sigma)
-    if len(su2_triples) != counts.su2 or len(pairs) != counts.sl2r:
-        raise InconsistentClassification("class lists disagree with the count report")
-
-    verify_summaries = []
-
-    def verified(triple, realizer):
-        if not verify:
-            return None
-        X, Y = realizer(triple)
-        report = verify_relations(X, Y, sigma, triple.epsilon, tol)
-        if not report.passed:
-            raise BrieskornError(
-                f"relation residuals exceed tolerance on {params.triple}: "
-                f"max residual {report.max_residual}, gap {report.irreducibility_gap}"
-            )
-        verify_summaries.append(report)
-        return report
-
-    sl2r_entries = []
-    for eu, triple in pairs:
-        label = classify(triple)
-        if label is not ClassLabel.SL2R:
-            raise InconsistentClassification(
-                f"pulled-back class {eu} classified as {label.value}"
-            )
-        report = verified(triple, realize_sl2r)
-        entry = {
-            "euler_class": {"beta": eu.beta, "coefficients": list(eu.betas)},
-            "cover_h1": h1_order(seifert_from_euler(eu, params)),
-            "label": label.value,
-        }
-        entry.update(_triple_entry(triple, report))
-        sl2r_entries.append(entry)
-
-    su2_entries = []
-    for triple in su2_triples:
-        report = verified(triple, realize_su2)
-        entry = {"label": ClassLabel.SU2.value}
-        entry.update(_triple_entry(triple, report))
-        su2_entries.append(entry)
-
-    record = {
-        "params": {
-            "a1": params.a1,
-            "a2": params.a2,
-            "a3": params.a3,
-            "a": params.a,
-            "input_permutation": list(params.permutation),
-        },
-        "seifert": {
-            "b": sigma.b,
-            "coefficients": list(sigma.coefficients),
-            "source": source,
-            "euler_number": str(euler_number(sigma)),
-            "h1_order": h1_order(sigma),
-            "convention_sign": sphere_convention_sign(sigma),
-        },
-        "counts": {
-            "total": counts.total,
-            "su2": counts.su2,
-            "sl2r": counts.sl2r,
-            "casson_abs": counts.casson_abs,
-            "casson_sl2c": counts.casson_sl2c,
-        },
-        "sl2r_classes": sl2r_entries,
-        "su2_classes": su2_entries,
+    record, pairs, su2_triples, reports = sphere_summary(params, sigma, verify, tol)
+    reports = iter(reports) if verify else itertools.repeat(None)
+    record["seifert"] = {
+        "b": sigma.b,
+        "coefficients": list(sigma.coefficients),
+        "source": source,
+        "euler_number": str(euler_number(sigma)),
+        "h1_order": h1_order(sigma),
+        "convention_sign": sphere_convention_sign(sigma),
     }
+    record["sl2r_classes"] = [
+        {
+            "euler_class": _euler_entry(eu),
+            "cover_h1": h1_order(seifert_from_euler(eu, params)),
+            "label": ClassLabel.SL2R.value,
+            **_triple_entry(triple, next(reports)),
+        }
+        for eu, triple in pairs
+    ]
+    record["su2_classes"] = [
+        {"label": ClassLabel.SU2.value, **_triple_entry(triple, next(reports))}
+        for triple in su2_triples
+    ]
 
     if condition_b:
         reversed_classes = enumerate_condition_b(params)
-        partners = {reverse_orientation(eu) for eu, _ in pairs}
-        if partners != set(reversed_classes):
+        partners = {reverse_orientation(eu): eu for eu, _ in pairs}
+        if set(partners) != set(reversed_classes):
             raise BrieskornError(
                 f"orientation reversal is not a bijection on {params.triple}"
             )
@@ -203,33 +227,15 @@ def build_record(
                     f"reversed-orientation traces disagree for {eu} on {params.triple}"
                 )
         record["condition_b_classes"] = [
-            {
-                "euler_class": {"beta": eu.beta, "coefficients": list(eu.betas)},
-                "reverse_of": {
-                    "beta": reverse_orientation(eu).beta,
-                    "coefficients": list(reverse_orientation(eu).betas),
-                },
-            }
+            {"euler_class": _euler_entry(eu), "reverse_of": _euler_entry(partners[eu])}
             for eu in reversed_classes
         ]
-
-    if verify:
-        record["verification"] = {
-            "tol": tol,
-            "classes": len(verify_summaries),
-            "max_residual": max((r.max_residual for r in verify_summaries), default=0.0),
-            "min_gap": min(
-                (r.irreducibility_gap for r in verify_summaries), default=math.inf
-            ),
-            "passed": True,
-        }
     return record
 
 
 def render_text(record: dict) -> str:
     p = record["params"]
     s = record["seifert"]
-    counts = record["counts"]
     lines = [
         f"Brieskorn sphere Sigma({p['a1']}, {p['a2']}, {p['a3']})   a = {p['a']}",
         "seifert data: {0; (1,%d), (%d,%d), (%d,%d), (%d,%d)}   [%s]"
@@ -245,14 +251,11 @@ def render_text(record: dict) -> str:
         ),
         f"euler number {s['euler_number']}   h1 order {s['h1_order']}   convention sign {s['convention_sign']:+d}",
         "counts: total %d | su2 %d | sl2r %d | |casson| %d | sl2c casson %d"
-        % (
-            counts["total"],
-            counts["su2"],
-            counts["sl2r"],
-            counts["casson_abs"],
-            counts["casson_sl2c"],
-        ),
+        % tuple(record["counts"][name] for name in CSV_COLUMNS[4:]),
     ]
+
+    def format_euler(eu):
+        return "(%d; %s)" % (eu["beta"], ",".join(map(str, eu["coefficients"])))
 
     def format_triple(entry):
         exact = ", ".join(entry["traces"])
@@ -267,10 +270,9 @@ def render_text(record: dict) -> str:
     if record["sl2r_classes"]:
         lines.append("sl2r classes:")
         for entry in record["sl2r_classes"]:
-            eu = entry["euler_class"]
-            eu_text = "(%d; %s)" % (eu["beta"], ",".join(map(str, eu["coefficients"])))
             lines.append(
-                f"  {eu_text}  cover h1 {entry['cover_h1']}   " + format_triple(entry)
+                f"  {format_euler(entry['euler_class'])}  cover h1 {entry['cover_h1']}   "
+                + format_triple(entry)
             )
     else:
         lines.append("sl2r classes: none (every irreducible class is unitary)")
@@ -285,16 +287,9 @@ def render_text(record: dict) -> str:
     if "condition_b_classes" in record:
         lines.append("condition-b classes (orientation reversed):")
         for entry in record["condition_b_classes"]:
-            eu = entry["euler_class"]
-            partner = entry["reverse_of"]
             lines.append(
-                "  (%d; %s) <- reverse of (%d; %s)"
-                % (
-                    eu["beta"],
-                    ",".join(map(str, eu["coefficients"])),
-                    partner["beta"],
-                    ",".join(map(str, partner["coefficients"])),
-                )
+                f"  {format_euler(entry['euler_class'])} <- reverse of "
+                + format_euler(entry["reverse_of"])
             )
         if not record["condition_b_classes"]:
             lines[-1] += " none"
@@ -310,44 +305,31 @@ def render_text(record: dict) -> str:
 
 def _csv_row(record: dict, verify: bool) -> list:
     p, counts = record["params"], record["counts"]
-    row = [
-        p["a1"],
-        p["a2"],
-        p["a3"],
-        p["a"],
-        counts["total"],
-        counts["su2"],
-        counts["sl2r"],
-        counts["casson_abs"],
-        counts["casson_sl2c"],
-    ]
+    row = [p["a1"], p["a2"], p["a3"], p["a"]] + [counts[name] for name in CSV_COLUMNS[4:]]
     if verify:
         v = record["verification"]
         row += [repr(v["max_residual"]), repr(v["min_gap"])]
     return row
 
 
+def _csv_writer(out, verify: bool):
+    """A CSV writer on out that has already written the header row."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_VERIFY_COLUMNS if verify else CSV_COLUMNS)
+    return writer
+
+
 def render_csv(records: list[dict], verify: bool) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_VERIFY_COLUMNS if verify else CSV_COLUMNS)
+    writer = _csv_writer(buffer, verify)
     for record in records:
         writer.writerow(_csv_row(record, verify))
     return buffer.getvalue()
 
 
 def _census_text_row(record: dict) -> str:
-    p, counts = record["params"], record["counts"]
-    text = "(%d,%d,%d) a=%d total=%d su2=%d sl2r=%d |casson|=%d sl2c=%d" % (
-        p["a1"],
-        p["a2"],
-        p["a3"],
-        p["a"],
-        counts["total"],
-        counts["su2"],
-        counts["sl2r"],
-        counts["casson_abs"],
-        counts["casson_sl2c"],
+    text = "(%d,%d,%d) a=%d total=%d su2=%d sl2r=%d |casson|=%d sl2c=%d" % tuple(
+        _csv_row(record, False)
     )
     if "verification" in record:
         v = record["verification"]
@@ -422,20 +404,17 @@ def _run_census(args) -> int:
         return 2
     out = sys.stdout
     if args.format == "csv":
-        out.write(
-            ",".join(CSV_VERIFY_COLUMNS if args.verify else CSV_COLUMNS) + "\n"
-        )
+        writer = _csv_writer(out, args.verify)
     rows = 0
     sum_sl2c = sum_abs = sum_sl2r = 0
     for params in census_params(args.max_a):
         try:
-            record = build_record(
-                params,
-                solve_seifert(params),
-                "canonical",
-                verify=args.verify,
-                tol=args.tol,
-            )
+            sigma = solve_seifert(params)
+            # only JSON prints the classes; text and CSV print the counts
+            if args.format == "json":
+                record = build_record(params, sigma, "canonical", args.verify, args.tol)
+            else:
+                record = sphere_summary(params, sigma, args.verify, args.tol)[0]
         except BrieskornError as exc:
             print(
                 f"census aborted at ({params.a1},{params.a2},{params.a3}): {exc}",
@@ -450,11 +429,7 @@ def _run_census(args) -> int:
         if args.format == "json":
             out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
         elif args.format == "csv":
-            buffer = io.StringIO()
-            csv.writer(buffer, lineterminator="\n").writerow(
-                _csv_row(record, args.verify)
-            )
-            out.write(buffer.getvalue())
+            writer.writerow(_csv_row(record, args.verify))
         else:
             out.write(_census_text_row(record) + "\n")
     if sum_sl2c - 2 * sum_abs != sum_sl2r:

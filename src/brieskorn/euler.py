@@ -41,19 +41,21 @@ class EulerClass:
     def betas(self) -> tuple[int, int, int]:
         return (self.beta1, self.beta2, self.beta3)
 
+    def cleared_sum(self) -> int:
+        """a * sum beta_i/a_i, an integer because every a_i divides a."""
+        a = self.params.a
+        return sum(bi * (a // ai) for bi, ai in zip(self.betas, self.params.triple))
+
     def angle_sum(self) -> Fraction:
-        return sum(
-            (Fraction(bi, ai) for bi, ai in zip(self.betas, self.params.triple)),
-            Fraction(0),
-        )
+        return Fraction(self.cleared_sum(), self.params.a)
 
     def satisfies_condition_a(self) -> bool:
         """beta = -1 and the coefficient sum stays below 1."""
-        return self.beta == -1 and self.angle_sum() < 1
+        return self.beta == -1 and self.cleared_sum() < self.params.a
 
     def satisfies_condition_b(self) -> bool:
         """beta = -2 and the coefficient sum exceeds 2."""
-        return self.beta == -2 and self.angle_sum() > 2
+        return self.beta == -2 and self.cleared_sum() > 2 * self.params.a
 
     def __str__(self) -> str:
         return f"({self.beta}; {self.beta1},{self.beta2},{self.beta3})"

@@ -90,7 +90,8 @@ class RealizationReport:
 
 
 def _angles(c: CharacterTriple) -> tuple[float, float, float]:
-    return tuple(math.pi * float(t) for t in c.angles)
+    # n / q rounds exactly as float(Fraction(n, q)) does
+    return tuple(math.pi * (tv.n / tv.q) for tv in (c.tx, c.ty, c.tz))
 
 
 def realize_su2(c: CharacterTriple) -> tuple[Mat2, Mat2]:

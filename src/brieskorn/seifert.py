@@ -126,25 +126,23 @@ def solve_seifert(params: BrieskornParams) -> SeifertInvariant:
 
 def euler_number(s: SeifertInvariant) -> Fraction:
     """The rational euler number -(b + sum b_i/a_i) of the fibration."""
-    total = Fraction(s.b)
-    for ai, bi in s.pairs:
-        total += Fraction(bi, ai)
-    return -total
+    return Fraction(cleared_euler_number(s), s.a)
 
 
-def h1_order(s: SeifertInvariant) -> int:
-    """Order of the first homology group, a * |e(s)|, as a nonnegative integer.
-
-    Computed on cleared denominators: a*e = -(a*b + sum b_i * a/a_i) with
-    every a/a_i an integer, so the result is exact.
-    """
+def cleared_euler_number(s: SeifertInvariant) -> int:
+    """a * e(s) = -(a*b + sum b_i * a/a_i), an integer because every a_i divides a."""
     a = s.a
     total = s.b * a
     for ai, bi in s.pairs:
         if a % ai:
             raise NonIntegerOrder(f"multiplicity {ai} does not divide the product {a}")
         total += bi * (a // ai)
-    return abs(total)
+    return -total
+
+
+def h1_order(s: SeifertInvariant) -> int:
+    """Order of the first homology group, a * |e(s)|, as a nonnegative integer."""
+    return abs(cleared_euler_number(s))
 
 
 def sphere_convention_sign(s: SeifertInvariant) -> int:
@@ -153,7 +151,7 @@ def sphere_convention_sign(s: SeifertInvariant) -> int:
     Homology-sphere data comes in two sign conventions; both are accepted
     and the trace formulas downstream are valid for either.
     """
-    value = -s.a * euler_number(s)
+    value = -cleared_euler_number(s)
     if value == 1:
         return 1
     if value == -1:

@@ -1,12 +1,16 @@
 """Command line behavior: formats, determinism, exit codes."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
+from brieskorn.character import phi_map
 from brieskorn.cli import census_params, main, parse_seifert_override
 from brieskorn.errors import InvalidSeifertData
-from brieskorn.seifert import canonicalize_params
+from brieskorn.realize import realize_sl2r, verify_relations
+from brieskorn.seifert import canonicalize_params, solve_seifert
 
 
 def run(capsys, *argv):
@@ -137,6 +141,23 @@ def test_analyze_deterministic(capsys):
     assert first == second
 
 
+def test_verify_failure_names_class_relation_and_residual(capsys):
+    # at tol 1e-16 the first class listed, (-1; 1,1,1), fails on float round-off
+    code, out, err = run(capsys, "analyze", "2", "3", "7", "--verify", "--tol", "1e-16")
+    assert code == 1
+    assert out == ""
+    params = canonicalize_params(2, 3, 7)
+    sigma = solve_seifert(params)
+    [(eu, triple)] = phi_map(params, sigma)
+    report = verify_relations(*realize_sl2r(triple), sigma, triple.epsilon, 1e-16)
+    relation, residual = max(report.residuals.items(), key=lambda item: item[1])
+    assert err.startswith(
+        "assertion failure: relation residuals exceed tolerance on (2, 3, 7): "
+        f"class (-1; 1,1,1), relation {relation} residual {residual!r}, "
+    )
+    assert re.search(r"relation [xyz]\^[237] residual ", err)
+
+
 def test_census_30_single_row(capsys):
     code, out, err = run(capsys, "census", "30")
     assert code == 0
@@ -220,3 +241,27 @@ def test_parse_seifert_override_rejects_garbage():
     params = canonicalize_params(2, 3, 7)
     with pytest.raises(InvalidSeifertData):
         parse_seifert_override("0,one,2,3", params)
+
+
+# stdout sha256 of each command at the commit before the integer angle
+# lattice, taken with Python 3.11.7 on x86-64 Linux; the float columns depend
+# on the platform's libm, so another platform may need its own digests
+PINNED_STDOUT = {
+    ("census", "1000"): "1119ad93483e3995215ace91f56781803534538ad7351bbc8be4d1fc62f8c529",
+    ("census", "1000", "--format", "csv"): (
+        "5ebc4be086b23d2a465254683fb91eb217d676f681c2b840e663417bedac6447"
+    ),
+    ("census", "1000", "--format", "json"): (
+        "d8b19ea66d1192cff909c58f78ab8c0606197c48f34c08bc5756781518e85a2d"
+    ),
+    ("analyze", "4", "3", "125", "--condition-b"): (
+        "b6a2ef512f4696c99a44d95110092acf908b1ccfc3b4611dd13712d753edc98e"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
+def test_stdout_byte_identical_to_pinned_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]

@@ -3,14 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from brieskorn.character import (
+    KAPPA_TOLERANCE,
+    CharacterTriple,
     ClassLabel,
+    TraceValue,
     classify,
     enumerate_su2,
+    is_reducible_triple,
     kappa,
     phi_map,
 )
+from brieskorn.errors import InconsistentClassification
 from brieskorn.cli import census_params
 from brieskorn.euler import (
     enumerate_E,
@@ -142,3 +149,45 @@ def test_classes_sharing_all_angle_mirrors_differ_by_one_flip():
                 assert eu2.betas[j] == params.triple[j] - eu1.betas[j]
                 assert t1.key != t2.key
     assert seen > 0
+
+
+def reference_fold(angle: Fraction) -> Fraction:
+    t = angle % 2
+    return 2 - t if t > 1 else t
+
+
+def reference_label(t1: Fraction, t2: Fraction, t3: Fraction) -> ClassLabel:
+    """The rational classification the integer lattice replaces, kept as the oracle."""
+    if t3 in (reference_fold(t1 + t2), reference_fold(t1 - t2)):
+        return ClassLabel.REDUCIBLE
+    if abs(t1 - t2) < t3 < min(t1 + t2, 2 - t1 - t2):
+        return ClassLabel.SU2
+    return ClassLabel.SL2R
+
+
+OPEN_ANGLES = st.fractions(min_value=0, max_value=1, max_denominator=5000).filter(
+    lambda t: 0 < t < 1
+)
+THIRD_ANGLE = {
+    "free": lambda t1, t2, t3: t3,
+    "difference wall": lambda t1, t2, t3: abs(t1 - t2),
+    "sum wall": lambda t1, t2, t3: t1 + t2,
+    "reflected sum wall": lambda t1, t2, t3: 2 - t1 - t2,
+}
+
+
+@given(OPEN_ANGLES, OPEN_ANGLES, OPEN_ANGLES, st.sampled_from(sorted(THIRD_ANGLE)))
+def test_integer_classify_matches_rational_reference(t1, t2, t3, placement):
+    t3 = THIRD_ANGLE[placement](t1, t2, t3)
+    assume(0 < t3 < 1)
+    c = CharacterTriple(TraceValue(t1), TraceValue(t2), TraceValue(t3), epsilon=1)
+    expected = reference_label(t1, t2, t3)
+    assert is_reducible_triple(c) is (expected is ClassLabel.REDUCIBLE)
+    try:
+        label = classify(c)
+    except InconsistentClassification:
+        # the only refusal allowed: a margin the float cross-check cannot resolve
+        assert expected is not ClassLabel.REDUCIBLE
+        assert abs(kappa(c)) <= KAPPA_TOLERANCE
+        return
+    assert label is expected
