@@ -29,7 +29,6 @@ from .errors import (
     InconsistentClassification,
     InjectivityViolation,
     InvalidSeifertData,
-    NonIntegerOrder,
     NotPairwiseCoprime,
     NotRealizable,
     ValueTooSmall,
@@ -79,7 +78,6 @@ __all__ = [
     "InjectivityViolation",
     "InvalidSeifertData",
     "Mat2",
-    "NonIntegerOrder",
     "NotPairwiseCoprime",
     "NotRealizable",
     "RealizationReport",

@@ -27,12 +27,10 @@ from .euler import (
     enumerate_E,
     enumerate_X0,
     reverse_orientation,
-    seifert_from_euler,
 )
 from .seifert import (
     BrieskornParams,
     SeifertInvariant,
-    cleared_euler_number,
     h1_order,
     solve_seifert,
 )
@@ -198,9 +196,12 @@ def trace_triple_of(eu: EulerClass, sigma: SeifertInvariant) -> CharacterTriple:
     central generator goes to a lift of rotation by that order times pi, so
     epsilon is -1 exactly when the order is odd.
     """
-    params = eu.params
-    _check_sphere_data(params, sigma)
-    order = h1_order(seifert_from_euler(eu, params))
+    _check_sphere_data(eu.params, sigma)
+    return _trace_triple_unchecked(eu, sigma)
+
+
+def _trace_triple_unchecked(eu: EulerClass, sigma: SeifertInvariant) -> CharacterTriple:
+    order = abs(eu.cover_euler_number())
     traces = [
         trace_of_generator(beta, ai, order, bi)
         for beta, (ai, bi) in zip(eu.betas, sigma.pairs)
@@ -322,7 +323,8 @@ def phi_map(
     params: BrieskornParams, sigma: SeifertInvariant
 ) -> list[tuple[EulerClass, CharacterTriple]]:
     """The class-to-triple map on the beta = -1 classes, with injectivity asserted."""
-    pairs = [(eu, trace_triple_of(eu, sigma)) for eu in enumerate_E(params)]
+    _check_sphere_data(params, sigma)
+    pairs = [(eu, _trace_triple_unchecked(eu, sigma)) for eu in enumerate_E(params)]
     keys = [triple.key for _, triple in pairs]
     if len(set(keys)) != len(keys):
         raise InjectivityViolation(
@@ -331,19 +333,16 @@ def phi_map(
     return pairs
 
 
-def reversed_trace_check(eu: EulerClass, sigma: SeifertInvariant) -> bool:
-    """Recompute the triple through the orientation-reversed covering.
+def reversed_trace_check(
+    eu: EulerClass, triple: CharacterTriple, sigma: SeifertInvariant
+) -> bool:
+    """Check the trace triple phi_map gave eu through the orientation-reversed covering.
 
     The reversed covering must have the negated euler number, hence the same
-    homology order, and (with the opposite sign convention for the central
-    image) the same canonical trace triple.
+    homology order, and the reversed class must give the same trace triple,
+    central sign included.
     """
-    params = eu.params
-    forward = trace_triple_of(eu, sigma)
-    cover_e = cleared_euler_number(seifert_from_euler(eu, params))
-    reversed_e = cleared_euler_number(seifert_from_euler(reverse_orientation(eu), params))
-    if reversed_e != -cover_e:
+    partner = reverse_orientation(eu)
+    if partner.cover_euler_number() != -eu.cover_euler_number():
         return False
-    order = abs(reversed_e)
-    reversed_traces = tuple(TraceValue.fold(order * bi, ai) for ai, bi in sigma.pairs)
-    return (forward.tx, forward.ty, forward.tz) == reversed_traces
+    return trace_triple_of(partner, sigma) == triple

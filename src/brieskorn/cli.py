@@ -30,7 +30,7 @@ from .errors import (
     NotPairwiseCoprime,
     ValueTooSmall,
 )
-from .euler import enumerate_condition_b, reverse_orientation, seifert_from_euler
+from .euler import enumerate_condition_b, reverse_orientation
 from .realize import realize_sl2r, realize_su2, verify_relations
 from .seifert import (
     BrieskornParams,
@@ -203,7 +203,7 @@ def build_record(
     record["sl2r_classes"] = [
         {
             "euler_class": _euler_entry(eu),
-            "cover_h1": h1_order(seifert_from_euler(eu, params)),
+            "cover_h1": abs(eu.cover_euler_number()),
             "label": ClassLabel.SL2R.value,
             **_triple_entry(triple, next(reports)),
         }
@@ -221,8 +221,8 @@ def build_record(
             raise BrieskornError(
                 f"orientation reversal is not a bijection on {params.triple}"
             )
-        for eu, _ in pairs:
-            if not reversed_trace_check(eu, sigma):
+        for eu, triple in pairs:
+            if not reversed_trace_check(eu, triple, sigma):
                 raise BrieskornError(
                     f"reversed-orientation traces disagree for {eu} on {params.triple}"
                 )
@@ -337,6 +337,17 @@ def _census_text_row(record: dict) -> str:
     return text
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brieskorn",
@@ -361,17 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (analyze, census):
         p.add_argument("--verify", action="store_true")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
+def _emit(text: str, path: str | None) -> int:
+    """Write text to path, or to stdout without one; 2 when the file cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _run_analyze(args) -> int:
@@ -394,8 +411,7 @@ def _run_analyze(args) -> int:
         text = render_csv([record], args.verify)
     else:
         text = render_text(record)
-    _emit(text, args.output)
-    return 0
+    return _emit(text, args.output)
 
 
 def _run_census(args) -> int:

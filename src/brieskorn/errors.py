@@ -17,10 +17,6 @@ class InvalidSeifertData(BrieskornError):
     """Seifert data fails the homology-sphere normalization a*(b + sum b_i/a_i) = +-1."""
 
 
-class NonIntegerOrder(BrieskornError):
-    """a*|e| did not reduce to an integer; the data is internally inconsistent."""
-
-
 class DegenerateAngle(BrieskornError):
     """A trace came out as +-2, so the element maps into the center."""
 

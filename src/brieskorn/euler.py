@@ -46,6 +46,10 @@ class EulerClass:
         a = self.params.a
         return sum(bi * (a // ai) for bi, ai in zip(self.betas, self.params.triple))
 
+    def cover_euler_number(self) -> int:
+        """a * e of the covering this class selects; its absolute value is the h1 order."""
+        return -(self.params.a * self.beta + self.cleared_sum())
+
     def angle_sum(self) -> Fraction:
         return Fraction(self.cleared_sum(), self.params.a)
 

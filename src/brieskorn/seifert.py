@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .errors import (
     InvalidSeifertData,
-    NonIntegerOrder,
     NotPairwiseCoprime,
     ValueTooSmall,
 )
@@ -134,8 +133,6 @@ def cleared_euler_number(s: SeifertInvariant) -> int:
     a = s.a
     total = s.b * a
     for ai, bi in s.pairs:
-        if a % ai:
-            raise NonIntegerOrder(f"multiplicity {ai} does not divide the product {a}")
         total += bi * (a // ai)
     return -total
 

@@ -119,9 +119,9 @@ def test_criterion_7_reversal_sweep(partition_sweep):
         image = {reverse_orientation(eu) for eu, _ in pairs}
         assert image == set(reversed_classes)
         assert len(image) == len(pairs)
-        for eu, _ in pairs:
+        for eu, triple in pairs:
             assert reverse_orientation(reverse_orientation(eu)) == eu
-            assert reversed_trace_check(eu, sigma)
+            assert reversed_trace_check(eu, triple, sigma)
 
 
 def test_criterion_8_realization_sweep(realization_sweep):

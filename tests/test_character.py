@@ -277,4 +277,19 @@ def test_phi_map_357_injective():
 def test_reversed_trace_check_holds(triple_):
     params = canonicalize_params(*triple_)
     sigma = solve_seifert(params)
-    assert all(reversed_trace_check(eu, sigma) for eu in enumerate_E(params))
+    pairs = phi_map(params, sigma)
+    assert [eu for eu, _ in pairs] == enumerate_E(params)
+    assert all(reversed_trace_check(eu, triple, sigma) for eu, triple in pairs)
+
+
+def test_reversed_trace_check_refuses_a_wrong_triple():
+    params = canonicalize_params(3, 5, 7)
+    sigma = solve_seifert(params)
+    pairs = phi_map(params, sigma)
+    assert len(pairs) == 4
+    for (eu, triple), (_, other) in zip(pairs, pairs[1:] + pairs[:1]):
+        assert reversed_trace_check(eu, triple, sigma)
+        # another class's triple, and the right traces with the central sign flipped
+        assert not reversed_trace_check(eu, other, sigma)
+        flipped = CharacterTriple(triple.tx, triple.ty, triple.tz, epsilon=-triple.epsilon)
+        assert not reversed_trace_check(eu, flipped, sigma)

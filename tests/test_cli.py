@@ -124,6 +124,26 @@ def test_analyze_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["params"]["a"] == 42
 
 
+def test_analyze_output_file_in_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "analyze", "2", "3", "7", "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command", [["analyze", "2", "3", "7"], ["census", "30"]], ids=" ".join)
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_finite_and_positive(capsys, command, tol):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--verify", "--tol", tol])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert f"argument --tol: must be finite and positive, got '{tol}'" in captured.err
+
+
 def test_analyze_text_identical_under_input_permutation(capsys):
     _, canonical, _ = run(capsys, "analyze", "2", "3", "7")
     _, permuted, _ = run(capsys, "analyze", "7", "2", "3")
@@ -243,9 +263,10 @@ def test_parse_seifert_override_rejects_garbage():
         parse_seifert_override("0,one,2,3", params)
 
 
-# stdout sha256 of each command at the commit before the integer angle
-# lattice, taken with Python 3.11.7 on x86-64 Linux; the float columns depend
-# on the platform's libm, so another platform may need its own digests
+# stdout sha256 of each command, taken with Python 3.11.7 on x86-64 Linux;
+# the float columns depend on the platform's libm, so another platform may
+# need its own digests. The first four date from before the integer angle
+# lattice, the last two from before the cover order moved onto EulerClass.
 PINNED_STDOUT = {
     ("census", "1000"): "1119ad93483e3995215ace91f56781803534538ad7351bbc8be4d1fc62f8c529",
     ("census", "1000", "--format", "csv"): (
@@ -256,6 +277,14 @@ PINNED_STDOUT = {
     ),
     ("analyze", "4", "3", "125", "--condition-b"): (
         "b6a2ef512f4696c99a44d95110092acf908b1ccfc3b4611dd13712d753edc98e"
+    ),
+    # cover_h1 and condition_b_classes in JSON
+    ("analyze", "3", "5", "7", "--format", "json", "--condition-b"): (
+        "3e74ffe03e2f92583916b245f85d2fd2138bef82bf8508edfa17aea12a1eaae9"
+    ),
+    # convention sign -1 and odd coefficients
+    ("analyze", "2", "3", "7", "--seifert=0,-1,-2,8", "--condition-b", "--verify"): (
+        "1ac3e2ba62fe7965f2e0667f099193880210e640c92d2da06c72bd81ca459ff8"
     ),
 }
 

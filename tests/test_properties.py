@@ -26,7 +26,7 @@ from brieskorn.euler import (
     reverse_orientation,
     seifert_from_euler,
 )
-from brieskorn.seifert import euler_number, h1_order, solve_seifert
+from brieskorn.seifert import cleared_euler_number, euler_number, h1_order, solve_seifert
 
 SWEEP = census_params(400)
 IDS = ["%dx%dx%d" % p.triple for p in SWEEP]
@@ -86,6 +86,13 @@ def test_cover_euler_number_negates_under_reversal():
             reversed_cover = seifert_from_euler(reverse_orientation(eu), params)
             assert euler_number(cover) > 0
             assert euler_number(reversed_cover) == -euler_number(cover)
+
+
+@given(st.sampled_from(census_params(1000)))
+def test_cover_euler_number_matches_seifert_route(params):
+    classes = enumerate_E(params) + enumerate_condition_b(params)
+    for eu in classes:
+        assert eu.cover_euler_number() == cleared_euler_number(seifert_from_euler(eu, params))
 
 
 def test_trace_angles_reduce_to_euler_coefficients():
