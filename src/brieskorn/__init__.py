@@ -7,6 +7,8 @@ Casson-type invariants, and certifies each class with an explicit pair of
 2x2 matrices checked against the group relations.
 """
 
+import importlib
+
 from .character import (
     CharacterTriple,
     ClassLabel,
@@ -42,14 +44,6 @@ from .euler import (
     reverse_orientation,
     seifert_from_euler,
 )
-from .realize import (
-    Mat2,
-    RealizationReport,
-    realize_sl2r,
-    realize_su2,
-    stretch_for_product_trace,
-    verify_relations,
-)
 from .seifert import (
     BrieskornParams,
     GroupPresentation,
@@ -63,6 +57,23 @@ from .seifert import (
 )
 
 __version__ = "0.1.0"
+
+# realize needs numpy, so it loads on first use of one of its names
+_REALIZE_NAMES = {
+    "Mat2",
+    "RealizationReport",
+    "realize_sl2r",
+    "realize_su2",
+    "stretch_for_product_trace",
+    "verify_relations",
+}
+
+
+def __getattr__(name: str):
+    if name == "realize" or name in _REALIZE_NAMES:
+        realize = importlib.import_module(".realize", __name__)
+        return realize if name == "realize" else getattr(realize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BrieskornError",

@@ -26,7 +26,6 @@ from .euler import (
     EulerClass,
     enumerate_E,
     enumerate_X0,
-    reverse_orientation,
 )
 from .seifert import (
     BrieskornParams,
@@ -334,15 +333,14 @@ def phi_map(
 
 
 def reversed_trace_check(
-    eu: EulerClass, triple: CharacterTriple, sigma: SeifertInvariant
+    eu: EulerClass, partner: EulerClass, triple: CharacterTriple, sigma: SeifertInvariant
 ) -> bool:
     """Check the trace triple phi_map gave eu through the orientation-reversed covering.
 
-    The reversed covering must have the negated euler number, hence the same
-    homology order, and the reversed class must give the same trace triple,
-    central sign included.
+    partner is reverse_orientation(eu). The reversed covering must have the
+    negated euler number, hence the same homology order, and the reversed
+    class must give the same trace triple, central sign included.
     """
-    partner = reverse_orientation(eu)
     if partner.cover_euler_number() != -eu.cover_euler_number():
         return False
     return trace_triple_of(partner, sigma) == triple

@@ -31,7 +31,6 @@ from .errors import (
     ValueTooSmall,
 )
 from .euler import enumerate_condition_b, reverse_orientation
-from .realize import realize_sl2r, realize_su2, verify_relations
 from .seifert import (
     BrieskornParams,
     SeifertInvariant,
@@ -116,23 +115,6 @@ def _triple_entry(triple, verify_report=None) -> dict:
     return entry
 
 
-def _certify(params, sigma, name, triple, realizer, tol):
-    """Realize one class and check its relations; a failure names the class and its worst relation.
-
-    name is what the message calls the class: its euler class or its trace triple.
-    """
-    X, Y = realizer(triple)
-    report = verify_relations(X, Y, sigma, triple.epsilon, tol)
-    if not report.passed:
-        relation, residual = max(report.residuals.items(), key=lambda item: item[1])
-        raise BrieskornError(
-            f"relation residuals exceed tolerance on {params.triple}: class {name}, "
-            f"relation {relation} residual {residual!r}, "
-            f"gap {report.irreducibility_gap!r}, tol {tol:g}"
-        )
-    return report
-
-
 def sphere_summary(
     params: BrieskornParams,
     sigma: SeifertInvariant,
@@ -157,9 +139,23 @@ def sphere_summary(
             )
     reports = []
     if verify:
+        from .realize import certify_classes  # numpy loads only when a class is certified
+
         # an SL(2,R) class is named by its euler class, a unitary one by its traces
-        reports = [_certify(params, sigma, eu, t, realize_sl2r, tol) for eu, t in pairs]
-        reports += [_certify(params, sigma, t, t, realize_su2, tol) for t in su2_triples]
+        for names, triples, real_form in (
+            ([eu for eu, _ in pairs], [t for _, t in pairs], ClassLabel.SL2R),
+            (su2_triples, su2_triples, ClassLabel.SU2),
+        ):
+            batch = certify_classes(triples, sigma, real_form, tol)
+            for name, report in zip(names, batch):
+                if not report.passed:
+                    relation, residual = max(report.residuals.items(), key=lambda item: item[1])
+                    raise BrieskornError(
+                        f"relation residuals exceed tolerance on {params.triple}: class {name}, "
+                        f"relation {relation} residual {residual!r}, "
+                        f"gap {report.irreducibility_gap!r}, tol {tol:g}"
+                    )
+            reports += batch
     summary = {
         "params": {
             "a1": params.a1,
@@ -216,18 +212,18 @@ def build_record(
 
     if condition_b:
         reversed_classes = enumerate_condition_b(params)
-        partners = {reverse_orientation(eu): eu for eu, _ in pairs}
+        partners = {reverse_orientation(eu): (eu, triple) for eu, triple in pairs}
         if set(partners) != set(reversed_classes):
             raise BrieskornError(
                 f"orientation reversal is not a bijection on {params.triple}"
             )
-        for eu, triple in pairs:
-            if not reversed_trace_check(eu, triple, sigma):
+        for partner, (eu, triple) in partners.items():
+            if not reversed_trace_check(eu, partner, triple, sigma):
                 raise BrieskornError(
                     f"reversed-orientation traces disagree for {eu} on {params.triple}"
                 )
         record["condition_b_classes"] = [
-            {"euler_class": _euler_entry(eu), "reverse_of": _euler_entry(partners[eu])}
+            {"euler_class": _euler_entry(eu), "reverse_of": _euler_entry(partners[eu][0])}
             for eu in reversed_classes
         ]
     return record

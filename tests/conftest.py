@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from brieskorn.character import enumerate_su2, phi_map
+from brieskorn.character import ClassLabel, enumerate_su2, phi_map
 from brieskorn.cli import census_params
-from brieskorn.realize import realize_sl2r, realize_su2, verify_relations
+from brieskorn.realize import certify_classes
 from brieskorn.seifert import solve_seifert
 
 
@@ -26,7 +26,7 @@ def partition_sweep():
 
 @pytest.fixture(scope="session")
 def realization_sweep(partition_sweep):
-    """Realize and relation-check every class with a <= 1000 at tol 1e-9."""
+    """Realize and relation-check every class with a <= 1000 at tol 1e-9, one stack per real form."""
     rows, _ = partition_sweep
     start = time.perf_counter()
     out = []
@@ -34,12 +34,11 @@ def realization_sweep(partition_sweep):
         if params.a > 1000:
             continue
         reports = []
-        for _, tri in pairs:
-            X, Y = realize_sl2r(tri)
-            reports.append((tri, verify_relations(X, Y, sigma, tri.epsilon, 1e-9)))
-        for tri in su2_triples:
-            X, Y = realize_su2(tri)
-            reports.append((tri, verify_relations(X, Y, sigma, tri.epsilon, 1e-9)))
+        for triples, real_form in (
+            ([tri for _, tri in pairs], ClassLabel.SL2R),
+            (su2_triples, ClassLabel.SU2),
+        ):
+            reports += zip(triples, certify_classes(triples, sigma, real_form, 1e-9))
         out.append((params, reports))
     return out, time.perf_counter() - start
 

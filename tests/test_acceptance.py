@@ -121,7 +121,7 @@ def test_criterion_7_reversal_sweep(partition_sweep):
         assert len(image) == len(pairs)
         for eu, triple in pairs:
             assert reverse_orientation(reverse_orientation(eu)) == eu
-            assert reversed_trace_check(eu, triple, sigma)
+            assert reversed_trace_check(eu, reverse_orientation(eu), triple, sigma)
 
 
 def test_criterion_8_realization_sweep(realization_sweep):

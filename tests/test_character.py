@@ -28,7 +28,7 @@ from brieskorn.errors import (
     DegenerateAngle,
     InconsistentClassification,
 )
-from brieskorn.euler import EulerClass, enumerate_E, seifert_from_euler
+from brieskorn.euler import EulerClass, enumerate_E, reverse_orientation, seifert_from_euler
 from brieskorn.seifert import (
     SeifertInvariant,
     canonicalize_params,
@@ -279,7 +279,9 @@ def test_reversed_trace_check_holds(triple_):
     sigma = solve_seifert(params)
     pairs = phi_map(params, sigma)
     assert [eu for eu, _ in pairs] == enumerate_E(params)
-    assert all(reversed_trace_check(eu, triple, sigma) for eu, triple in pairs)
+    assert all(
+        reversed_trace_check(eu, reverse_orientation(eu), triple, sigma) for eu, triple in pairs
+    )
 
 
 def test_reversed_trace_check_refuses_a_wrong_triple():
@@ -288,8 +290,20 @@ def test_reversed_trace_check_refuses_a_wrong_triple():
     pairs = phi_map(params, sigma)
     assert len(pairs) == 4
     for (eu, triple), (_, other) in zip(pairs, pairs[1:] + pairs[:1]):
-        assert reversed_trace_check(eu, triple, sigma)
+        partner = reverse_orientation(eu)
+        assert reversed_trace_check(eu, partner, triple, sigma)
         # another class's triple, and the right traces with the central sign flipped
-        assert not reversed_trace_check(eu, other, sigma)
+        assert not reversed_trace_check(eu, partner, other, sigma)
         flipped = CharacterTriple(triple.tx, triple.ty, triple.tz, epsilon=-triple.epsilon)
-        assert not reversed_trace_check(eu, flipped, sigma)
+        assert not reversed_trace_check(eu, partner, flipped, sigma)
+
+
+def test_reversed_trace_check_refuses_a_wrong_partner():
+    params = canonicalize_params(3, 5, 7)
+    sigma = solve_seifert(params)
+    pairs = phi_map(params, sigma)
+    partners = [reverse_orientation(eu) for eu, _ in pairs]
+    for (eu, triple), partner, other in zip(pairs, partners, partners[1:] + partners[:1]):
+        assert reversed_trace_check(eu, partner, triple, sigma)
+        # another class's reversal is refused, as a wrong triple is
+        assert not reversed_trace_check(eu, other, triple, sigma)

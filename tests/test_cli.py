@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from brieskorn.character import phi_map
+import brieskorn
+import brieskorn.realize
+from brieskorn.character import ClassLabel, phi_map
 from brieskorn.cli import census_params, main, parse_seifert_override
 from brieskorn.errors import InvalidSeifertData
 from brieskorn.realize import realize_sl2r, verify_relations
@@ -178,6 +184,61 @@ def test_verify_failure_names_class_relation_and_residual(capsys):
     assert re.search(r"relation [xyz]\^[237] residual ", err)
 
 
+def test_verify_failure_at_first_float_defect_is_pinned(capsys):
+    # (4,3,127) at a = 1524 is the smallest sphere whose true classes fail
+    # tol 1e-9 on float64 round-off; the message pins the class, relation,
+    # residual and gap bit for bit
+    code, out, err = run(capsys, "analyze", "4", "3", "127", "--verify")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "assertion failure: relation residuals exceed tolerance on (4, 3, 127): "
+        "class (-1; 1,1,1), relation z^127 residual 1.0284785100061874e-09, "
+        "gap 5.825114620410716, tol 1e-09\n"
+    )
+
+
+def test_unitary_stack_not_certified_after_a_real_class_fails(capsys, monkeypatch):
+    certify = brieskorn.realize.certify_classes
+    forms = []
+
+    def recording(triples, sigma, real_form, tol):
+        forms.append(real_form)
+        return certify(triples, sigma, real_form, tol)
+
+    monkeypatch.setattr(brieskorn.realize, "certify_classes", recording)
+    assert run(capsys, "analyze", "4", "3", "127", "--verify")[0] == 1
+    assert forms == [ClassLabel.SL2R]
+    assert run(capsys, "analyze", "4", "3", "125", "--verify")[0] == 0
+    assert forms == [ClassLabel.SL2R, ClassLabel.SL2R, ClassLabel.SU2]
+
+
+def test_numpy_loads_only_to_certify():
+    script = "\n".join(
+        [
+            "import sys",
+            "import brieskorn",
+            "from brieskorn.cli import main",
+            "assert 'numpy' not in sys.modules",
+            "main(['census', '100'])",
+            "main(['analyze', '4', '3', '125', '--condition-b', '--format', 'json'])",
+            "assert 'numpy' not in sys.modules",
+            "main(['analyze', '2', '3', '7', '--verify'])",
+            "assert 'numpy' in sys.modules",
+            "assert all(hasattr(brieskorn, name) for name in brieskorn.__all__)",
+        ]
+    )
+    src = Path(brieskorn.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_census_30_single_row(capsys):
     code, out, err = run(capsys, "census", "30")
     assert code == 0
@@ -266,7 +327,8 @@ def test_parse_seifert_override_rejects_garbage():
 # stdout sha256 of each command, taken with Python 3.11.7 on x86-64 Linux;
 # the float columns depend on the platform's libm, so another platform may
 # need its own digests. The first four date from before the integer angle
-# lattice, the last two from before the cover order moved onto EulerClass.
+# lattice, the next two from before the cover order moved onto EulerClass,
+# the last from before certification moved onto matrix stacks.
 PINNED_STDOUT = {
     ("census", "1000"): "1119ad93483e3995215ace91f56781803534538ad7351bbc8be4d1fc62f8c529",
     ("census", "1000", "--format", "csv"): (
@@ -285,6 +347,10 @@ PINNED_STDOUT = {
     # convention sign -1 and odd coefficients
     ("analyze", "2", "3", "7", "--seifert=0,-1,-2,8", "--condition-b", "--verify"): (
         "1ac3e2ba62fe7965f2e0667f099193880210e640c92d2da06c72bd81ca459ff8"
+    ),
+    # every class's residual and gap, printed with repr
+    ("analyze", "3", "5", "7", "--verify", "--format", "json"): (
+        "a8f36deb3d72d83fddf0734315f1d50b96d407db76c56d112d28648e39934617"
     ),
 }
 

@@ -15,9 +15,12 @@ from brieskorn.character import (
     kappa,
     phi_map,
 )
+from brieskorn.cli import parse_seifert_override
 from brieskorn.errors import NotRealizable
 from brieskorn.realize import (
     Mat2,
+    certify_classes,
+    frobenius,
     realize_sl2r,
     realize_su2,
     sl2_inverse,
@@ -171,3 +174,116 @@ def test_mat2_validation():
         Mat2(np.eye(2), ClassLabel.REDUCIBLE)
     rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
     assert Mat2(rotation, ClassLabel.SL2R).trace == 0.0
+
+
+# spheres for the stack checks: canonical data, the convention sign -1 data
+# with odd b_i, and three spheres past a = 1524 whose SL(2,R) classes fail
+# tol 1e-9 on float64 round-off (ROADMAP item 3)
+STACK_SPHERES = [
+    ((2, 3, 7), None),
+    ((3, 5, 7), None),
+    ((2, 3, 7), "0,-1,-2,8"),
+    ((4, 3, 127), None),
+    ((2, 3, 601), None),
+    ((61, 67, 71), None),
+]
+
+
+def sphere_classes(multiplicities, override):
+    """sigma and the (one-class realizer, real form, triples) of both families."""
+    params = canonicalize_params(*multiplicities)
+    sigma = parse_seifert_override(override, params)[0] if override else solve_seifert(params)
+    families = [
+        (realize_sl2r, ClassLabel.SL2R, [c for _, c in phi_map(params, sigma)]),
+        (realize_su2, ClassLabel.SU2, enumerate_su2(params, sigma)),
+    ]
+    return sigma, families
+
+
+def outcome(report):
+    return report.residuals, report.irreducibility_gap, report.passed
+
+
+@pytest.mark.parametrize("multiplicities, override", STACK_SPHERES, ids=str)
+def test_stack_matches_one_class_wrappers(multiplicities, override):
+    sigma, families = sphere_classes(multiplicities, override)
+    for realizer, real_form, triples in families:
+        reports = certify_classes(triples, sigma, real_form)
+        assert len(reports) == len(triples)
+        # every failed class and a spread of the rest: (61,67,71) has 69,300 classes
+        step = max(1, len(triples) // 300)
+        for k, report in enumerate(reports):
+            if report.passed and k % step:
+                continue
+            c = triples[k]
+            one = verify_relations(*realizer(c), sigma, c.epsilon)
+            # residuals and gaps are never nan or -0.0, so == is bit equality
+            assert outcome(one) == outcome(report)
+
+
+def reference_pair(c, real_form):
+    """The one-class construction of X and Y that the stacks replaced."""
+    th1, th2, th3 = (math.pi * (tv.n / tv.q) for tv in (c.tx, c.ty, c.tz))
+    c1, s1, c2, s2 = math.cos(th1), math.sin(th1), math.cos(th2), math.sin(th2)
+    target = 2.0 * math.cos(th3)
+
+    def rotation(angle):
+        co, si = math.cos(angle), math.sin(angle)
+        return np.array([[co, -si], [si, co]], dtype=complex)
+
+    if real_form is ClassLabel.SU2:
+        phi = math.acos((2.0 * c1 * c2 - target) / (2.0 * s1 * s2))
+        tilt = rotation(phi / 2.0)
+        X = np.diag([cmath.exp(1j * th1), cmath.exp(-1j * th1)])
+        Y = tilt @ np.diag([cmath.exp(1j * th2), cmath.exp(-1j * th2)]) @ tilt.T
+        return X, Y
+    u = (2.0 * c1 * c2 - target) / (s1 * s2)
+    d = stretch_for_product_trace(abs(u))
+    dd = d * d
+    rot = rotation(th2 if u >= 0 else -th2)
+    Y = np.array([[rot[0, 0], rot[0, 1] * dd], [rot[1, 0] / dd, rot[1, 1]]], dtype=complex)
+    return rotation(th1), Y
+
+
+@pytest.mark.parametrize("multiplicities, override", STACK_SPHERES[:5], ids=str)
+def test_stack_matches_numpy_reference(multiplicities, override):
+    sigma, families = sphere_classes(multiplicities, override)
+    for _, real_form, triples in families:
+        for c, report in zip(triples, certify_classes(triples, sigma, real_form), strict=True):
+            X, Y = reference_pair(c, real_form)
+            assert np.array_equal(report.X.m, X) and np.array_equal(report.Y.m, Y)
+            assert np.array_equal(report.Z.m, sl2_inverse(X @ Y))
+            for name, mat, (ai, bi) in zip("xyz", (X, Y, sl2_inverse(X @ Y)), sigma.pairs):
+                center = -np.eye(2) if (c.epsilon == -1 and bi % 2) else np.eye(2)
+                residual = np.linalg.norm(np.linalg.matrix_power(mat, ai) - center)
+                assert report.residuals[f"{name}^{ai}"] == residual
+            commutator = X @ Y @ sl2_inverse(X) @ sl2_inverse(Y)
+            assert report.irreducibility_gap == abs(complex(commutator.trace()) - 2.0)
+
+
+def test_frobenius_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((2000, 2, 2)) + 1j * rng.standard_normal((2000, 2, 2))
+    stack *= 10.0 ** rng.integers(-12, 12, size=(2000, 1, 1))
+    assert frobenius(stack).tolist() == [np.linalg.norm(m) for m in stack]
+
+
+def test_stack_raises_on_an_unrealizable_class():
+    real = triple(F(1, 2), F(2, 3), F(1, 7))
+    unitary = triple(F(1, 2), F(2, 3), F(3, 7))  # has no SL(2,R) pair
+    [report] = certify_classes([real], OVERRIDE_237, ClassLabel.SL2R)
+    assert report.passed
+    with pytest.raises(NotRealizable):
+        certify_classes([real, unitary], OVERRIDE_237, ClassLabel.SL2R)
+
+
+def test_stack_checks_its_inputs():
+    c = triple(F(1, 2), F(2, 3), F(1, 7))
+    shifted = SeifertInvariant(-1, ((2, 1), (3, 1), (7, 1)))
+    with pytest.raises(ValueError, match="b = 0"):
+        certify_classes([c], shifted, ClassLabel.SL2R)
+    with pytest.raises(ValueError, match="positive"):
+        certify_classes([c], OVERRIDE_237, ClassLabel.SL2R, tol=0.0)
+    with pytest.raises(ValueError, match="SU2 or SL2R"):
+        certify_classes([c], OVERRIDE_237, ClassLabel.REDUCIBLE)
+    assert certify_classes([], OVERRIDE_237, ClassLabel.SU2) == []
