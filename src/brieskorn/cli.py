@@ -99,12 +99,25 @@ def _euler_entry(eu) -> dict:
     return {"beta": eu.beta, "coefficients": list(eu.betas)}
 
 
-def _triple_entry(triple, verify_report=None) -> dict:
+def _triple_entry(triple, verify_report, leaves: dict) -> dict:
+    """The JSON entry of one class.
+
+    leaves memoizes each trace value's angle string, trace string and value,
+    keyed by its reduced pair (n, q), which hashes faster than the TraceValue.
+    """
+    columns = []
+    for tv in (triple.tx, triple.ty, triple.tz):
+        key = (tv.n, tv.q)
+        leaf = leaves.get(key)
+        if leaf is None:
+            leaf = leaves[key] = (str(tv.t), str(tv), tv.value)
+        columns.append(leaf)
+    angles, traces, values = zip(*columns)
     entry = {
         "epsilon": triple.epsilon,
-        "angles": [str(t) for t in triple.angles],
-        "traces": [str(tv) for tv in (triple.tx, triple.ty, triple.tz)],
-        "values": [tv.value for tv in (triple.tx, triple.ty, triple.tz)],
+        "angles": list(angles),
+        "traces": list(traces),
+        "values": list(values),
     }
     if verify_report is not None:
         entry["verify"] = {
@@ -188,6 +201,7 @@ def build_record(
     """Assemble the full analysis for one sphere; every assertion runs before emission."""
     record, pairs, su2_triples, reports = sphere_summary(params, sigma, verify, tol)
     reports = iter(reports) if verify else itertools.repeat(None)
+    leaves: dict = {}
     record["seifert"] = {
         "b": sigma.b,
         "coefficients": list(sigma.coefficients),
@@ -201,12 +215,12 @@ def build_record(
             "euler_class": _euler_entry(eu),
             "cover_h1": abs(eu.cover_euler_number()),
             "label": ClassLabel.SL2R.value,
-            **_triple_entry(triple, next(reports)),
+            **_triple_entry(triple, next(reports), leaves),
         }
         for eu, triple in pairs
     ]
     record["su2_classes"] = [
-        {"label": ClassLabel.SU2.value, **_triple_entry(triple, next(reports))}
+        {"label": ClassLabel.SU2.value, **_triple_entry(triple, next(reports), leaves)}
         for triple in su2_triples
     ]
 
@@ -297,6 +311,131 @@ def render_text(record: dict) -> str:
             % (v["classes"], v["max_residual"], v["min_gap"], v["tol"])
         )
     return "\n".join(lines) + "\n"
+
+
+def _entry_template(skeleton: dict) -> str:
+    """One class-list entry as json.dumps(indent=2) lays it out two levels deep.
+
+    Each leaf of skeleton is a "%s" or "%d" slot, so the slots follow the
+    sorted key order of the entry.
+    """
+    text = json.dumps(skeleton, sort_keys=True, indent=2)
+    text = text.replace('"%s"', "%s").replace('"%d"', "%d")
+    return "    " + text.replace("\n", "\n    ")
+
+
+_TRIPLE_SKELETON = {
+    "angles": ["%s"] * 3,
+    "epsilon": "%d",
+    "label": "%s",
+    "traces": ["%s"] * 3,
+    "values": ["%s"] * 3,
+}
+_VERIFY_SKELETON = {"verify": {"gap": "%s", "max_residual": "%s", "passed": "%s"}}
+_EULER_SKELETON = {"beta": "%d", "coefficients": ["%d"] * 3}
+_SL2R_SKELETON = {**_TRIPLE_SKELETON, "cover_h1": "%d", "euler_class": _EULER_SKELETON}
+# indexed by whether the entry has a verify block
+_SU2_TEMPLATES = tuple(
+    _entry_template({**_TRIPLE_SKELETON, **extra}) for extra in ({}, _VERIFY_SKELETON)
+)
+_SL2R_TEMPLATES = tuple(
+    _entry_template({**_SL2R_SKELETON, **extra}) for extra in ({}, _VERIFY_SKELETON)
+)
+_CONDITION_B_TEMPLATE = _entry_template(
+    {"euler_class": _EULER_SKELETON, "reverse_of": _EULER_SKELETON}
+)
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps writes it: the float repr when finite, else NaN or +-Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+class _FloatText(dict):
+    """The JSON text of each float seen, computed on first sight.
+
+    A record repeats each trace value across many classes, and the float repr
+    is the costliest leaf. Zero is never stored, since 0.0 and -0.0 are one key.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = _json_float(x)
+        if x:
+            self[x] = text
+        return text
+
+
+def _verify_leaves(entry: dict) -> tuple:
+    v = entry["verify"]
+    return _json_float(v["gap"]), _json_float(v["max_residual"]), "true" if v["passed"] else "false"
+
+
+def _su2_json(entry: dict, floats: _FloatText) -> str:
+    leaves = (
+        *map(_json_str, entry["angles"]),
+        entry["epsilon"],
+        _json_str(entry["label"]),
+        *map(_json_str, entry["traces"]),
+        *map(floats.__getitem__, entry["values"]),
+    )
+    if "verify" in entry:
+        return _SU2_TEMPLATES[1] % (*leaves, *_verify_leaves(entry))
+    return _SU2_TEMPLATES[0] % leaves
+
+
+def _sl2r_json(entry: dict, floats: _FloatText) -> str:
+    eu = entry["euler_class"]
+    leaves = (
+        *map(_json_str, entry["angles"]),
+        entry["cover_h1"],
+        entry["epsilon"],
+        eu["beta"],
+        *eu["coefficients"],
+        _json_str(entry["label"]),
+        *map(_json_str, entry["traces"]),
+        *map(floats.__getitem__, entry["values"]),
+    )
+    if "verify" in entry:
+        return _SL2R_TEMPLATES[1] % (*leaves, *_verify_leaves(entry))
+    return _SL2R_TEMPLATES[0] % leaves
+
+
+def _condition_b_json(entry: dict, floats: _FloatText) -> str:
+    eu, rev = entry["euler_class"], entry["reverse_of"]
+    return _CONDITION_B_TEMPLATE % (
+        eu["beta"], *eu["coefficients"], rev["beta"], *rev["coefficients"]
+    )
+
+
+_CLASS_LIST_WRITERS = {
+    "condition_b_classes": _condition_b_json,
+    "sl2r_classes": _sl2r_json,
+    "su2_classes": _su2_json,
+}
+
+
+def render_json(record: dict) -> str:
+    """Exactly json.dumps(record, sort_keys=True, indent=2) + "\\n".
+
+    The class lists, nearly all of the bytes, are written one entry per
+    template; the small blocks go through json.dumps and are indented one
+    level more, which is safe because indented json.dumps never puts a raw
+    newline inside a string.
+    """
+    blocks = []
+    floats = _FloatText()
+    for key in sorted(record):
+        value = record[key]
+        write = _CLASS_LIST_WRITERS.get(key)
+        if write is None:
+            text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        elif value:
+            text = "[\n" + ",\n".join([write(entry, floats) for entry in value]) + "\n  ]"
+        else:
+            text = "[]"
+        blocks.append("  %s: %s" % (_json_str(key), text))
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
 def _csv_row(record: dict, verify: bool) -> list:
@@ -402,7 +541,7 @@ def _run_analyze(args) -> int:
         condition_b=args.condition_b,
     )
     if args.format == "json":
-        text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        text = render_json(record)
     elif args.format == "csv":
         text = render_csv([record], args.verify)
     else:

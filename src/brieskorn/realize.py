@@ -17,6 +17,7 @@ one-class case of the same code.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -124,7 +125,7 @@ class RealizationReport:
     irreducibility_gap: float
     tol: float
 
-    @property
+    @functools.cached_property
     def max_residual(self) -> float:
         return max(self.residuals.values())
 

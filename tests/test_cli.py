@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import brieskorn
 import brieskorn.realize
 from brieskorn.character import ClassLabel, phi_map
-from brieskorn.cli import census_params, main, parse_seifert_override
+from brieskorn.cli import build_record, census_params, main, parse_seifert_override, render_json
 from brieskorn.errors import InvalidSeifertData
 from brieskorn.realize import realize_sl2r, verify_relations
 from brieskorn.seifert import canonicalize_params, solve_seifert
@@ -102,6 +103,53 @@ def test_analyze_json_override_normalizes_b(capsys):
     # this data carries the opposite sign convention, e = +1/42
     assert record["seifert"]["euler_number"] == "1/42"
     assert record["seifert"]["convention_sign"] == -1
+
+
+def stdlib_json(record: dict) -> str:
+    """The reference render_json must reproduce byte for byte."""
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "triple, seifert, verify, condition_b",
+    [
+        ((2, 3, 5), None, True, True),  # no SL(2,R) classes
+        ((2, 3, 7), None, True, True),
+        ((2, 3, 7), "-1,1,1,1", True, False),  # source "override (normalized to b=0)"
+        ((3, 5, 7), None, False, False),
+        ((3, 5, 7), None, False, True),
+    ],
+)
+def test_render_json_matches_stdlib(triple, seifert, verify, condition_b):
+    params = canonicalize_params(*triple)
+    if seifert:
+        sigma, source = parse_seifert_override(seifert, params)
+    else:
+        sigma, source = solve_seifert(params), "canonical"
+    record = build_record(params, sigma, source, verify=verify, condition_b=condition_b)
+    assert render_json(record) == stdlib_json(record)
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+def test_render_json_matches_stdlib_over_census(verify):
+    for params in census_params(400):
+        record = build_record(
+            params, solve_seifert(params), "canonical", verify=verify, condition_b=True
+        )
+        assert render_json(record) == stdlib_json(record), params.triple
+
+
+def test_render_json_matches_stdlib_on_floats_it_never_meets():
+    params = canonicalize_params(2, 3, 7)
+    record = build_record(params, solve_seifert(params), "canonical", verify=True)
+    sl2r, su2 = record["sl2r_classes"][0], record["su2_classes"][0]
+    # a float memoized as 0.0 must not answer for -0.0, nor a finite one for nan
+    sl2r["values"] = [0.0, -0.0, math.nan]
+    su2["values"] = [-0.0, 0.0, math.inf]
+    sl2r["verify"].update(gap=-math.inf, max_residual=math.nan, passed=False)
+    record["verification"]["min_gap"] = math.inf
+    record["su2_classes"][1]["values"] = [1e-300, -2.5, 1e16]
+    assert render_json(record) == stdlib_json(record)
 
 
 def test_analyze_csv_single_row(capsys):
@@ -328,7 +376,8 @@ def test_parse_seifert_override_rejects_garbage():
 # the float columns depend on the platform's libm, so another platform may
 # need its own digests. The first four date from before the integer angle
 # lattice, the next two from before the cover order moved onto EulerClass,
-# the last from before certification moved onto matrix stacks.
+# the next from before certification moved onto matrix stacks, the last two
+# from before render_json wrote the class lists from per-entry templates.
 PINNED_STDOUT = {
     ("census", "1000"): "1119ad93483e3995215ace91f56781803534538ad7351bbc8be4d1fc62f8c529",
     ("census", "1000", "--format", "csv"): (
@@ -351,6 +400,14 @@ PINNED_STDOUT = {
     # every class's residual and gap, printed with repr
     ("analyze", "3", "5", "7", "--verify", "--format", "json"): (
         "a8f36deb3d72d83fddf0734315f1d50b96d407db76c56d112d28648e39934617"
+    ),
+    # no SL(2,R) classes: an empty class list
+    ("analyze", "2", "3", "5", "--format", "json"): (
+        "fdbf7c7fcdfda66a90e5122dc3a6e532338cbf55595bc0eb5dc232e5940ef3b8"
+    ),
+    # both class templates with their verify blocks, and the condition-b template
+    ("analyze", "2", "3", "7", "--verify", "--condition-b", "--format", "json"): (
+        "47fa47dcf44ab5fa2d0dc69447ea10fa49cedf2f37e2e90c88b1d48af8198002"
     ),
 }
 
