@@ -60,8 +60,7 @@ __version__ = "0.1.0"
 
 # realize needs numpy, so it loads on first use of one of its names
 _REALIZE_NAMES = {
-    "Mat2",
-    "RealizationReport",
+    "Certificate",
     "realize_sl2r",
     "realize_su2",
     "stretch_for_product_trace",
@@ -78,6 +77,7 @@ def __getattr__(name: str):
 __all__ = [
     "BrieskornError",
     "BrieskornParams",
+    "Certificate",
     "CharacterTriple",
     "ClassLabel",
     "CountMismatch",
@@ -88,10 +88,8 @@ __all__ = [
     "InconsistentClassification",
     "InjectivityViolation",
     "InvalidSeifertData",
-    "Mat2",
     "NotPairwiseCoprime",
     "NotRealizable",
-    "RealizationReport",
     "SeifertInvariant",
     "TraceValue",
     "ValueTooSmall",

@@ -99,7 +99,7 @@ def _euler_entry(eu) -> dict:
     return {"beta": eu.beta, "coefficients": list(eu.betas)}
 
 
-def _triple_entry(triple, verify_report, leaves: dict) -> dict:
+def _triple_entry(triple, verify_block, leaves: dict) -> dict:
     """The JSON entry of one class.
 
     leaves memoizes each trace value's angle string, trace string and value,
@@ -119,13 +119,18 @@ def _triple_entry(triple, verify_report, leaves: dict) -> dict:
         "traces": list(traces),
         "values": list(values),
     }
-    if verify_report is not None:
-        entry["verify"] = {
-            "max_residual": verify_report.max_residual,
-            "gap": verify_report.irreducibility_gap,
-            "passed": verify_report.passed,
-        }
+    if verify_block is not None:
+        entry["verify"] = verify_block
     return entry
+
+
+def _verify_blocks(certificates):
+    """The verify block of every class, in stack order, with Python floats and bools."""
+    for cert in certificates:
+        for residual, gap, passed in zip(
+            cert.residuals.max(axis=1).tolist(), cert.gaps.tolist(), cert.passed.tolist()
+        ):
+            yield {"max_residual": residual, "gap": gap, "passed": passed}
 
 
 def sphere_summary(
@@ -138,7 +143,7 @@ def sphere_summary(
 
     Returns the summary record (params, counts, and with verify the
     verification block), the pulled-back pairs, the unitary triples, and the
-    certificates of the pulled-back then the unitary classes (empty without
+    certificates of the pulled-back stack then the unitary one (empty without
     verify). Every assertion runs before anything is returned.
     """
     pairs = phi_map(params, sigma)
@@ -150,7 +155,7 @@ def sphere_summary(
             raise InconsistentClassification(
                 f"pulled-back class {eu} classified as {label.value}"
             )
-    reports = []
+    certificates = []
     if verify:
         from .realize import certify_classes  # numpy loads only when a class is certified
 
@@ -159,16 +164,17 @@ def sphere_summary(
             ([eu for eu, _ in pairs], [t for _, t in pairs], ClassLabel.SL2R),
             (su2_triples, su2_triples, ClassLabel.SU2),
         ):
-            batch = certify_classes(triples, sigma, real_form, tol)
-            for name, report in zip(names, batch):
-                if not report.passed:
-                    relation, residual = max(report.residuals.items(), key=lambda item: item[1])
-                    raise BrieskornError(
-                        f"relation residuals exceed tolerance on {params.triple}: class {name}, "
-                        f"relation {relation} residual {residual!r}, "
-                        f"gap {report.irreducibility_gap!r}, tol {tol:g}"
-                    )
-            reports += batch
+            cert = certify_classes(triples, sigma, real_form, tol)
+            passed = cert.passed
+            if not passed.all():
+                k = int(passed.argmin())
+                j = int(cert.residuals[k].argmax())
+                raise BrieskornError(
+                    f"relation residuals exceed tolerance on {params.triple}: class {names[k]}, "
+                    f"relation {cert.relations[j]} residual {float(cert.residuals[k, j])!r}, "
+                    f"gap {float(cert.gaps[k])!r}, tol {tol:g}"
+                )
+            certificates.append(cert)
     summary = {
         "params": {
             "a1": params.a1,
@@ -182,12 +188,12 @@ def sphere_summary(
     if verify:
         summary["verification"] = {
             "tol": tol,
-            "classes": len(reports),
-            "max_residual": max((r.max_residual for r in reports), default=0.0),
-            "min_gap": min((r.irreducibility_gap for r in reports), default=math.inf),
+            "classes": sum(map(len, certificates)),
+            "max_residual": max(cert.max_residual for cert in certificates),
+            "min_gap": min(cert.min_gap for cert in certificates),
             "passed": True,
         }
-    return summary, pairs, su2_triples, reports
+    return summary, pairs, su2_triples, certificates
 
 
 def build_record(
@@ -199,8 +205,8 @@ def build_record(
     condition_b: bool = False,
 ) -> dict:
     """Assemble the full analysis for one sphere; every assertion runs before emission."""
-    record, pairs, su2_triples, reports = sphere_summary(params, sigma, verify, tol)
-    reports = iter(reports) if verify else itertools.repeat(None)
+    record, pairs, su2_triples, certificates = sphere_summary(params, sigma, verify, tol)
+    blocks = _verify_blocks(certificates) if verify else itertools.repeat(None)
     leaves: dict = {}
     record["seifert"] = {
         "b": sigma.b,
@@ -215,12 +221,12 @@ def build_record(
             "euler_class": _euler_entry(eu),
             "cover_h1": abs(eu.cover_euler_number()),
             "label": ClassLabel.SL2R.value,
-            **_triple_entry(triple, next(reports), leaves),
+            **_triple_entry(triple, next(blocks), leaves),
         }
         for eu, triple in pairs
     ]
     record["su2_classes"] = [
-        {"label": ClassLabel.SU2.value, **_triple_entry(triple, next(reports), leaves)}
+        {"label": ClassLabel.SU2.value, **_triple_entry(triple, next(blocks), leaves)}
         for triple in su2_triples
     ]
 

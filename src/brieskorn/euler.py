@@ -33,9 +33,14 @@ class EulerClass:
     beta3: int
 
     def __post_init__(self) -> None:
+        a = self.params.a
+        cleared = 0
         for bi, ai in zip(self.betas, self.params.triple):
             if not 0 < bi < ai:
                 raise ValueError(f"coefficient {bi} outside (0, {ai})")
+            cleared += bi * (a // ai)
+        # held once: the cover order, the angle sum and both conditions read it
+        object.__setattr__(self, "_cleared_sum", cleared)
 
     @property
     def betas(self) -> tuple[int, int, int]:
@@ -43,8 +48,7 @@ class EulerClass:
 
     def cleared_sum(self) -> int:
         """a * sum beta_i/a_i, an integer because every a_i divides a."""
-        a = self.params.a
-        return sum(bi * (a // ai) for bi, ai in zip(self.betas, self.params.triple))
+        return self._cleared_sum
 
     def cover_euler_number(self) -> int:
         """a * e of the covering this class selects; its absolute value is the h1 order."""

@@ -7,17 +7,19 @@ rotation, Y a rotation conjugated by diag(d, 1/d), and the stretch d solves
 tr(XY) = 2 cos th1 cos th2 - (d^2 + d^-2) sin th1 sin th2.
 
 `certify_classes` realizes all classes of one real form on a sphere as
-(n, 2, 2) stacks and runs every check once per stack. The scalar angle math
-stays per class in math/cmath, and each stacked operation is the one a
-single class would get, so a stack gives the same bits as its classes taken
-one at a time. `realize_su2`, `realize_sl2r` and `verify_relations` are the
-one-class case of the same code.
+(n, 2, 2) stacks, runs every check once per stack, and returns one
+`Certificate`: an (n, 3) array of relation residuals and an (n,) array of
+irreducibility gaps. The scalar angle math stays per class in math/cmath,
+and each stacked operation is the one a single class would get, so a stack
+gives the same bits as its classes taken one at a time. `realize_su2` and
+`realize_sl2r` return one class's pair as plain 2x2 arrays, and
+`verify_relations` checks a given pair through the same code as a stack of
+one.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -87,51 +89,34 @@ def _check_form(stack: np.ndarray, real_form: ClassLabel) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class Mat2:
-    """A determinant-one 2x2 matrix tagged with the real form it lives in."""
+class Certificate:
+    """Relation residuals and irreducibility gaps of a stack of realized classes.
 
-    m: np.ndarray
-    real_form: ClassLabel
+    Row k of residuals holds the Frobenius residuals of the three power
+    relations, named by relations, for class k; gaps[k] is its commutator
+    trace distance from 2.
+    """
 
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.m, dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        object.__setattr__(self, "m", mat)
-        _check_form(mat[None], self.real_form)
-
-    @property
-    def trace(self) -> float:
-        return float(self.m.trace().real)
-
-
-def _checked_mat2(m: np.ndarray, real_form: ClassLabel) -> Mat2:
-    """A Mat2 around one matrix of a stack that already passed _check_form."""
-    mat = object.__new__(Mat2)
-    object.__setattr__(mat, "m", m)
-    object.__setattr__(mat, "real_form", real_form)
-    return mat
-
-
-@dataclass(frozen=True)
-class RealizationReport:
-    """Residuals of the group relations for one realized pair."""
-
-    X: Mat2
-    Y: Mat2
-    Z: Mat2
-    epsilon: int
-    residuals: dict[str, float]
-    irreducibility_gap: float
+    relations: tuple[str, str, str]
+    residuals: np.ndarray
+    gaps: np.ndarray
     tol: float
 
-    @functools.cached_property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
+    def __len__(self) -> int:
+        return len(self.gaps)
 
     @property
-    def passed(self) -> bool:
-        return self.max_residual < self.tol and self.irreducibility_gap > self.tol
+    def passed(self) -> np.ndarray:
+        """Whether each class has every residual below tol and its gap above it."""
+        return (self.residuals.max(axis=1) < self.tol) & (self.gaps > self.tol)
+
+    @property
+    def max_residual(self) -> float:
+        return float(self.residuals.max(initial=0.0))
+
+    @property
+    def min_gap(self) -> float:
+        return float(self.gaps.min(initial=math.inf))
 
 
 def _angles(c: CharacterTriple) -> tuple[float, float, float]:
@@ -243,11 +228,11 @@ def _check_relation_inputs(sigma: SeifertInvariant, epsilons: Sequence[int], tol
         raise ValueError("tolerance must be positive")
 
 
-def _relation_reports(
+def _certificate(
     X: np.ndarray, Y: np.ndarray, XY: np.ndarray, real_form: ClassLabel,
     sigma: SeifertInvariant, epsilons: Sequence[int], tol: float,
-) -> list[RealizationReport]:
-    """One report per class of the stacks, after Z = (XY)^-1 passes its form checks.
+) -> Certificate:
+    """The certificate of the stacks, after Z = (XY)^-1 passes its form checks.
 
     Z is (XY)^-1 by construction, which is the product relator for data
     with b = 0. The power relation for generator i reads
@@ -262,24 +247,12 @@ def _relation_reports(
         flip = odd_sign & (bi % 2 == 1)
         center = np.where(flip[:, None, None], -_I2, _I2)
         names.append(f"{name}^{ai}")
-        residuals.append(frobenius(_power(stack, ai) - center).tolist())
+        residuals.append(frobenius(_power(stack, ai) - center))
     commutator = XY @ sl2_inverse(X) @ sl2_inverse(Y)
     offset = commutator[:, 0, 0] + commutator[:, 1, 1] - 2.0
     # np.hypot is the modulus abs(complex) takes, bit for bit
-    gaps = np.hypot(offset.real, offset.imag).tolist()
-    nx, ny, nz = names
-    return [
-        RealizationReport(
-            _checked_mat2(x, real_form),
-            _checked_mat2(y, real_form),
-            _checked_mat2(z, real_form),
-            eps,
-            {nx: rx, ny: ry, nz: rz},
-            gap,
-            tol,
-        )
-        for x, y, z, eps, gap, rx, ry, rz in zip(X, Y, Z, epsilons, gaps, *residuals)
-    ]
+    gaps = np.hypot(offset.real, offset.imag)
+    return Certificate(tuple(names), np.stack(residuals, axis=1), gaps, tol)
 
 
 def certify_classes(
@@ -287,45 +260,50 @@ def certify_classes(
     sigma: SeifertInvariant,
     real_form: ClassLabel,
     tol: float = RELATION_TOLERANCE,
-) -> list[RealizationReport]:
+) -> Certificate:
     """Realize every triple in real_form and check its relations, all on one stack.
 
-    Returns one report per triple, in order; a class whose relations fail
-    gets a report that did not pass. Every other failed check raises for
-    the whole stack: NotRealizable when a triple has no pair in real_form,
-    AssertionError when a pair misses its traces, ValueError when X, Y or Z
-    fails its determinant or real-form check.
+    Returns one certificate whose rows follow the triples; a class whose
+    relations fail has a row that did not pass. Every other failed check
+    raises for the whole stack: NotRealizable when a triple has no pair in
+    real_form, AssertionError when a pair misses its traces, ValueError when
+    X, Y or Z fails its determinant or real-form check.
     """
     epsilons = [c.epsilon for c in triples]
     _check_relation_inputs(sigma, epsilons, tol)
     X, Y, XY = _realize_stack(triples, real_form)
-    return _relation_reports(X, Y, XY, real_form, sigma, epsilons, tol)
+    return _certificate(X, Y, XY, real_form, sigma, epsilons, tol)
 
 
-def _realize_one(c: CharacterTriple, real_form: ClassLabel) -> tuple[Mat2, Mat2]:
-    X, Y, _ = _realize_stack([c], real_form)
-    return _checked_mat2(X[0], real_form), _checked_mat2(Y[0], real_form)
-
-
-def realize_su2(c: CharacterTriple) -> tuple[Mat2, Mat2]:
+def realize_su2(c: CharacterTriple) -> tuple[np.ndarray, np.ndarray]:
     """Unitary pair (X, Y) with tr X, tr Y, tr XY matching the triple."""
-    return _realize_one(c, ClassLabel.SU2)
+    X, Y, _ = _realize_stack([c], ClassLabel.SU2)
+    return X[0], Y[0]
 
 
-def realize_sl2r(c: CharacterTriple) -> tuple[Mat2, Mat2]:
+def realize_sl2r(c: CharacterTriple) -> tuple[np.ndarray, np.ndarray]:
     """Real pair (X, Y): a rotation and a stretched rotation hitting tr XY."""
-    return _realize_one(c, ClassLabel.SL2R)
+    X, Y, _ = _realize_stack([c], ClassLabel.SL2R)
+    return X[0], Y[0]
 
 
 def verify_relations(
-    X: Mat2,
-    Y: Mat2,
+    X: np.ndarray,
+    Y: np.ndarray,
     sigma: SeifertInvariant,
+    real_form: ClassLabel,
     epsilon: int,
     tol: float = RELATION_TOLERANCE,
-) -> RealizationReport:
-    """Frobenius residuals of the three power relations plus the irreducibility gap of one pair."""
+) -> Certificate:
+    """The one-row certificate of a pair of 2x2 matrices in real_form.
+
+    Raises ValueError unless X and Y are 2x2, have determinant 1 and lie in
+    real_form.
+    """
     _check_relation_inputs(sigma, [epsilon], tol)
-    x, y = X.m[None], Y.m[None]
-    [report] = _relation_reports(x, y, x @ y, X.real_form, sigma, [epsilon], tol)
-    return report
+    pair = np.array([X, Y], dtype=complex)
+    if pair.shape != (2, 2, 2):
+        raise ValueError("expected a pair of 2x2 matrices")
+    _check_form(pair, real_form)
+    x, y = pair[:1], pair[1:]
+    return _certificate(x, y, x @ y, real_form, sigma, [epsilon], tol)

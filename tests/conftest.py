@@ -26,20 +26,20 @@ def partition_sweep():
 
 @pytest.fixture(scope="session")
 def realization_sweep(partition_sweep):
-    """Realize and relation-check every class with a <= 1000 at tol 1e-9, one stack per real form."""
+    """Realize and relation-check every class with a <= 1000 at tol 1e-9: (triples, certificate) per real form."""
     rows, _ = partition_sweep
     start = time.perf_counter()
     out = []
     for params, sigma, su2_triples, pairs in rows:
         if params.a > 1000:
             continue
-        reports = []
+        stacks = []
         for triples, real_form in (
             ([tri for _, tri in pairs], ClassLabel.SL2R),
             (su2_triples, ClassLabel.SU2),
         ):
-            reports += zip(triples, certify_classes(triples, sigma, real_form, 1e-9))
-        out.append((params, reports))
+            stacks.append((triples, certify_classes(triples, sigma, real_form, 1e-9)))
+        out.append((params, stacks))
     return out, time.perf_counter() - start
 
 

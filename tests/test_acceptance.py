@@ -129,13 +129,17 @@ def test_criterion_8_realization_sweep(realization_sweep):
     assert elapsed < 120.0
     assert len(rows) == 413
     checked = 0
-    for params, reports in rows:
-        for tri, report in reports:
-            assert report.passed
-            assert report.max_residual < 1e-9
-            assert report.irreducibility_gap > 1e-9
-            assert abs(report.irreducibility_gap - abs(kappa(tri))) < 1e-8
-            checked += 1
+    for params, stacks in rows:
+        for triples, cert in stacks:
+            assert len(cert) == len(triples)
+            for tri, passed, max_residual, gap in zip(
+                triples, cert.passed.tolist(), cert.residuals.max(axis=1).tolist(), cert.gaps.tolist()
+            ):
+                assert passed
+                assert max_residual < 1e-9
+                assert gap > 1e-9
+                assert abs(gap - abs(kappa(tri))) < 1e-8
+                checked += 1
     assert checked == 32053
 
 

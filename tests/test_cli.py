@@ -223,8 +223,8 @@ def test_verify_failure_names_class_relation_and_residual(capsys):
     params = canonicalize_params(2, 3, 7)
     sigma = solve_seifert(params)
     [(eu, triple)] = phi_map(params, sigma)
-    report = verify_relations(*realize_sl2r(triple), sigma, triple.epsilon, 1e-16)
-    relation, residual = max(report.residuals.items(), key=lambda item: item[1])
+    cert = verify_relations(*realize_sl2r(triple), sigma, ClassLabel.SL2R, triple.epsilon, 1e-16)
+    relation, residual = max(zip(cert.relations, cert.residuals[0].tolist()), key=lambda item: item[1])
     assert err.startswith(
         "assertion failure: relation residuals exceed tolerance on (2, 3, 7): "
         f"class (-1; 1,1,1), relation {relation} residual {residual!r}, "
@@ -408,6 +408,14 @@ PINNED_STDOUT = {
     # both class templates with their verify blocks, and the condition-b template
     ("analyze", "2", "3", "7", "--verify", "--condition-b", "--format", "json"): (
         "47fa47dcf44ab5fa2d0dc69447ea10fa49cedf2f37e2e90c88b1d48af8198002"
+    ),
+    # each sphere's max_residual and min_gap, printed with repr
+    ("census", "300", "--verify", "--format", "csv"): (
+        "60aaef84a399df2b2a354ca52e8d93fb34a4bfb2016d50d55083bab9f5427d76"
+    ),
+    # an empty SL(2,R) stack under --verify
+    ("analyze", "2", "3", "5", "--verify", "--format", "json"): (
+        "fecaec9d939cea7de72e7f6058a020ba4c20c1f2f013cf5daf82c102fd60ea28"
     ),
 }
 

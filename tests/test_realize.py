@@ -18,7 +18,6 @@ from brieskorn.character import (
 from brieskorn.cli import parse_seifert_override
 from brieskorn.errors import NotRealizable
 from brieskorn.realize import (
-    Mat2,
     certify_classes,
     frobenius,
     realize_sl2r,
@@ -50,13 +49,20 @@ def test_stretch_rejects_small_targets(u):
         stretch_for_product_trace(u)
 
 
+def trace(m: np.ndarray) -> float:
+    return float(m.trace().real)
+
+
 def test_realize_su2_hits_all_three_traces():
     c = triple(F(1, 2), F(2, 3), F(3, 7))
     X, Y = realize_su2(c)
-    assert X.real_form is ClassLabel.SU2 and Y.real_form is ClassLabel.SU2
-    assert X.trace == pytest.approx(c.values[0], abs=1e-10)
-    assert Y.trace == pytest.approx(c.values[1], abs=1e-10)
-    assert float((X.m @ Y.m).trace().real) == pytest.approx(c.values[2], abs=1e-10)
+    for m in (X, Y):
+        assert m.shape == (2, 2)
+        assert float(np.abs(m @ m.conj().T - np.eye(2)).max()) < 1e-12
+        assert abs(np.linalg.det(m) - 1.0) < 1e-12
+    assert trace(X) == pytest.approx(c.values[0], abs=1e-10)
+    assert trace(Y) == pytest.approx(c.values[1], abs=1e-10)
+    assert trace(X @ Y) == pytest.approx(c.values[2], abs=1e-10)
 
 
 def test_realize_su2_rejects_reducible_wall():
@@ -85,24 +91,26 @@ def test_realize_sl2r_rejects_unitary_triple():
 def test_realize_sl2r_both_sign_branches(angles):
     c = triple(*angles)
     X, Y = realize_sl2r(c)
-    assert X.real_form is ClassLabel.SL2R and Y.real_form is ClassLabel.SL2R
-    assert X.trace == pytest.approx(c.values[0], abs=1e-10)
-    assert Y.trace == pytest.approx(c.values[1], abs=1e-10)
-    assert float((X.m @ Y.m).trace().real) == pytest.approx(c.values[2], abs=1e-10)
-    assert float(np.abs(X.m.imag).max()) < 1e-12
-    assert float(np.abs(Y.m.imag).max()) < 1e-12
+    assert X.shape == Y.shape == (2, 2)
+    assert abs(np.linalg.det(X) - 1.0) < 1e-12 and abs(np.linalg.det(Y) - 1.0) < 1e-12
+    assert trace(X) == pytest.approx(c.values[0], abs=1e-10)
+    assert trace(Y) == pytest.approx(c.values[1], abs=1e-10)
+    assert trace(X @ Y) == pytest.approx(c.values[2], abs=1e-10)
+    assert float(np.abs(X.imag).max()) < 1e-12
+    assert float(np.abs(Y.imag).max()) < 1e-12
 
 
 def test_verify_relations_sl2r_class_237():
     params = canonicalize_params(2, 3, 7)
     [(eu, c)] = phi_map(params, OVERRIDE_237)
     X, Y = realize_sl2r(c)
-    report = verify_relations(X, Y, OVERRIDE_237, c.epsilon)
-    assert report.passed
-    assert set(report.residuals) == {"x^2", "y^3", "z^7"}
-    assert report.max_residual < 1e-12
-    assert report.irreducibility_gap == pytest.approx(abs(kappa(c)), abs=1e-8)
-    assert report.irreducibility_gap == pytest.approx(0.2469796, abs=1e-6)
+    cert = verify_relations(X, Y, OVERRIDE_237, ClassLabel.SL2R, c.epsilon)
+    assert cert.passed.tolist() == [True]
+    assert cert.relations == ("x^2", "y^3", "z^7")
+    assert cert.residuals.shape == (1, 3)
+    assert cert.max_residual < 1e-12
+    assert cert.gaps[0] == pytest.approx(abs(kappa(c)), abs=1e-8)
+    assert cert.gaps[0] == pytest.approx(0.2469796, abs=1e-6)
 
 
 def test_verify_relations_su2_classes_235():
@@ -110,10 +118,10 @@ def test_verify_relations_su2_classes_235():
     sigma = solve_seifert(params)
     for c in enumerate_su2(params, sigma):
         X, Y = realize_su2(c)
-        report = verify_relations(X, Y, sigma, c.epsilon)
-        assert report.passed
-        assert report.max_residual < 1e-12
-        assert report.irreducibility_gap == pytest.approx(abs(kappa(c)), abs=1e-8)
+        cert = verify_relations(X, Y, sigma, ClassLabel.SU2, c.epsilon)
+        assert cert.passed.tolist() == [True]
+        assert cert.max_residual < 1e-12
+        assert cert.gaps[0] == pytest.approx(abs(kappa(c)), abs=1e-8)
 
 
 def test_verify_relations_gap_matches_kappa_across_357():
@@ -121,23 +129,23 @@ def test_verify_relations_gap_matches_kappa_across_357():
     sigma = solve_seifert(params)
     for _, c in phi_map(params, sigma):
         X, Y = realize_sl2r(c)
-        report = verify_relations(X, Y, sigma, c.epsilon)
-        assert report.passed
-        assert report.irreducibility_gap == pytest.approx(abs(kappa(c)), abs=1e-8)
+        cert = verify_relations(X, Y, sigma, ClassLabel.SL2R, c.epsilon)
+        assert cert.passed.tolist() == [True]
+        assert cert.gaps[0] == pytest.approx(abs(kappa(c)), abs=1e-8)
 
 
 def test_verify_relations_flags_reducible_pair():
-    X = Mat2(np.eye(2), ClassLabel.SU2)
-    report = verify_relations(X, X, OVERRIDE_237, epsilon=-1)
-    assert not report.passed
-    assert report.irreducibility_gap == pytest.approx(0.0, abs=1e-15)
+    X = np.eye(2)
+    cert = verify_relations(X, X, OVERRIDE_237, ClassLabel.SU2, epsilon=-1)
+    assert cert.passed.tolist() == [False]
+    assert cert.gaps[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_verify_relations_rejects_shifted_data():
-    X = Mat2(np.eye(2), ClassLabel.SU2)
+    X = np.eye(2)
     shifted = SeifertInvariant(-1, ((2, 1), (3, 1), (7, 1)))
     with pytest.raises(ValueError):
-        verify_relations(X, X, shifted, epsilon=1)
+        verify_relations(X, X, shifted, ClassLabel.SU2, epsilon=1)
 
 
 def chebyshev_power(m: np.ndarray, n: int) -> np.ndarray:
@@ -151,8 +159,8 @@ def chebyshev_power(m: np.ndarray, n: int) -> np.ndarray:
 def test_matrix_powers_match_eigenvalue_form():
     c = triple(F(1, 2), F(2, 3), F(1, 7))
     X, Y = realize_sl2r(c)
-    Z = sl2_inverse(X.m @ Y.m)
-    for mat, n in ((X.m, 2), (Y.m, 3), (Z, 7), (Z, 19)):
+    Z = sl2_inverse(X @ Y)
+    for mat, n in ((X, 2), (Y, 3), (Z, 7), (Z, 19)):
         delta = np.linalg.matrix_power(mat, n) - chebyshev_power(mat, n)
         assert float(np.abs(delta).max()) < 1e-10
 
@@ -160,20 +168,31 @@ def test_matrix_powers_match_eigenvalue_form():
 def test_sl2_inverse_is_the_inverse():
     c = triple(F(1, 2), F(2, 3), F(6, 7))
     X, _ = realize_sl2r(c)
-    assert float(np.abs(X.m @ sl2_inverse(X.m) - np.eye(2)).max()) < 1e-14
+    assert float(np.abs(X @ sl2_inverse(X) - np.eye(2)).max()) < 1e-14
 
 
-def test_mat2_validation():
-    with pytest.raises(ValueError):
-        Mat2(np.diag([2.0, 1.0]), ClassLabel.SL2R)  # determinant 2
-    with pytest.raises(ValueError):
-        Mat2(np.array([[1, 1j], [0, 1]]), ClassLabel.SL2R)  # nonreal entry
-    with pytest.raises(ValueError):
-        Mat2(np.array([[1.0, 1.0], [0.0, 1.0]]), ClassLabel.SU2)  # shear, not unitary
-    with pytest.raises(ValueError):
-        Mat2(np.eye(2), ClassLabel.REDUCIBLE)
+@pytest.mark.parametrize(
+    "bad, real_form, message",
+    [
+        (np.diag([2.0, 1.0]), ClassLabel.SL2R, "determinant"),
+        (np.array([[1, 1j], [0, 1]]), ClassLabel.SL2R, "nonreal"),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), ClassLabel.SU2, "not unitary"),  # shear
+        (np.eye(2), ClassLabel.REDUCIBLE, "SU2 or SL2R"),
+        (np.eye(3), ClassLabel.SU2, None),  # numpy or the shape check rejects it
+    ],
+    ids=["determinant", "nonreal", "shear", "reducible", "shape"],
+)
+def test_verify_relations_rejects_a_bad_pair(bad, real_form, message):
     rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert Mat2(rotation, ClassLabel.SL2R).trace == 0.0
+    for X, Y in ((bad, rotation), (rotation, bad), (bad, bad)):
+        with pytest.raises(ValueError, match=message):
+            verify_relations(X, Y, OVERRIDE_237, real_form, epsilon=-1)
+
+
+def test_verify_relations_accepts_a_rotation_pair():
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    cert = verify_relations(rotation, rotation, OVERRIDE_237, ClassLabel.SL2R, epsilon=-1)
+    assert len(cert) == 1
 
 
 # spheres for the stack checks: canonical data, the convention sign -1 data
@@ -200,25 +219,28 @@ def sphere_classes(multiplicities, override):
     return sigma, families
 
 
-def outcome(report):
-    return report.residuals, report.irreducibility_gap, report.passed
+def outcome(cert, k):
+    """Class k of a certificate: its named residuals, gap and verdict, as Python values."""
+    residuals = dict(zip(cert.relations, cert.residuals[k].tolist()))
+    return residuals, cert.gaps[k].item(), cert.passed[k].item()
 
 
 @pytest.mark.parametrize("multiplicities, override", STACK_SPHERES, ids=str)
 def test_stack_matches_one_class_wrappers(multiplicities, override):
     sigma, families = sphere_classes(multiplicities, override)
     for realizer, real_form, triples in families:
-        reports = certify_classes(triples, sigma, real_form)
-        assert len(reports) == len(triples)
+        cert = certify_classes(triples, sigma, real_form)
+        assert len(cert) == len(triples)
+        assert cert.residuals.shape == (len(triples), 3)
         # every failed class and a spread of the rest: (61,67,71) has 69,300 classes
         step = max(1, len(triples) // 300)
-        for k, report in enumerate(reports):
-            if report.passed and k % step:
+        for k, passed in enumerate(cert.passed.tolist()):
+            if passed and k % step:
                 continue
             c = triples[k]
-            one = verify_relations(*realizer(c), sigma, c.epsilon)
+            one = verify_relations(*realizer(c), sigma, real_form, c.epsilon)
             # residuals and gaps are never nan or -0.0, so == is bit equality
-            assert outcome(one) == outcome(report)
+            assert outcome(one, 0) == outcome(cert, k)
 
 
 def reference_pair(c, real_form):
@@ -248,17 +270,20 @@ def reference_pair(c, real_form):
 @pytest.mark.parametrize("multiplicities, override", STACK_SPHERES[:5], ids=str)
 def test_stack_matches_numpy_reference(multiplicities, override):
     sigma, families = sphere_classes(multiplicities, override)
-    for _, real_form, triples in families:
-        for c, report in zip(triples, certify_classes(triples, sigma, real_form), strict=True):
+    for realizer, real_form, triples in families:
+        cert = certify_classes(triples, sigma, real_form)
+        assert len(cert) == len(triples)
+        for k, c in enumerate(triples):
             X, Y = reference_pair(c, real_form)
-            assert np.array_equal(report.X.m, X) and np.array_equal(report.Y.m, Y)
-            assert np.array_equal(report.Z.m, sl2_inverse(X @ Y))
+            realized_X, realized_Y = realizer(c)
+            assert np.array_equal(realized_X, X) and np.array_equal(realized_Y, Y)
+            residuals = dict(zip(cert.relations, cert.residuals[k].tolist()))
             for name, mat, (ai, bi) in zip("xyz", (X, Y, sl2_inverse(X @ Y)), sigma.pairs):
                 center = -np.eye(2) if (c.epsilon == -1 and bi % 2) else np.eye(2)
                 residual = np.linalg.norm(np.linalg.matrix_power(mat, ai) - center)
-                assert report.residuals[f"{name}^{ai}"] == residual
+                assert residuals[f"{name}^{ai}"] == residual
             commutator = X @ Y @ sl2_inverse(X) @ sl2_inverse(Y)
-            assert report.irreducibility_gap == abs(complex(commutator.trace()) - 2.0)
+            assert cert.gaps[k] == abs(complex(commutator.trace()) - 2.0)
 
 
 def test_frobenius_is_numpy_norm_bit_for_bit():
@@ -271,8 +296,8 @@ def test_frobenius_is_numpy_norm_bit_for_bit():
 def test_stack_raises_on_an_unrealizable_class():
     real = triple(F(1, 2), F(2, 3), F(1, 7))
     unitary = triple(F(1, 2), F(2, 3), F(3, 7))  # has no SL(2,R) pair
-    [report] = certify_classes([real], OVERRIDE_237, ClassLabel.SL2R)
-    assert report.passed
+    cert = certify_classes([real], OVERRIDE_237, ClassLabel.SL2R)
+    assert cert.passed.tolist() == [True]
     with pytest.raises(NotRealizable):
         certify_classes([real, unitary], OVERRIDE_237, ClassLabel.SL2R)
 
@@ -286,4 +311,6 @@ def test_stack_checks_its_inputs():
         certify_classes([c], OVERRIDE_237, ClassLabel.SL2R, tol=0.0)
     with pytest.raises(ValueError, match="SU2 or SL2R"):
         certify_classes([c], OVERRIDE_237, ClassLabel.REDUCIBLE)
-    assert certify_classes([], OVERRIDE_237, ClassLabel.SU2) == []
+    empty = certify_classes([], OVERRIDE_237, ClassLabel.SU2)
+    assert len(empty) == 0 and empty.residuals.shape == (0, 3)
+    assert empty.max_residual == 0.0 and empty.min_gap == math.inf
