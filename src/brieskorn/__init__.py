@@ -13,6 +13,7 @@ from .character import (
     CharacterTriple,
     ClassLabel,
     CountReport,
+    TraceMemo,
     TraceValue,
     classify,
     count_report,
@@ -38,6 +39,7 @@ from .errors import (
 from .euler import (
     EulerClass,
     X0Triple,
+    count_X0,
     enumerate_E,
     enumerate_X0,
     enumerate_condition_b,
@@ -91,11 +93,13 @@ __all__ = [
     "NotPairwiseCoprime",
     "NotRealizable",
     "SeifertInvariant",
+    "TraceMemo",
     "TraceValue",
     "ValueTooSmall",
     "X0Triple",
     "canonicalize_params",
     "classify",
+    "count_X0",
     "count_report",
     "enumerate_E",
     "enumerate_X0",

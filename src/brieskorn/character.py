@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .euler import (
     EulerClass,
+    count_X0,
     enumerate_E,
     enumerate_X0,
 )
@@ -45,18 +46,26 @@ class TraceValue:
     """The number 2cos(pi*n/q), stored as the reduced pair 0 <= n <= q.
 
     Folding (-1)**k * 2cos(pi*s) into this shape makes equality of trace
-    values literal equality of the stored integers.
+    values literal equality of the stored integers. The float value is
+    evaluated once, when the value is built, and takes no part in equality
+    or hashing.
     """
 
     n: int
     q: int
+    value: float = field(compare=False, repr=False)
 
     def __init__(self, t: Fraction | int) -> None:
         t = Fraction(t)
         if not 0 <= t <= 1:
             raise ValueError(f"canonical angle must lie in [0, 1], got {t}")
-        object.__setattr__(self, "n", t.numerator)
-        object.__setattr__(self, "q", t.denominator)
+        self._set(t.numerator, t.denominator)
+
+    def _set(self, n: int, q: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        # n / q is the correctly rounded float(Fraction(n, q))
+        object.__setattr__(self, "value", 2.0 * math.cos(math.pi * (n / q)))
 
     @classmethod
     def fold(cls, n: int, q: int) -> "TraceValue":
@@ -66,8 +75,7 @@ class TraceValue:
             n = 2 * q - n
         g = math.gcd(n, q)
         tv = object.__new__(cls)
-        object.__setattr__(tv, "n", n // g)
-        object.__setattr__(tv, "q", q // g)
+        tv._set(n // g, q // g)
         return tv
 
     @classmethod
@@ -77,11 +85,6 @@ class TraceValue:
     @property
     def t(self) -> Fraction:
         return Fraction(self.n, self.q)
-
-    @property
-    def value(self) -> float:
-        # n / q is the correctly rounded float(Fraction(n, q))
-        return 2.0 * math.cos(math.pi * (self.n / self.q))
 
     def __lt__(self, other: "TraceValue") -> bool:
         return self.n * other.q < other.n * self.q
@@ -162,12 +165,8 @@ def _total_count(params: BrieskornParams) -> int:
     return product // 4
 
 
-def trace_of_generator(beta_i: int, a_i: int, order: int, b_i: int) -> TraceValue:
-    """Canonical form of the generator trace 2cos(-order * b_i * pi / a_i).
-
-    beta_i pins the expected residue of -order*b_i mod a_i: coherent covering
-    data lands on beta_i or a_i - beta_i depending on the sign convention.
-    """
+def _generator_angle(beta_i: int, a_i: int, order: int, b_i: int) -> int:
+    """The numerator -order*b_i of the generator angle over a_i, checked against beta_i."""
     if not 0 < beta_i < a_i:
         raise ValueError(f"beta_i must lie in (0, {a_i}), got {beta_i}")
     if order < 1:
@@ -178,7 +177,16 @@ def trace_of_generator(beta_i: int, a_i: int, order: int, b_i: int) -> TraceValu
             f"generator of order {a_i} maps to the center (trace +-2)"
         )
     assert r in (beta_i, a_i - beta_i), "residue disagrees with the euler class"
-    return TraceValue.fold(-order * b_i, a_i)
+    return -order * b_i
+
+
+def trace_of_generator(beta_i: int, a_i: int, order: int, b_i: int) -> TraceValue:
+    """Canonical form of the generator trace 2cos(-order * b_i * pi / a_i).
+
+    beta_i pins the expected residue of -order*b_i mod a_i: coherent covering
+    data lands on beta_i or a_i - beta_i depending on the sign convention.
+    """
+    return TraceValue.fold(_generator_angle(beta_i, a_i, order, b_i), a_i)
 
 
 def _check_sphere_data(params: BrieskornParams, sigma: SeifertInvariant) -> None:
@@ -188,24 +196,88 @@ def _check_sphere_data(params: BrieskornParams, sigma: SeifertInvariant) -> None
         raise ValueError("sigma must describe a homology sphere (h1 order 1)")
 
 
+def _cover_order(eu: EulerClass) -> tuple[int, int]:
+    """The h1 order of the covering eu selects, and the central sign it gives."""
+    order = abs(eu.cover_euler_number())
+    return order, -1 if order % 2 else 1
+
+
 def trace_triple_of(eu: EulerClass, sigma: SeifertInvariant) -> CharacterTriple:
     """Trace triple of the class attached to eu, computed from the covering order.
 
     The covering space eu selects has first homology of order a*|e|; the
     central generator goes to a lift of rotation by that order times pi, so
-    epsilon is -1 exactly when the order is odd.
+    epsilon is -1 exactly when the order is odd. Every trace is folded afresh.
     """
     _check_sphere_data(eu.params, sigma)
-    return _trace_triple_unchecked(eu, sigma)
-
-
-def _trace_triple_unchecked(eu: EulerClass, sigma: SeifertInvariant) -> CharacterTriple:
-    order = abs(eu.cover_euler_number())
+    order, epsilon = _cover_order(eu)
     traces = [
         trace_of_generator(beta, ai, order, bi)
         for beta, (ai, bi) in zip(eu.betas, sigma.pairs)
     ]
-    return CharacterTriple(*traces, epsilon=-1 if order % 2 else 1)
+    return CharacterTriple(*traces, epsilon=epsilon)
+
+
+class _GeneratorTraces(dict):
+    """Folded traces 2cos(pi*r/q) of one generator, keyed by r in [0, q], filled on first lookup.
+
+    Every angle n/q folds onto one such r, so the memo never holds more than
+    q + 1 entries.
+    """
+
+    def __init__(self, q: int) -> None:
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, r: int) -> TraceValue:
+        tv = self[r] = TraceValue.fold(r, self.q)
+        return tv
+
+    def trace(self, n: int) -> TraceValue:
+        """TraceValue.fold(n, q), through the memo."""
+        q = self.q
+        r = n % (2 * q)
+        return self[2 * q - r if r > q else r]
+
+
+class TraceMemo:
+    """One sphere's trace values, each folded and evaluated once per generator.
+
+    Building the memo checks the sphere data once; the triples it makes skip
+    that check but still check every generator's residue against the class.
+    """
+
+    def __init__(self, params: BrieskornParams, sigma: SeifertInvariant) -> None:
+        _check_sphere_data(params, sigma)
+        self.params = params
+        self.sigma = sigma
+        self.generators = tuple(_GeneratorTraces(ai) for ai in params.triple)
+
+    def triple_of(self, eu: EulerClass) -> CharacterTriple:
+        """trace_triple_of(eu, sigma), with each trace looked up in the memo."""
+        if eu.params is not self.params and eu.params != self.params:
+            raise ValueError("euler class belongs to another sphere")
+        order, epsilon = _cover_order(eu)
+        (a1, b1), (a2, b2), (a3, b3) = self.sigma.pairs
+        traces1, traces2, traces3 = self.generators
+        return CharacterTriple(
+            traces1.trace(_generator_angle(eu.beta1, a1, order, b1)),
+            traces2.trace(_generator_angle(eu.beta2, a2, order, b2)),
+            traces3.trace(_generator_angle(eu.beta3, a3, order, b3)),
+            epsilon=epsilon,
+        )
+
+
+def _memo_of(
+    params: BrieskornParams, sigma: SeifertInvariant, memo: TraceMemo | None
+) -> TraceMemo:
+    """memo, checked to belong to the sphere, or a fresh one."""
+    if memo is None:
+        return TraceMemo(params, sigma)
+    # tuple comparison tries identity first, the common case
+    if (memo.params, memo.sigma) != (params, sigma):
+        raise ValueError("trace memo belongs to another sphere")
+    return memo
 
 
 def _walls(c: CharacterTriple) -> tuple[int, int, int]:
@@ -231,7 +303,7 @@ def kappa(c: CharacterTriple) -> float:
     Negative inside the unitary region, zero on the reducible walls, positive
     outside; used only to corroborate the exact tests.
     """
-    t1, t2, t3 = c.values
+    t1, t2, t3 = c.tx.value, c.ty.value, c.tz.value
     return t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 4.0
 
 
@@ -268,9 +340,10 @@ def enumerate_su2(
     a_i-th power must be epsilon**(-b_i) * I, forcing l_i even when epsilon
     is +1 and l_i = b_i mod 2 when epsilon is -1. A candidate survives
     exactly when it classifies as SU2, and the final count must match the
-    closed form (a1-1)(a2-1)(a3-1)/4 - |X0|.
+    closed form (a1-1)(a2-1)(a3-1)/4 - |X0|. Each trace value is folded and
+    evaluated once, through a per-call TraceMemo.
     """
-    _check_sphere_data(params, sigma)
+    memo = TraceMemo(params, sigma)
     if sigma.b != 0:
         raise ValueError("unitary enumeration needs data with b = 0 (product relator xyz = 1)")
     a1, a2, a3 = params.triple
@@ -293,10 +366,11 @@ def enumerate_su2(
                     if lower < big3 < upper:
                         survivors.append((l1, l2, l3, eps))
     survivors.sort()
-    fold = TraceValue.fold
+    # 0 < l_i < a_i is already a folded key
+    traces1, traces2, traces3 = memo.generators
     triples: list[CharacterTriple] = []
     for l1, l2, l3, eps in survivors:
-        triple = CharacterTriple(fold(l1, a1), fold(l2, a2), fold(l3, a3), epsilon=eps)
+        triple = CharacterTriple(traces1[l1], traces2[l2], traces3[l3], epsilon=eps)
         if classify(triple) is not ClassLabel.SU2:
             raise InconsistentClassification(
                 f"rotation numbers {(l1, l2, l3)} passed the triangle test but failed classify"
@@ -319,11 +393,21 @@ def count_report(params: BrieskornParams) -> CountReport:
 
 
 def phi_map(
-    params: BrieskornParams, sigma: SeifertInvariant
+    params: BrieskornParams, sigma: SeifertInvariant, memo: TraceMemo | None = None
 ) -> list[tuple[EulerClass, CharacterTriple]]:
-    """The class-to-triple map on the beta = -1 classes, with injectivity asserted."""
-    _check_sphere_data(params, sigma)
-    pairs = [(eu, _trace_triple_unchecked(eu, sigma)) for eu in enumerate_E(params)]
+    """The class-to-triple map on the beta = -1 classes, with injectivity asserted.
+
+    The number of classes must match |X0| counted by floor sums (count_X0),
+    independently of the lattice scan. memo is the sphere's TraceMemo;
+    without one, a fresh memo is built.
+    """
+    memo = _memo_of(params, sigma, memo)
+    pairs = [(eu, memo.triple_of(eu)) for eu in enumerate_E(params)]
+    expected = count_X0(params)
+    if len(pairs) != expected:
+        raise CountMismatch(
+            f"found {len(pairs)} pulled-back classes on {params.triple}, expected {expected}"
+        )
     keys = [triple.key for _, triple in pairs]
     if len(set(keys)) != len(keys):
         raise InjectivityViolation(
@@ -333,14 +417,23 @@ def phi_map(
 
 
 def reversed_trace_check(
-    eu: EulerClass, partner: EulerClass, triple: CharacterTriple, sigma: SeifertInvariant
+    eu: EulerClass,
+    partner: EulerClass,
+    triple: CharacterTriple,
+    sigma: SeifertInvariant,
+    memo: TraceMemo | None = None,
 ) -> bool:
     """Check the trace triple phi_map gave eu through the orientation-reversed covering.
 
     partner is reverse_orientation(eu). The reversed covering must have the
     negated euler number, hence the same homology order, and the reversed
-    class must give the same trace triple, central sign included.
+    class must give the same trace triple, central sign included. The
+    partner's triple comes from its own cover order, through memo when one
+    is given (the sphere data was checked when it was built) and from
+    trace_triple_of otherwise.
     """
     if partner.cover_euler_number() != -eu.cover_euler_number():
         return False
-    return trace_triple_of(partner, sigma) == triple
+    if memo is None:
+        return trace_triple_of(partner, sigma) == triple
+    return _memo_of(partner.params, sigma, memo).triple_of(partner) == triple

@@ -18,6 +18,7 @@ import sys
 from .character import (
     ClassLabel,
     CountReport,
+    TraceMemo,
     classify,
     enumerate_su2,
     phi_map,
@@ -138,15 +139,17 @@ def sphere_summary(
     sigma: SeifertInvariant,
     verify: bool = False,
     tol: float = 1e-9,
+    memo: TraceMemo | None = None,
 ):
     """One pass over a sphere: enumerate, classify, count and (with verify) certify every class.
 
     Returns the summary record (params, counts, and with verify the
     verification block), the pulled-back pairs, the unitary triples, and the
     certificates of the pulled-back stack then the unitary one (empty without
-    verify). Every assertion runs before anything is returned.
+    verify). memo is the sphere's TraceMemo, built here without one. Every
+    assertion runs before anything is returned.
     """
-    pairs = phi_map(params, sigma)
+    pairs = phi_map(params, sigma, memo)
     su2_triples = enumerate_su2(params, sigma)
     counts = CountReport.of(params, su2=len(su2_triples), sl2r=len(pairs))
     for eu, triple in pairs:
@@ -204,8 +207,13 @@ def build_record(
     tol: float = 1e-9,
     condition_b: bool = False,
 ) -> dict:
-    """Assemble the full analysis for one sphere; every assertion runs before emission."""
-    record, pairs, su2_triples, certificates = sphere_summary(params, sigma, verify, tol)
+    """Assemble the full analysis for one sphere; every assertion runs before emission.
+
+    The sphere data is checked once, when the sphere's TraceMemo is built;
+    phi_map and the reversal check fold their traces through that memo.
+    """
+    memo = TraceMemo(params, sigma)
+    record, pairs, su2_triples, certificates = sphere_summary(params, sigma, verify, tol, memo)
     blocks = _verify_blocks(certificates) if verify else itertools.repeat(None)
     leaves: dict = {}
     record["seifert"] = {
@@ -238,7 +246,7 @@ def build_record(
                 f"orientation reversal is not a bijection on {params.triple}"
             )
         for partner, (eu, triple) in partners.items():
-            if not reversed_trace_check(eu, partner, triple, sigma):
+            if not reversed_trace_check(eu, partner, triple, sigma, memo):
                 raise BrieskornError(
                     f"reversed-orientation traces disagree for {eu} on {params.triple}"
                 )

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import brieskorn.character
 from brieskorn.character import (
     CharacterTriple,
     ClassLabel,
     CountReport,
+    TraceMemo,
     TraceValue,
     classify,
     count_report,
@@ -70,6 +72,15 @@ def test_trace_value_canonical_invariants(r):
     assert 0 <= tv.t <= 1
     assert TraceValue.from_angle(-r) == tv == TraceValue.from_angle(r + 2)
     assert abs(tv.value - 2.0 * math.cos(math.pi * float(r))) < 1e-9
+
+
+def test_trace_value_equality_and_hash_ignore_the_float():
+    tv = TraceValue(F(3, 7))
+    other = TraceValue.fold(3, 7)
+    object.__setattr__(other, "value", -tv.value)
+    assert other == tv and hash(other) == hash(tv)
+    assert len({tv, other}) == 1
+    assert repr(tv) == "TraceValue(n=3, q=7)"
 
 
 def test_trace_of_generator_published_values():
@@ -307,3 +318,60 @@ def test_reversed_trace_check_refuses_a_wrong_partner():
         assert reversed_trace_check(eu, partner, triple, sigma)
         # another class's reversal is refused, as a wrong triple is
         assert not reversed_trace_check(eu, other, triple, sigma)
+
+
+def test_trace_memo_holds_each_folded_trace_once():
+    params = canonicalize_params(7, 11, 13)
+    sigma = solve_seifert(params)
+    memo = TraceMemo(params, sigma)
+    pairs = phi_map(params, sigma, memo)
+    for generator, ai in zip(memo.generators, params.triple):
+        assert 0 < len(generator) <= ai + 1
+        assert all(0 <= r <= ai and tv == TraceValue.fold(r, ai) for r, tv in generator.items())
+        for n in range(-3 * ai, 3 * ai):
+            assert generator.trace(n) == TraceValue.fold(n, ai)
+    # one object per distinct trace value
+    values = {id(tv) for _, tri in pairs for tv in (tri.tx, tri.ty, tri.tz)}
+    assert len(values) <= sum(len(generator) for generator in memo.generators)
+    assert pairs == phi_map(params, sigma)
+
+
+def test_trace_memo_refuses_another_sphere():
+    params, other = canonicalize_params(3, 5, 7), canonicalize_params(2, 3, 7)
+    sigma = solve_seifert(params)
+    memo = TraceMemo(params, sigma)
+    with pytest.raises(ValueError):
+        phi_map(other, solve_seifert(other), memo)
+    with pytest.raises(ValueError):
+        phi_map(params, OVERRIDE_237, memo)
+    with pytest.raises(ValueError):
+        memo.triple_of(enumerate_E(other)[0])
+    with pytest.raises(ValueError, match="h1 order"):
+        TraceMemo(params, SeifertInvariant(0, ((3, 1), (5, 1), (7, 1))))
+    eu, triple = phi_map(params, sigma)[0]
+    with pytest.raises(ValueError):
+        reversed_trace_check(eu, reverse_orientation(eu), triple, OVERRIDE_237, memo)
+
+
+@pytest.mark.parametrize("triple_", [(2, 3, 7), (2, 3, 13), (3, 5, 7), (7, 11, 13)])
+def test_reversed_trace_check_through_the_memo(triple_):
+    params = canonicalize_params(*triple_)
+    sigma = solve_seifert(params)
+    memo = TraceMemo(params, sigma)
+    pairs = phi_map(params, sigma, memo)
+    for (eu, triple), (_, other) in zip(pairs, pairs[1:] + pairs[:1]):
+        partner = reverse_orientation(eu)
+        assert reversed_trace_check(eu, partner, triple, sigma, memo)
+        flipped = CharacterTriple(triple.tx, triple.ty, triple.tz, epsilon=-triple.epsilon)
+        assert not reversed_trace_check(eu, partner, flipped, sigma, memo)
+        if other != triple:
+            assert not reversed_trace_check(eu, partner, other, sigma, memo)
+
+
+def test_phi_map_checks_its_count_against_floor_sums(monkeypatch):
+    params = canonicalize_params(3, 5, 7)
+    sigma = solve_seifert(params)
+    assert len(phi_map(params, sigma)) == 4
+    monkeypatch.setattr(brieskorn.character, "count_X0", lambda p: 5)
+    with pytest.raises(CountMismatch, match="expected 5"):
+        phi_map(params, sigma)

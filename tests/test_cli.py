@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import brieskorn
+import brieskorn.character
 import brieskorn.realize
 from brieskorn.character import ClassLabel, phi_map
 from brieskorn.cli import build_record, census_params, main, parse_seifert_override, render_json
@@ -166,6 +167,20 @@ def test_analyze_condition_b_listing(capsys):
     assert code == 0
     assert "condition-b classes (orientation reversed):" in out
     assert "(-2; 1,2,6) <- reverse of (-1; 1,1,1)" in out
+
+
+def test_build_record_checks_the_sphere_data_once_per_sphere(monkeypatch):
+    # the reversal loop folds through the sphere's TraceMemo, so no check runs per class
+    calls = []
+    h1_order = brieskorn.character.h1_order
+    monkeypatch.setattr(
+        brieskorn.character, "h1_order", lambda sigma: calls.append(sigma) or h1_order(sigma)
+    )
+    params = canonicalize_params(7, 11, 13)
+    record = build_record(params, solve_seifert(params), "canonical", condition_b=True)
+    assert len(record["condition_b_classes"]) == len(record["sl2r_classes"]) == 100
+    # once for build_record's memo, once inside enumerate_su2
+    assert len(calls) == 2
 
 
 def test_analyze_output_file(tmp_path, capsys):
@@ -376,8 +391,10 @@ def test_parse_seifert_override_rejects_garbage():
 # the float columns depend on the platform's libm, so another platform may
 # need its own digests. The first four date from before the integer angle
 # lattice, the next two from before the cover order moved onto EulerClass,
-# the next from before certification moved onto matrix stacks, the last two
-# from before render_json wrote the class lists from per-entry templates.
+# the next from before certification moved onto matrix stacks, the next two
+# from before render_json wrote the class lists from per-entry templates, the
+# next two from before certificates became arrays, and the last from before
+# each trace value was folded once per sphere.
 PINNED_STDOUT = {
     ("census", "1000"): "1119ad93483e3995215ace91f56781803534538ad7351bbc8be4d1fc62f8c529",
     ("census", "1000", "--format", "csv"): (
@@ -416,6 +433,10 @@ PINNED_STDOUT = {
     # an empty SL(2,R) stack under --verify
     ("analyze", "2", "3", "5", "--verify", "--format", "json"): (
         "fecaec9d939cea7de72e7f6058a020ba4c20c1f2f013cf5daf82c102fd60ea28"
+    ),
+    # classes sharing each trace value many times over: every float, residual and reversal entry
+    ("analyze", "7", "11", "13", "--verify", "--condition-b", "--format", "json"): (
+        "e198ce72c511090a45818a7d4e8d75ebb2dbe033a63bdb7b07668cb78dc7d8d9"
     ),
 }
 

@@ -1,5 +1,7 @@
 """Cross-module invariants checked over small parameter sweeps."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from brieskorn.character import (
     is_reducible_triple,
     kappa,
     phi_map,
+    trace_triple_of,
 )
 from brieskorn.errors import InconsistentClassification
 from brieskorn.cli import census_params
@@ -198,3 +201,50 @@ def test_integer_classify_matches_rational_reference(t1, t2, t3, placement):
         assert abs(kappa(c)) <= KAPPA_TOLERANCE
         return
     assert label is expected
+
+
+def fresh_value(tv: TraceValue) -> float:
+    """The float a trace value must carry, evaluated from its reduced pair."""
+    return 2.0 * math.cos(math.pi * (tv.n / tv.q))
+
+
+def fresh_su2_triples(params, sigma):
+    """Every window candidate folded afresh and kept when classify says SU2, in rotation-number order."""
+    found = []
+    for eps in (-1, 1):
+        ranges = [
+            range(2 if (eps == 1 or bi % 2 == 0) else 1, ai, 2)
+            for ai, bi in zip(params.triple, sigma.coefficients)
+        ]
+        for ls in itertools.product(*ranges):
+            tri = CharacterTriple(
+                *(TraceValue.fold(li, ai) for li, ai in zip(ls, params.triple)), epsilon=eps
+            )
+            if classify(tri) is ClassLabel.SU2:
+                found.append((ls, eps, tri))
+    return [tri for _, _, tri in sorted(found, key=lambda row: (row[0], row[1]))]
+
+
+def test_memoized_triples_match_fresh_folds():
+    # each sphere's memo shares one TraceValue per distinct trace; the triples
+    # and every carried float must equal ones folded and evaluated afresh
+    for params in census_params(1000):
+        sigma = solve_seifert(params)
+        pairs = phi_map(params, sigma)
+        for eu, tri in pairs:
+            assert tri == trace_triple_of(eu, sigma)
+        su2 = enumerate_su2(params, sigma)
+        assert su2 == fresh_su2_triples(params, sigma)
+        for tri in su2 + [tri for _, tri in pairs]:
+            for tv in (tri.tx, tri.ty, tri.tz):
+                expected = fresh_value(tv)
+                assert tv.value == expected
+                assert TraceValue(Fraction(tv.n, tv.q)).value == expected
+                assert TraceValue.fold(tv.n, tv.q).value == expected
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
+def test_trace_value_carries_its_float_bit_for_bit(n, q):
+    tv = TraceValue.fold(n, q)
+    assert tv.value == fresh_value(tv)
+    assert TraceValue(tv.t).value == fresh_value(tv)
