@@ -39,7 +39,6 @@ from .errors import (
 from .euler import (
     EulerClass,
     X0Triple,
-    count_X0,
     enumerate_E,
     enumerate_X0,
     enumerate_condition_b,
@@ -99,7 +98,6 @@ __all__ = [
     "X0Triple",
     "canonicalize_params",
     "classify",
-    "count_X0",
     "count_report",
     "enumerate_E",
     "enumerate_X0",

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .euler import (
     EulerClass,
-    count_X0,
     enumerate_E,
     enumerate_X0,
 )
@@ -393,21 +392,14 @@ def count_report(params: BrieskornParams) -> CountReport:
 
 
 def phi_map(
-    params: BrieskornParams, sigma: SeifertInvariant, memo: TraceMemo | None = None
+    params: BrieskornParams, sigma: SeifertInvariant
 ) -> list[tuple[EulerClass, CharacterTriple]]:
     """The class-to-triple map on the beta = -1 classes, with injectivity asserted.
 
-    The number of classes must match |X0| counted by floor sums (count_X0),
-    independently of the lattice scan. memo is the sphere's TraceMemo;
-    without one, a fresh memo is built.
+    Each trace value is folded and evaluated once, through a per-call TraceMemo.
     """
-    memo = _memo_of(params, sigma, memo)
+    memo = TraceMemo(params, sigma)
     pairs = [(eu, memo.triple_of(eu)) for eu in enumerate_E(params)]
-    expected = count_X0(params)
-    if len(pairs) != expected:
-        raise CountMismatch(
-            f"found {len(pairs)} pulled-back classes on {params.triple}, expected {expected}"
-        )
     keys = [triple.key for _, triple in pairs]
     if len(set(keys)) != len(keys):
         raise InjectivityViolation(
@@ -428,12 +420,9 @@ def reversed_trace_check(
     partner is reverse_orientation(eu). The reversed covering must have the
     negated euler number, hence the same homology order, and the reversed
     class must give the same trace triple, central sign included. The
-    partner's triple comes from its own cover order, through memo when one
-    is given (the sphere data was checked when it was built) and from
-    trace_triple_of otherwise.
+    partner's triple comes from its own cover order, folded through memo,
+    the sphere's TraceMemo; without one, a fresh memo is built.
     """
     if partner.cover_euler_number() != -eu.cover_euler_number():
         return False
-    if memo is None:
-        return trace_triple_of(partner, sigma) == triple
     return _memo_of(partner.params, sigma, memo).triple_of(partner) == triple

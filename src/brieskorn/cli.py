@@ -139,17 +139,15 @@ def sphere_summary(
     sigma: SeifertInvariant,
     verify: bool = False,
     tol: float = 1e-9,
-    memo: TraceMemo | None = None,
 ):
     """One pass over a sphere: enumerate, classify, count and (with verify) certify every class.
 
     Returns the summary record (params, counts, and with verify the
     verification block), the pulled-back pairs, the unitary triples, and the
     certificates of the pulled-back stack then the unitary one (empty without
-    verify). memo is the sphere's TraceMemo, built here without one. Every
-    assertion runs before anything is returned.
+    verify). Every assertion runs before anything is returned.
     """
-    pairs = phi_map(params, sigma, memo)
+    pairs = phi_map(params, sigma)
     su2_triples = enumerate_su2(params, sigma)
     counts = CountReport.of(params, su2=len(su2_triples), sl2r=len(pairs))
     for eu, triple in pairs:
@@ -209,11 +207,10 @@ def build_record(
 ) -> dict:
     """Assemble the full analysis for one sphere; every assertion runs before emission.
 
-    The sphere data is checked once, when the sphere's TraceMemo is built;
-    phi_map and the reversal check fold their traces through that memo.
+    With condition_b, the reversal check folds every partner's traces through
+    one TraceMemo, so the sphere data is checked once for the whole loop.
     """
-    memo = TraceMemo(params, sigma)
-    record, pairs, su2_triples, certificates = sphere_summary(params, sigma, verify, tol, memo)
+    record, pairs, su2_triples, certificates = sphere_summary(params, sigma, verify, tol)
     blocks = _verify_blocks(certificates) if verify else itertools.repeat(None)
     leaves: dict = {}
     record["seifert"] = {
@@ -245,6 +242,7 @@ def build_record(
             raise BrieskornError(
                 f"orientation reversal is not a bijection on {params.triple}"
             )
+        memo = TraceMemo(params, sigma)
         for partner, (eu, triple) in partners.items():
             if not reversed_trace_check(eu, partner, triple, sigma, memo):
                 raise BrieskornError(

@@ -87,45 +87,6 @@ def enumerate_X0(params: BrieskornParams) -> list[X0Triple]:
     return out
 
 
-def floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum(floor((a*i + b) / m) for i in range(n)) for n >= 0, m > 0 and a, b >= 0.
-
-    Euclid-style reduction, as in the AtCoder Library: O(log m) steps.
-    """
-    total = 0
-    while True:
-        if a >= m:
-            total += n * (n - 1) // 2 * (a // m)
-            a %= m
-        if b >= m:
-            total += n * (b // m)
-            b %= m
-        y_max = a * n + b
-        if y_max < m:
-            return total
-        n, b = divmod(y_max, m)
-        m, a = a, m
-
-
-def count_X0(params: BrieskornParams) -> int:
-    """|X0| by floor sums, independent of the lattice scan in enumerate_X0.
-
-    For each k, put rem = a - k*c1 - 1. The pairs (l, m) then number the sum
-    over 1 <= l <= top = rem // c2 of (rem - l*c2) // c3 (l < a2 and m < a3
-    hold already, as in enumerate_X0), and reindexing by i = top - l makes
-    that floor_sum(top, c3, c2, rem - top*c2).
-    """
-    a1, a2, a3 = params.triple
-    a = params.a
-    c1, c2, c3 = a2 * a3, a1 * a3, a1 * a2
-    total = 0
-    for k in range(1, a1):
-        rem = a - k * c1 - 1
-        top = rem // c2
-        total += floor_sum(top, c3, c2, rem - top * c2)
-    return total
-
-
 def enumerate_E(params: BrieskornParams) -> list[EulerClass]:
     """Classes -x0 + k*x1 + l*x2 + m*x3 for (k,l,m) in X0, in the same order."""
     return [EulerClass(params, -1, k, l, m) for k, l, m in enumerate_X0(params)]

@@ -3,17 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from brieskorn.errors import NotRealizable
 from brieskorn.euler import (
     EulerClass,
-    count_X0,
     enumerate_E,
     enumerate_X0,
     enumerate_condition_b,
-    floor_sum,
     reverse_orientation,
     seifert_from_euler,
 )
@@ -62,20 +58,6 @@ def test_x0_family_2_3_6n1(n):
 def test_x0_matches_brute_force(triple):
     params = canonicalize_params(*triple)
     assert [tuple(t) for t in enumerate_X0(params)] == brute_x0(params)
-
-
-@given(
-    st.integers(0, 60), st.integers(1, 60), st.integers(0, 10**4), st.integers(0, 10**4)
-)
-def test_floor_sum_matches_its_definition(n, m, a, b):
-    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
-
-
-def test_count_x0_matches_the_lattice_scan(partition_sweep):
-    rows, _ = partition_sweep
-    assert len(rows) == 1966
-    for params, _, _, _ in rows:
-        assert count_X0(params) == len(enumerate_X0(params)), params.triple
 
 
 @pytest.mark.parametrize("triple", [(2, 3, 7), (4, 5, 9), (3, 5, 7)])

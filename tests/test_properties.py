@@ -242,9 +242,3 @@ def test_memoized_triples_match_fresh_folds():
                 assert TraceValue(Fraction(tv.n, tv.q)).value == expected
                 assert TraceValue.fold(tv.n, tv.q).value == expected
 
-
-@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
-def test_trace_value_carries_its_float_bit_for_bit(n, q):
-    tv = TraceValue.fold(n, q)
-    assert tv.value == fresh_value(tv)
-    assert TraceValue(tv.t).value == fresh_value(tv)
