@@ -311,6 +311,12 @@ def test_census_30_single_row(capsys):
     assert "census ok: 1 spheres" in err
 
 
+def test_census_300_stderr_is_pinned(capsys):
+    code, _, err = run(capsys, "census", "300")
+    assert code == 0
+    assert err == "census ok: 63 spheres, aggregate identity sl2c - 2|casson| = sl2r = 512\n"
+
+
 def test_census_rejects_small_bound(capsys):
     code, out, err = run(capsys, "census", "29")
     assert code == 2
@@ -393,8 +399,9 @@ def test_parse_seifert_override_rejects_garbage():
 # lattice, the next two from before the cover order moved onto EulerClass,
 # the next from before certification moved onto matrix stacks, the next two
 # from before render_json wrote the class lists from per-entry templates, the
-# next two from before certificates became arrays, and the last from before
-# each trace value was folded once per sphere.
+# next two from before certificates became arrays, the next from before
+# each trace value was folded once per sphere, and the last from before the
+# checks that restate other checks were dropped.
 PINNED_STDOUT = {
     ("census", "1000"): "1119ad93483e3995215ace91f56781803534538ad7351bbc8be4d1fc62f8c529",
     ("census", "1000", "--format", "csv"): (
@@ -437,6 +444,10 @@ PINNED_STDOUT = {
     # classes sharing each trace value many times over: every float, residual and reversal entry
     ("analyze", "7", "11", "13", "--verify", "--condition-b", "--format", "json"): (
         "e198ce72c511090a45818a7d4e8d75ebb2dbe033a63bdb7b07668cb78dc7d8d9"
+    ),
+    # the reversal listing and every shared trace value as text
+    ("analyze", "7", "11", "13", "--condition-b"): (
+        "65760d3d47e02592923f66a8f6e31232f3ddd623fb8996e7fe88d3e879e04344"
     ),
 }
 
