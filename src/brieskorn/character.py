@@ -130,31 +130,33 @@ class CharacterTriple:
 
 @dataclass(frozen=True)
 class CountReport:
-    """Class counts and the Casson-type identities tying them together."""
+    """Class counts and the Casson-type invariants derived from them.
+
+    Two identities are checked: total = su2 + sl2r, and su2 is even. The
+    Casson fields are derived, |casson| = su2/2 and the SL(2,C) Casson count
+    = total, so sl2c - 2|casson| = sl2r holds by construction.
+    """
 
     total: int
     su2: int
     sl2r: int
-    casson_abs: int
-    casson_sl2c: int
+    casson_abs: int = field(init=False)
+    casson_sl2c: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.total != self.su2 + self.sl2r:
             raise CountMismatch(
                 f"total {self.total} != su2 {self.su2} + sl2r {self.sl2r}"
             )
-        if self.su2 % 2 or self.casson_abs != self.su2 // 2:
+        if self.su2 % 2:
             raise CountMismatch(f"su2 count {self.su2} is not twice |casson|")
-        if self.casson_sl2c != self.total:
-            raise CountMismatch("sl2c casson invariant must equal the total count")
-        if self.casson_sl2c - 2 * self.casson_abs != self.sl2r:
-            raise CountMismatch("count identity sl2c - 2|casson| = sl2r failed")
+        object.__setattr__(self, "casson_abs", self.su2 // 2)
+        object.__setattr__(self, "casson_sl2c", self.total)
 
     @classmethod
     def of(cls, params: BrieskornParams, su2: int, sl2r: int) -> "CountReport":
         """Counts of enumerated classes against the closed-form total (a1-1)(a2-1)(a3-1)/4."""
-        total = _total_count(params)
-        return cls(total=total, su2=su2, sl2r=sl2r, casson_abs=su2 // 2, casson_sl2c=total)
+        return cls(total=_total_count(params), su2=su2, sl2r=sl2r)
 
 
 def _total_count(params: BrieskornParams) -> int:
@@ -164,8 +166,12 @@ def _total_count(params: BrieskornParams) -> int:
     return product // 4
 
 
-def _generator_angle(beta_i: int, a_i: int, order: int, b_i: int) -> int:
-    """The numerator -order*b_i of the generator angle over a_i, checked against beta_i."""
+def trace_of_generator(beta_i: int, a_i: int, order: int, b_i: int) -> TraceValue:
+    """Canonical form of the generator trace 2cos(-order * b_i * pi / a_i).
+
+    beta_i pins the expected residue of -order*b_i mod a_i: coherent covering
+    data lands on beta_i or a_i - beta_i depending on the sign convention.
+    """
     if not 0 < beta_i < a_i:
         raise ValueError(f"beta_i must lie in (0, {a_i}), got {beta_i}")
     if order < 1:
@@ -176,16 +182,7 @@ def _generator_angle(beta_i: int, a_i: int, order: int, b_i: int) -> int:
             f"generator of order {a_i} maps to the center (trace +-2)"
         )
     assert r in (beta_i, a_i - beta_i), "residue disagrees with the euler class"
-    return -order * b_i
-
-
-def trace_of_generator(beta_i: int, a_i: int, order: int, b_i: int) -> TraceValue:
-    """Canonical form of the generator trace 2cos(-order * b_i * pi / a_i).
-
-    beta_i pins the expected residue of -order*b_i mod a_i: coherent covering
-    data lands on beta_i or a_i - beta_i depending on the sign convention.
-    """
-    return TraceValue.fold(_generator_angle(beta_i, a_i, order, b_i), a_i)
+    return TraceValue.fold(-order * b_i, a_i)
 
 
 def _check_sphere_data(params: BrieskornParams, sigma: SeifertInvariant) -> None:
@@ -243,7 +240,7 @@ class TraceMemo:
     """One sphere's trace values, each folded and evaluated once per generator.
 
     Building the memo checks the sphere data once; the triples it makes skip
-    that check but still check every generator's residue against the class.
+    that check and the per-generator checks of trace_of_generator.
     """
 
     def __init__(self, params: BrieskornParams, sigma: SeifertInvariant) -> None:
@@ -253,30 +250,24 @@ class TraceMemo:
         self.generators = tuple(_GeneratorTraces(ai) for ai in params.triple)
 
     def triple_of(self, eu: EulerClass) -> CharacterTriple:
-        """trace_triple_of(eu, sigma), with each trace looked up in the memo."""
+        """trace_triple_of(eu, sigma), with each trace looked up in the memo.
+
+        The checks trace_of_generator makes cannot fail here. EulerClass
+        guarantees 0 < beta_i < a_i. Modulo a_i, the cover order is
+        +-beta_i*a/a_i, hence at least 1, and b_i*a/a_i is +-1 because the
+        memo checked h1 order 1; so -order*b_i is +-beta_i, never 0.
+        """
         if eu.params is not self.params and eu.params != self.params:
             raise ValueError("euler class belongs to another sphere")
         order, epsilon = _cover_order(eu)
-        (a1, b1), (a2, b2), (a3, b3) = self.sigma.pairs
+        b1, b2, b3 = self.sigma.coefficients
         traces1, traces2, traces3 = self.generators
         return CharacterTriple(
-            traces1.trace(_generator_angle(eu.beta1, a1, order, b1)),
-            traces2.trace(_generator_angle(eu.beta2, a2, order, b2)),
-            traces3.trace(_generator_angle(eu.beta3, a3, order, b3)),
+            traces1.trace(-order * b1),
+            traces2.trace(-order * b2),
+            traces3.trace(-order * b3),
             epsilon=epsilon,
         )
-
-
-def _memo_of(
-    params: BrieskornParams, sigma: SeifertInvariant, memo: TraceMemo | None
-) -> TraceMemo:
-    """memo, checked to belong to the sphere, or a fresh one."""
-    if memo is None:
-        return TraceMemo(params, sigma)
-    # tuple comparison tries identity first, the common case
-    if (memo.params, memo.sigma) != (params, sigma):
-        raise ValueError("trace memo belongs to another sphere")
-    return memo
 
 
 def _walls(c: CharacterTriple) -> tuple[int, int, int]:
@@ -338,9 +329,15 @@ def enumerate_su2(
     For central sign epsilon, generator i is a rotation by pi*l_i/a_i whose
     a_i-th power must be epsilon**(-b_i) * I, forcing l_i even when epsilon
     is +1 and l_i = b_i mod 2 when epsilon is -1. A candidate survives
-    exactly when it classifies as SU2, and the final count must match the
-    closed form (a1-1)(a2-1)(a3-1)/4 - |X0|. Each trace value is folded and
-    evaluated once, through a per-call TraceMemo.
+    exactly when its angles pass the strict triangle test classify makes,
+    done here over the common denominator a. Each survivor must also pass
+    classify's float cross-check, kappa < -KAPPA_TOLERANCE, and the count
+    must match the closed form (a1-1)(a2-1)(a3-1)/4 - |X0|.
+
+    The keys are distinct by construction: distinct 0 < l_i < a_i fold to
+    distinct reduced pairs, and since sum b_i*a/a_i = +-1 the b_i are never
+    all even, so no tuple survives under both signs. Each trace value is
+    folded and evaluated once, through a per-call TraceMemo.
     """
     memo = TraceMemo(params, sigma)
     if sigma.b != 0:
@@ -370,18 +367,15 @@ def enumerate_su2(
     triples: list[CharacterTriple] = []
     for l1, l2, l3, eps in survivors:
         triple = CharacterTriple(traces1[l1], traces2[l2], traces3[l3], epsilon=eps)
-        if classify(triple) is not ClassLabel.SU2:
-            raise InconsistentClassification(
-                f"rotation numbers {(l1, l2, l3)} passed the triangle test but failed classify"
-            )
+        k = kappa(triple)
+        if not k < -KAPPA_TOLERANCE:
+            raise InconsistentClassification(f"unitary triple with kappa = {k}")
         triples.append(triple)
     expected = _total_count(params) - len(enumerate_X0(params))
     if len(triples) != expected:
         raise CountMismatch(
             f"found {len(triples)} unitary classes on {params.triple}, expected {expected}"
         )
-    if len({t.key for t in triples}) != len(triples):
-        raise CountMismatch("duplicate trace triples in the unitary enumeration")
     return triples
 
 
@@ -413,16 +407,21 @@ def reversed_trace_check(
     partner: EulerClass,
     triple: CharacterTriple,
     sigma: SeifertInvariant,
-    memo: TraceMemo | None = None,
 ) -> bool:
     """Check the trace triple phi_map gave eu through the orientation-reversed covering.
 
     partner is reverse_orientation(eu). The reversed covering must have the
     negated euler number, hence the same homology order, and the reversed
     class must give the same trace triple, central sign included. The
-    partner's triple comes from its own cover order, folded through memo,
-    the sphere's TraceMemo; without one, a fresh memo is built.
+    partner's triple is folded afresh by trace_triple_of from its own cover
+    order.
+
+    For a true partner both hold by construction: its cover euler number is
+    -(-2a + 3a - S) = -(a - S) for S = a*sum beta_i/a_i, and a triple reads
+    only the cover order and the b_i, with beta_i entering through the set
+    (beta_i, a_i - beta_i), which the reversal maps to itself. So
+    cli.build_record does not run this check.
     """
     if partner.cover_euler_number() != -eu.cover_euler_number():
         return False
-    return _memo_of(partner.params, sigma, memo).triple_of(partner) == triple
+    return trace_triple_of(partner, sigma) == triple

@@ -144,19 +144,23 @@ def test_criterion_8_realization_sweep(realization_sweep):
 
 
 def test_criterion_9_zero_inconsistent_classifications(partition_sweep, realization_sweep):
-    # unitary candidates are classified inside enumerate_su2, so a completed
-    # partition sweep already proves those raised nothing; classify the
-    # pulled-back classes explicitly and count events
+    # enumerate_su2 makes only the float kappa check on its survivors, so
+    # classify every unitary and every pulled-back class here and count events
     rows, _ = partition_sweep
     events = 0
     mislabels = 0
     for params, sigma, su2, pairs in rows:
-        for _, tri in pairs:
-            try:
-                if classify(tri) is not ClassLabel.SL2R:
-                    mislabels += 1
-            except InconsistentClassification:
-                events += 1
+        assert len({tri.key for tri in su2}) == len(su2)
+        for expected, triples in (
+            (ClassLabel.SU2, su2),
+            (ClassLabel.SL2R, [tri for _, tri in pairs]),
+        ):
+            for tri in triples:
+                try:
+                    if classify(tri) is not expected:
+                        mislabels += 1
+                except InconsistentClassification:
+                    events += 1
     assert events == 0
     assert mislabels == 0
     real_rows, _ = realization_sweep

@@ -255,11 +255,16 @@ def test_count_report_frozen(triple_, expected):
 
 def test_count_report_rejects_broken_identities():
     with pytest.raises(CountMismatch):
-        CountReport(total=3, su2=2, sl2r=2, casson_abs=1, casson_sl2c=3)
+        CountReport(total=3, su2=2, sl2r=2)
     with pytest.raises(CountMismatch):
-        CountReport(total=3, su2=3, sl2r=0, casson_abs=1, casson_sl2c=3)
-    with pytest.raises(CountMismatch):
-        CountReport(total=3, su2=2, sl2r=1, casson_abs=1, casson_sl2c=4)
+        CountReport(total=3, su2=3, sl2r=0)
+
+
+def test_count_report_derives_the_casson_fields():
+    report = CountReport(total=12, su2=8, sl2r=4)
+    assert (report.casson_abs, report.casson_sl2c) == (4, 12)
+    with pytest.raises(TypeError):
+        CountReport(total=3, su2=2, sl2r=1, casson_abs=1, casson_sl2c=3)
 
 
 def test_phi_map_2313_angles():
@@ -345,27 +350,4 @@ def test_trace_memo_refuses_another_sphere():
         memo.triple_of(enumerate_E(other)[0])
     with pytest.raises(ValueError, match="h1 order"):
         TraceMemo(params, SeifertInvariant(0, ((3, 1), (5, 1), (7, 1))))
-    eu, triple = phi_map(params, sigma)[0]
-    with pytest.raises(ValueError):
-        reversed_trace_check(eu, reverse_orientation(eu), triple, OVERRIDE_237, memo)
-    other_eu, other_triple = phi_map(other, solve_seifert(other))[0]
-    with pytest.raises(ValueError):
-        reversed_trace_check(
-            other_eu, reverse_orientation(other_eu), other_triple, solve_seifert(other), memo
-        )
-
-
-@pytest.mark.parametrize("triple_", [(2, 3, 7), (2, 3, 13), (3, 5, 7), (7, 11, 13)])
-def test_reversed_trace_check_through_the_memo(triple_):
-    params = canonicalize_params(*triple_)
-    sigma = solve_seifert(params)
-    memo = TraceMemo(params, sigma)
-    pairs = phi_map(params, sigma)
-    for (eu, triple), (_, other) in zip(pairs, pairs[1:] + pairs[:1]):
-        partner = reverse_orientation(eu)
-        assert reversed_trace_check(eu, partner, triple, sigma, memo)
-        flipped = CharacterTriple(triple.tx, triple.ty, triple.tz, epsilon=-triple.epsilon)
-        assert not reversed_trace_check(eu, partner, flipped, sigma, memo)
-        if other != triple:
-            assert not reversed_trace_check(eu, partner, other, sigma, memo)
 

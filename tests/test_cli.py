@@ -170,7 +170,8 @@ def test_analyze_condition_b_listing(capsys):
 
 
 def test_build_record_checks_the_sphere_data_per_sphere_not_per_class(monkeypatch):
-    # the reversal loop folds through one TraceMemo, so no check runs per class
+    # the traces are folded through one TraceMemo per pass and the reversal
+    # folds nothing again, so no check runs per class
     calls = []
     h1_order = brieskorn.character.h1_order
     monkeypatch.setattr(
@@ -179,7 +180,7 @@ def test_build_record_checks_the_sphere_data_per_sphere_not_per_class(monkeypatc
     params = canonicalize_params(7, 11, 13)
     record = build_record(params, solve_seifert(params), "canonical", condition_b=True)
     assert len(record["condition_b_classes"]) == len(record["sl2r_classes"]) == 100
-    # 3 today: the memos of phi_map, enumerate_su2 and the reversal loop
+    # 2 today: the memos of phi_map and enumerate_su2
     assert len(calls) < len(record["condition_b_classes"])
 
 

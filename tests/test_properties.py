@@ -12,6 +12,7 @@ from brieskorn.character import (
     KAPPA_TOLERANCE,
     CharacterTriple,
     ClassLabel,
+    CountReport,
     TraceValue,
     classify,
     enumerate_su2,
@@ -98,13 +99,61 @@ def test_cover_euler_number_matches_seifert_route(params):
         assert eu.cover_euler_number() == cleared_euler_number(seifert_from_euler(eu, params))
 
 
-def test_trace_angles_reduce_to_euler_coefficients():
-    # each canonical angle lands on beta_i/a_i or its mirror 1 - beta_i/a_i
-    for params in census_params(300):
-        sigma = solve_seifert(params)
-        for eu, tri in phi_map(params, sigma):
+def test_trace_angles_reduce_to_euler_coefficients(partition_sweep):
+    # each canonical angle lands on beta_i/a_i or its mirror 1 - beta_i/a_i,
+    # the residue check TraceMemo.triple_of leaves out
+    rows, _ = partition_sweep
+    for params, _, _, pairs in rows:
+        for eu, tri in pairs:
             for tv, beta, ai in zip((tri.tx, tri.ty, tri.tz), eu.betas, params.triple):
-                assert tv.t in (Fraction(beta, ai), 1 - Fraction(beta, ai))
+                assert tv.n * ai in (beta * tv.q, (ai - beta) * tv.q)
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) for coprime h and k > 0, by reciprocity s(h,k) + s(k,h) = (h^2+k^2+1)/(12hk) - 1/4."""
+    h %= k
+    if h == 0:
+        return Fraction(0)  # k == 1
+    return Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4) - dedekind_sum(k, h)
+
+
+def sawtooth(x: Fraction) -> Fraction:
+    return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
+
+
+def test_dedekind_sum_matches_its_definition():
+    for k in range(1, 40):
+        for h in range(-k, 2 * k):
+            if math.gcd(h, k) == 1:
+                expected = sum(
+                    sawtooth(Fraction(i, k)) * sawtooth(Fraction(h * i, k)) for i in range(1, k)
+                )
+                assert dedekind_sum(h, k) == expected, (h, k)
+
+
+def casson_invariant(a1: int, a2: int, a3: int) -> Fraction:
+    """lambda(Sigma(a1, a2, a3)) by Fintushel-Stern, with the sign that gives (2,3,5) +1."""
+    a = a1 * a2 * a3
+    return Fraction(1, 8) * (
+        1
+        - Fraction(1 - a * a + (a1 * a2) ** 2 + (a2 * a3) ** 2 + (a1 * a3) ** 2, 3 * a)
+        + 4 * (dedekind_sum(a2 * a3, a1) + dedekind_sum(a1 * a3, a2) + dedekind_sum(a1 * a2, a3))
+    )
+
+
+def test_casson_sign_convention():
+    # Casson's own normalization gives lambda(Sigma(2,3,5)) = -1
+    assert casson_invariant(2, 3, 5) == 1
+
+
+def test_su2_count_is_twice_the_fintushel_stern_casson_invariant(partition_sweep):
+    rows, _ = partition_sweep
+    for params, _, su2, pairs in rows:
+        lam = casson_invariant(*params.triple)
+        assert lam.denominator == 1, params.triple
+        report = CountReport.of(params, su2=len(su2), sl2r=len(pairs))
+        assert abs(lam) == report.casson_abs, params.triple
+        assert len(su2) == 2 * abs(lam), params.triple
 
 
 def test_kappa_signs_split_the_labels():
