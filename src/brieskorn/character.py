@@ -61,10 +61,10 @@ class TraceValue:
         self._set(t.numerator, t.denominator)
 
     def _set(self, n: int, q: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
         # n / q is the correctly rounded float(Fraction(n, q))
-        object.__setattr__(self, "value", 2.0 * math.cos(math.pi * (n / q)))
+        object.__setattr__(
+            self, "__dict__", {"n": n, "q": q, "value": 2.0 * math.cos(math.pi * (n / q))}
+        )
 
     @classmethod
     def fold(cls, n: int, q: int) -> "TraceValue":
@@ -98,6 +98,10 @@ class ClassLabel(Enum):
     SL2R = "SL2R"
 
 
+# read once here, not through the enum's descriptors on every classify
+_REDUCIBLE, _SU2, _SL2R = ClassLabel.REDUCIBLE, ClassLabel.SU2, ClassLabel.SL2R
+
+
 @dataclass(frozen=True)
 class CharacterTriple:
     """Generator traces (tr X, tr Y, tr Z) plus the central sign rho(h) = epsilon*I."""
@@ -110,6 +114,18 @@ class CharacterTriple:
     def __post_init__(self) -> None:
         if self.epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
+
+    @classmethod
+    def _signed(
+        cls, tx: TraceValue, ty: TraceValue, tz: TraceValue, epsilon: int
+    ) -> "CharacterTriple":
+        """A triple from this module's makers, whose epsilon is -1 or +1 by construction.
+
+        No sign check: the makers take epsilon from the parity of the cover order or from (-1, 1).
+        """
+        triple = object.__new__(cls)
+        object.__setattr__(triple, "__dict__", {"tx": tx, "ty": ty, "tz": tz, "epsilon": epsilon})
+        return triple
 
     @property
     def angles(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -247,6 +263,7 @@ class TraceMemo:
         _check_sphere_data(params, sigma)
         self.params = params
         self.sigma = sigma
+        self.coefficients = sigma.coefficients
         self.generators = tuple(_GeneratorTraces(ai) for ai in params.triple)
 
     def triple_of(self, eu: EulerClass) -> CharacterTriple:
@@ -260,30 +277,30 @@ class TraceMemo:
         if eu.params is not self.params and eu.params != self.params:
             raise ValueError("euler class belongs to another sphere")
         order, epsilon = _cover_order(eu)
-        b1, b2, b3 = self.sigma.coefficients
+        b1, b2, b3 = self.coefficients
         traces1, traces2, traces3 = self.generators
-        return CharacterTriple(
+        return CharacterTriple._signed(
             traces1.trace(-order * b1),
             traces2.trace(-order * b2),
             traces3.trace(-order * b3),
-            epsilon=epsilon,
+            epsilon,
         )
 
 
-def _walls(c: CharacterTriple) -> tuple[int, int, int]:
+def _walls(tx: TraceValue, ty: TraceValue, tz: TraceValue) -> tuple[int, int, int]:
     """(|N1 - N2|, N3, min(N1 + N2, 2L - N1 - N2)) for the angles N_i/L over L = lcm(q_i).
 
     The outer two are the folded difference and sum of the first two angles.
     """
-    tx, ty, tz = c.tx, c.ty, c.tz
-    lcm = math.lcm(tx.q, ty.q, tz.q)
-    big1, big2 = tx.n * (lcm // tx.q), ty.n * (lcm // ty.q)
-    return abs(big1 - big2), tz.n * (lcm // tz.q), min(big1 + big2, 2 * lcm - big1 - big2)
+    q1, q2, q3 = tx.q, ty.q, tz.q
+    lcm = math.lcm(q1, q2, q3)
+    big1, big2 = tx.n * (lcm // q1), ty.n * (lcm // q2)
+    return abs(big1 - big2), tz.n * (lcm // q3), min(big1 + big2, 2 * lcm - big1 - big2)
 
 
 def is_reducible_triple(c: CharacterTriple) -> bool:
     """Exact test: the third angle equals the folded sum or difference of the first two."""
-    lower, big3, upper = _walls(c)
+    lower, big3, upper = _walls(c.tx, c.ty, c.tz)
     return big3 == lower or big3 == upper
 
 
@@ -306,19 +323,21 @@ def classify(c: CharacterTriple) -> ClassLabel:
     denominator. The float discriminant must agree in sign, otherwise the
     data is inconsistent and we refuse to label.
     """
-    for tv in (c.tx, c.ty, c.tz):
-        if tv.n == 0 or tv.n == tv.q:
-            raise DegenerateAngle("classification needs all traces strictly inside (-2, 2)")
-    lower, big3, upper = _walls(c)
+    tx, ty, tz = c.tx, c.ty, c.tz
+    # a canonical pair has 0 <= n <= q, so this excludes the traces +-2
+    if not (0 < tx.n < tx.q and 0 < ty.n < ty.q and 0 < tz.n < tz.q):
+        raise DegenerateAngle("classification needs all traces strictly inside (-2, 2)")
+    lower, big3, upper = _walls(tx, ty, tz)
     if big3 == lower or big3 == upper:
-        return ClassLabel.REDUCIBLE
-    label = ClassLabel.SU2 if lower < big3 < upper else ClassLabel.SL2R
+        return _REDUCIBLE
     k = kappa(c)
-    if label is ClassLabel.SU2 and not k < -KAPPA_TOLERANCE:
-        raise InconsistentClassification(f"unitary triple with kappa = {k}")
-    if label is ClassLabel.SL2R and not k > KAPPA_TOLERANCE:
+    if lower < big3 < upper:
+        if not k < -KAPPA_TOLERANCE:
+            raise InconsistentClassification(f"unitary triple with kappa = {k}")
+        return _SU2
+    if not k > KAPPA_TOLERANCE:
         raise InconsistentClassification(f"real-form triple with kappa = {k}")
-    return label
+    return _SL2R
 
 
 def enumerate_su2(
@@ -366,7 +385,7 @@ def enumerate_su2(
     traces1, traces2, traces3 = memo.generators
     triples: list[CharacterTriple] = []
     for l1, l2, l3, eps in survivors:
-        triple = CharacterTriple(traces1[l1], traces2[l2], traces3[l3], epsilon=eps)
+        triple = CharacterTriple._signed(traces1[l1], traces2[l2], traces3[l3], eps)
         k = kappa(triple)
         if not k < -KAPPA_TOLERANCE:
             raise InconsistentClassification(f"unitary triple with kappa = {k}")

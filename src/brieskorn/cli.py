@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -182,7 +181,7 @@ def sphere_summary(
             "a": params.a,
             "input_permutation": list(params.permutation),
         },
-        "counts": dataclasses.asdict(counts),
+        "counts": {name: getattr(counts, name) for name in CSV_COLUMNS[4:]},
     }
     if verify:
         summary["verification"] = {

@@ -42,6 +42,22 @@ class EulerClass:
         # held once: the cover order, the angle sum and both conditions read it
         object.__setattr__(self, "_cleared_sum", cleared)
 
+    @classmethod
+    def _in_range(
+        cls, params: BrieskornParams, beta: int, beta1: int, beta2: int, beta3: int, cleared: int
+    ) -> "EulerClass":
+        """A class from this module's lattice makers, with the cleared sum they already hold.
+
+        No range check: the makers take each beta_i from range(1, a_i), or as a_i - beta_i
+        of a valid beta_i.
+        """
+        eu = object.__new__(cls)
+        object.__setattr__(eu, "__dict__", {
+            "params": params, "beta": beta, "beta1": beta1, "beta2": beta2, "beta3": beta3,
+            "_cleared_sum": cleared,
+        })
+        return eu
+
     @property
     def betas(self) -> tuple[int, int, int]:
         return (self.beta1, self.beta2, self.beta3)
@@ -83,13 +99,18 @@ def enumerate_X0(params: BrieskornParams) -> list[X0Triple]:
             rem = a - k * c1 - l * c2
             # largest m with m*c3 < rem; provably below a3 already
             top = (rem - 1) // c3
-            out.extend(X0Triple(k, l, m) for m in range(1, top + 1))
+            out += [X0Triple(k, l, m) for m in range(1, top + 1)]
     return out
 
 
 def enumerate_E(params: BrieskornParams) -> list[EulerClass]:
     """Classes -x0 + k*x1 + l*x2 + m*x3 for (k,l,m) in X0, in the same order."""
-    return [EulerClass(params, -1, k, l, m) for k, l, m in enumerate_X0(params)]
+    a1, a2, a3 = params.triple
+    c1, c2, c3 = a2 * a3, a1 * a3, a1 * a2
+    make = EulerClass._in_range
+    return [
+        make(params, -1, k, l, m, k * c1 + l * c2 + m * c3) for k, l, m in enumerate_X0(params)
+    ]
 
 
 def enumerate_condition_b(params: BrieskornParams) -> list[EulerClass]:
@@ -105,8 +126,9 @@ def enumerate_condition_b(params: BrieskornParams) -> list[EulerClass]:
     for b1 in range(1, a1):
         for b2 in range(1, a2):
             for b3 in range(1, a3):
-                if b1 * c1 + b2 * c2 + b3 * c3 > 2 * a:
-                    out.append(EulerClass(params, -2, b1, b2, b3))
+                cleared = b1 * c1 + b2 * c2 + b3 * c3
+                if cleared > 2 * a:
+                    out.append(EulerClass._in_range(params, -2, b1, b2, b3, cleared))
     return out
 
 
@@ -122,8 +144,13 @@ def reverse_orientation(eu: EulerClass) -> EulerClass:
         new_beta = -1
     else:
         raise NotRealizable(f"{eu} satisfies neither realizability condition")
-    a1, a2, a3 = eu.params.triple
-    return EulerClass(eu.params, new_beta, a1 - eu.beta1, a2 - eu.beta2, a3 - eu.beta3)
+    params = eu.params
+    a1, a2, a3 = params.triple
+    # sum (a_i - beta_i) * a/a_i = 3a - S
+    return EulerClass._in_range(
+        params, new_beta, a1 - eu.beta1, a2 - eu.beta2, a3 - eu.beta3,
+        3 * params.a - eu.cleared_sum(),
+    )
 
 
 def seifert_from_euler(eu: EulerClass, params: BrieskornParams) -> SeifertInvariant:

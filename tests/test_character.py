@@ -189,6 +189,15 @@ def test_classify_examples():
 def test_classify_rejects_central_trace():
     with pytest.raises(DegenerateAngle):
         classify(triple(F(1, 2), F(1, 2), F(0)))
+    with pytest.raises(DegenerateAngle):
+        classify(triple(F(1), F(1, 3), F(1, 2)))
+
+
+def test_character_triple_rejects_a_central_sign_other_than_plus_or_minus_one():
+    tv = TraceValue(F(1, 3))
+    for epsilon in (0, 2, -2):
+        with pytest.raises(ValueError):
+            CharacterTriple(tv, tv, tv, epsilon=epsilon)
 
 
 def test_classify_refuses_margin_below_float_resolution():

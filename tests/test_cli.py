@@ -17,6 +17,7 @@ import brieskorn.realize
 from brieskorn.character import ClassLabel, phi_map
 from brieskorn.cli import build_record, census_params, main, parse_seifert_override, render_json
 from brieskorn.errors import InvalidSeifertData
+from brieskorn.euler import EulerClass
 from brieskorn.realize import realize_sl2r, verify_relations
 from brieskorn.seifert import canonicalize_params, solve_seifert
 
@@ -181,6 +182,20 @@ def test_build_record_checks_the_sphere_data_per_sphere_not_per_class(monkeypatc
     record = build_record(params, solve_seifert(params), "canonical", condition_b=True)
     assert len(record["condition_b_classes"]) == len(record["sl2r_classes"]) == 100
     # 2 today: the memos of phi_map and enumerate_su2
+    assert len(calls) < len(record["condition_b_classes"])
+
+
+def test_build_record_checks_no_coefficient_range_per_class(monkeypatch):
+    # enumerate_E, enumerate_condition_b and reverse_orientation take each
+    # coefficient from a range that keeps it in (0, a_i), so they skip the
+    # check the public EulerClass constructor makes
+    calls = []
+    post_init = EulerClass.__post_init__
+    monkeypatch.setattr(EulerClass, "__post_init__", lambda eu: calls.append(eu) or post_init(eu))
+    params = canonicalize_params(7, 11, 13)
+    record = build_record(params, solve_seifert(params), "canonical", condition_b=True)
+    assert len(record["condition_b_classes"]) == len(record["sl2r_classes"]) == 100
+    # 0 today; each of the three makers checking its classes adds 100
     assert len(calls) < len(record["condition_b_classes"])
 
 

@@ -24,6 +24,7 @@ from brieskorn.character import (
 from brieskorn.errors import InconsistentClassification
 from brieskorn.cli import census_params
 from brieskorn.euler import (
+    EulerClass,
     enumerate_E,
     enumerate_X0,
     enumerate_condition_b,
@@ -291,3 +292,23 @@ def test_memoized_triples_match_fresh_folds():
                 assert TraceValue(Fraction(tv.n, tv.q)).value == expected
                 assert TraceValue.fold(tv.n, tv.q).value == expected
 
+
+def test_lattice_makers_build_what_the_public_constructors_build():
+    # the makers skip the range and sign checks the public constructors make;
+    # what they build must be the object those constructors build, attributes,
+    # hash and cleared sum included
+    for params in census_params(1000):
+        sigma = solve_seifert(params)
+        forward = enumerate_E(params)
+        backward = enumerate_condition_b(params)
+        for eu in forward + backward + [reverse_orientation(eu) for eu in forward + backward]:
+            public = EulerClass(params, eu.beta, *eu.betas)
+            assert eu == public
+            assert hash(eu) == hash(public)
+            assert eu.cleared_sum() == public.cleared_sum()
+            assert vars(eu) == vars(public)
+        for tri in [tri for _, tri in phi_map(params, sigma)] + enumerate_su2(params, sigma):
+            public = CharacterTriple(tri.tx, tri.ty, tri.tz, epsilon=tri.epsilon)
+            assert tri == public
+            assert hash(tri) == hash(public)
+            assert vars(tri) == vars(public)
