@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -97,11 +96,13 @@ def _euler_entry(eu) -> dict:
     return {"beta": eu.beta, "coefficients": list(eu.betas)}
 
 
-def _triple_entry(triple, verify_block, leaves: dict) -> dict:
-    """The JSON entry of one class.
+def _triple_entry(triple, label: str, leaves: dict) -> dict:
+    """The JSON entry of one class: its label, central sign and three trace values.
 
-    leaves memoizes each trace value's angle string, trace string and value,
-    keyed by its reduced pair (n, q), which hashes faster than the TraceValue.
+    build_record adds the euler class and cover order of an SL(2,R) class and,
+    with verify, the verify block. leaves memoizes each trace value's angle
+    string, trace string and value, keyed by its reduced pair (n, q), which
+    hashes faster than the TraceValue.
     """
     columns = []
     for tv in (triple.tx, triple.ty, triple.tz):
@@ -111,24 +112,13 @@ def _triple_entry(triple, verify_block, leaves: dict) -> dict:
             leaf = leaves[key] = (str(tv.t), str(tv), tv.value)
         columns.append(leaf)
     angles, traces, values = zip(*columns)
-    entry = {
+    return {
+        "label": label,
         "epsilon": triple.epsilon,
         "angles": list(angles),
         "traces": list(traces),
         "values": list(values),
     }
-    if verify_block is not None:
-        entry["verify"] = verify_block
-    return entry
-
-
-def _verify_blocks(certificates):
-    """The verify block of every class, in stack order, with Python floats and bools."""
-    for cert in certificates:
-        for residual, gap, passed in zip(
-            cert.residuals.max(axis=1).tolist(), cert.gaps.tolist(), cert.passed.tolist()
-        ):
-            yield {"max_residual": residual, "gap": gap, "passed": passed}
 
 
 def sphere_summary(
@@ -209,7 +199,6 @@ def build_record(
     not folded again: reversed_trace_check says why they agree by construction.
     """
     record, pairs, su2_triples, certificates = sphere_summary(params, sigma, verify, tol)
-    blocks = _verify_blocks(certificates) if verify else itertools.repeat(None)
     leaves: dict = {}
     record["seifert"] = {
         "b": sigma.b,
@@ -219,32 +208,51 @@ def build_record(
         "h1_order": h1_order(sigma),
         "convention_sign": sphere_convention_sign(sigma),
     }
-    record["sl2r_classes"] = [
-        {
-            "euler_class": _euler_entry(eu),
-            "cover_h1": abs(eu.cover_euler_number()),
-            "label": ClassLabel.SL2R.value,
-            **_triple_entry(triple, next(blocks), leaves),
-        }
-        for eu, triple in pairs
+    sl2r_classes = record["sl2r_classes"] = []
+    for eu, triple in pairs:
+        entry = _triple_entry(triple, ClassLabel.SL2R.value, leaves)
+        entry["euler_class"] = _euler_entry(eu)
+        entry["cover_h1"] = abs(eu.cover_euler_number())
+        sl2r_classes.append(entry)
+    su2_classes = record["su2_classes"] = [
+        _triple_entry(triple, ClassLabel.SU2.value, leaves) for triple in su2_triples
     ]
-    record["su2_classes"] = [
-        {"label": ClassLabel.SU2.value, **_triple_entry(triple, next(blocks), leaves)}
-        for triple in su2_triples
-    ]
+    # certificates hold the pulled-back stack, then the unitary one, each in its list's order
+    for entries, cert in zip((sl2r_classes, su2_classes), certificates):
+        rows = zip(cert.residuals.max(axis=1).tolist(), cert.gaps.tolist(), cert.passed.tolist())
+        for entry, (residual, gap, passed) in zip(entries, rows):
+            entry["verify"] = {"max_residual": residual, "gap": gap, "passed": passed}
 
     if condition_b:
         reversed_classes = enumerate_condition_b(params)
-        partners = {reverse_orientation(eu): eu for eu, _ in pairs}
-        if set(partners) != set(reversed_classes):
+        # Order condition: enumerate_E lists (k, l, m) ascending, beta_i -> a_i - beta_i
+        # reverses that order, and enumerate_condition_b lists ascending. So the reversal
+        # is a bijection exactly when it maps the pulled-back classes, taken backwards,
+        # onto the brute-force list entry by entry; any gap, extra or duplicate breaks that.
+        if [reverse_orientation(eu) for eu, _ in reversed(pairs)] != reversed_classes:
             raise BrieskornError(
                 f"orientation reversal is not a bijection on {params.triple}"
             )
         record["condition_b_classes"] = [
-            {"euler_class": _euler_entry(eu), "reverse_of": _euler_entry(partners[eu])}
-            for eu in reversed_classes
+            {"euler_class": _euler_entry(eu), "reverse_of": entry["euler_class"]}
+            for eu, entry in zip(reversed_classes, reversed(sl2r_classes))
         ]
     return record
+
+
+_TRIPLE_LINE = "eps %+d   (%s, %s, %s) = (%.12f, %.12f, %.12f)"
+_SL2R_LINE = "  (%d; %d,%d,%d)  cover h1 %d   " + _TRIPLE_LINE
+_SU2_LINE = "  " + _TRIPLE_LINE
+_REVERSAL_LINE = "  (%d; %d,%d,%d) <- reverse of (%d; %d,%d,%d)"
+
+
+def _verify_text(entry: dict) -> str:
+    """The verify suffix of a class line; empty without a verify block."""
+    v = entry.get("verify")
+    if v is None:
+        return ""
+    outcome = "pass" if v["passed"] else "FAIL"
+    return "   [residual %.3e, gap %.3e: %s]" % (v["max_residual"], v["gap"], outcome)
 
 
 def render_text(record: dict) -> str:
@@ -268,45 +276,29 @@ def render_text(record: dict) -> str:
         % tuple(record["counts"][name] for name in CSV_COLUMNS[4:]),
     ]
 
-    def format_euler(eu):
-        return "(%d; %s)" % (eu["beta"], ",".join(map(str, eu["coefficients"])))
-
-    def format_triple(entry):
-        exact = ", ".join(entry["traces"])
-        decimal = "%.12f, %.12f, %.12f" % tuple(entry["values"])
-        suffix = ""
-        if "verify" in entry:
-            v = entry["verify"]
-            outcome = "pass" if v["passed"] else "FAIL"
-            suffix = f"   [residual {v['max_residual']:.3e}, gap {v['gap']:.3e}: {outcome}]"
-        return f"eps {entry['epsilon']:+d}   ({exact}) = ({decimal}){suffix}"
-
-    if record["sl2r_classes"]:
-        lines.append("sl2r classes:")
-        for entry in record["sl2r_classes"]:
-            lines.append(
-                f"  {format_euler(entry['euler_class'])}  cover h1 {entry['cover_h1']}   "
-                + format_triple(entry)
-            )
-    else:
-        lines.append("sl2r classes: none (every irreducible class is unitary)")
-
-    if record["su2_classes"]:
-        lines.append("su2 classes:")
-        for entry in record["su2_classes"]:
-            lines.append("  " + format_triple(entry))
-    else:
-        lines.append("su2 classes: none")
+    sl2r, su2 = record["sl2r_classes"], record["su2_classes"]
+    lines.append(
+        "sl2r classes:" if sl2r else "sl2r classes: none (every irreducible class is unitary)"
+    )
+    for e in sl2r:
+        eu = e["euler_class"]
+        text = _SL2R_LINE % (
+            eu["beta"], *eu["coefficients"], e["cover_h1"], e["epsilon"], *e["traces"], *e["values"]
+        )
+        lines.append(text + _verify_text(e))
+    lines.append("su2 classes:" if su2 else "su2 classes: none")
+    for e in su2:
+        lines.append(_SU2_LINE % (e["epsilon"], *e["traces"], *e["values"]) + _verify_text(e))
 
     if "condition_b_classes" in record:
-        lines.append("condition-b classes (orientation reversed):")
-        for entry in record["condition_b_classes"]:
+        reversals = record["condition_b_classes"]
+        header = "condition-b classes (orientation reversed):"
+        lines.append(header if reversals else header + " none")
+        for e in reversals:
+            eu, rev = e["euler_class"], e["reverse_of"]
             lines.append(
-                f"  {format_euler(entry['euler_class'])} <- reverse of "
-                + format_euler(entry["reverse_of"])
+                _REVERSAL_LINE % (eu["beta"], *eu["coefficients"], rev["beta"], *rev["coefficients"])
             )
-        if not record["condition_b_classes"]:
-            lines[-1] += " none"
 
     if "verification" in record:
         v = record["verification"]
@@ -370,39 +362,30 @@ class _FloatText(dict):
         return text
 
 
-def _verify_leaves(entry: dict) -> tuple:
-    v = entry["verify"]
-    return _json_float(v["gap"]), _json_float(v["max_residual"]), "true" if v["passed"] else "false"
-
-
-def _su2_json(entry: dict, floats: _FloatText) -> str:
+def _class_json(templates: tuple, entry: dict, middle: tuple, floats: _FloatText) -> str:
+    """One class entry; middle holds its kind's leaves that sort between angles and label."""
     leaves = (
         *map(_json_str, entry["angles"]),
-        entry["epsilon"],
+        *middle,
         _json_str(entry["label"]),
         *map(_json_str, entry["traces"]),
         *map(floats.__getitem__, entry["values"]),
     )
-    if "verify" in entry:
-        return _SU2_TEMPLATES[1] % (*leaves, *_verify_leaves(entry))
-    return _SU2_TEMPLATES[0] % leaves
+    v = entry.get("verify")
+    if v is None:
+        return templates[0] % leaves
+    passed = "true" if v["passed"] else "false"
+    return templates[1] % (*leaves, _json_float(v["gap"]), _json_float(v["max_residual"]), passed)
+
+
+def _su2_json(entry: dict, floats: _FloatText) -> str:
+    return _class_json(_SU2_TEMPLATES, entry, (entry["epsilon"],), floats)
 
 
 def _sl2r_json(entry: dict, floats: _FloatText) -> str:
     eu = entry["euler_class"]
-    leaves = (
-        *map(_json_str, entry["angles"]),
-        entry["cover_h1"],
-        entry["epsilon"],
-        eu["beta"],
-        *eu["coefficients"],
-        _json_str(entry["label"]),
-        *map(_json_str, entry["traces"]),
-        *map(floats.__getitem__, entry["values"]),
-    )
-    if "verify" in entry:
-        return _SL2R_TEMPLATES[1] % (*leaves, *_verify_leaves(entry))
-    return _SL2R_TEMPLATES[0] % leaves
+    middle = (entry["cover_h1"], entry["epsilon"], eu["beta"], *eu["coefficients"])
+    return _class_json(_SL2R_TEMPLATES, entry, middle, floats)
 
 
 def _condition_b_json(entry: dict, floats: _FloatText) -> str:

@@ -9,7 +9,7 @@ tr(XY) = 2 cos th1 cos th2 - (d^2 + d^-2) sin th1 sin th2.
 `certify_classes` realizes all classes of one real form on a sphere as
 (n, 2, 2) stacks, runs every check once per stack, and returns one
 `Certificate`: an (n, 3) array of relation residuals and an (n,) array of
-irreducibility gaps. The scalar angle math stays per class in math/cmath,
+irreducibility gaps. The scalar angle math stays per class in math,
 and each stacked operation is the one a single class would get, so a stack
 gives the same bits as its classes taken one at a time. `realize_su2` and
 `realize_sl2r` return one class's pair as plain 2x2 arrays, and
@@ -19,7 +19,6 @@ one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -119,29 +118,27 @@ class Certificate:
         return float(self.gaps.min(initial=math.inf))
 
 
-def _angles(c: CharacterTriple) -> tuple[float, float, float]:
-    # n / q rounds exactly as float(Fraction(n, q)) does
+def _first_angles(c: CharacterTriple) -> tuple[float, float, float, float, float]:
+    """cos and sin of the rotation angles th1 and th2, and the target trace 2 cos th3."""
     tx, ty, tz = c.tx, c.ty, c.tz
-    return math.pi * (tx.n / tx.q), math.pi * (ty.n / ty.q), math.pi * (tz.n / tz.q)
+    # n / q rounds exactly as float(Fraction(n, q)) does
+    th1, th2 = math.pi * (tx.n / tx.q), math.pi * (ty.n / ty.q)
+    s1, s2 = math.sin(th1), math.sin(th2)
+    if s1 * s2 < 1e-15:
+        raise NotRealizable("degenerate rotation angle, traces are +-2")
+    return math.cos(th1), s1, math.cos(th2), s2, 2.0 * math.cos(math.pi * (tz.n / tz.q))
 
 
 def _su2_solve(c: CharacterTriple) -> tuple:
-    """Eigenvalues of X and of the untilted Y, cos and sin of half the tilt, and the target traces."""
-    th1, th2, th3 = _angles(c)
-    c1, s1 = math.cos(th1), math.sin(th1)
-    c2, s2 = math.cos(th2), math.sin(th2)
-    target = 2.0 * math.cos(th3)
-    denom = 2.0 * s1 * s2
-    if denom < 1e-15:
-        raise NotRealizable("degenerate rotation angle, traces are +-2")
-    cos_phi = (2.0 * c1 * c2 - target) / denom
+    """cos and sin of th1, th2 and half the tilt phi, and the target traces."""
+    c1, s1, c2, s2, target = _first_angles(c)
+    cos_phi = (2.0 * c1 * c2 - target) / (2.0 * s1 * s2)
     if abs(cos_phi) >= 1.0:
         raise NotRealizable(
             f"target trace {target} lies outside the open unitary interval"
         )
     phi = math.acos(cos_phi)
-    eigenvalues = cmath.exp(1j * th1), cmath.exp(-1j * th1), cmath.exp(1j * th2), cmath.exp(-1j * th2)
-    return (*eigenvalues, math.cos(phi / 2.0), math.sin(phi / 2.0), 2.0 * c1, 2.0 * c2, target)
+    return c1, s1, c2, s2, math.cos(phi / 2.0), math.sin(phi / 2.0), 2.0 * c1, 2.0 * c2, target
 
 
 def stretch_for_product_trace(u: float) -> float:
@@ -157,20 +154,12 @@ def _sl2r_solve(c: CharacterTriple) -> tuple:
 
     When the target sits on the far side of the unitary interval the second
     rotation angle is negated, which flips the sign of the stretch term but
-    keeps tr Y fixed.
+    keeps tr Y fixed; only its sine changes sign.
     """
-    th1, th2, th3 = _angles(c)
-    c1, s1 = math.cos(th1), math.sin(th1)
-    c2, s2 = math.cos(th2), math.sin(th2)
-    target = 2.0 * math.cos(th3)
-    denom = s1 * s2
-    if denom < 1e-15:
-        raise NotRealizable("degenerate rotation angle, traces are +-2")
-    u = (2.0 * c1 * c2 - target) / denom
-    second_angle = th2 if u >= 0 else -th2
+    c1, s1, c2, s2, target = _first_angles(c)
+    u = (2.0 * c1 * c2 - target) / (s1 * s2)
     d = stretch_for_product_trace(abs(u))
-    second = math.cos(second_angle), math.sin(second_angle)
-    return (c1, s1, *second, d * d, 2.0 * c1, 2.0 * c2, target)
+    return c1, s1, c2, (s2 if u >= 0 else -s2), d * d, 2.0 * c1, 2.0 * c2, target
 
 
 def _rotations(c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -182,10 +171,12 @@ def _rotations(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return r
 
 
-def _diagonals(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
-    r = np.zeros((len(d0), 2, 2), dtype=complex)
-    r[:, 0, 0] = d0
-    r[:, 1, 1] = d1
+def _eigenvalues(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """diag(c + is, c - is): the eigenvalues exp(+-i th) of the rotation with cos c and sin s."""
+    r = np.zeros((len(c), 2, 2), dtype=complex)
+    r.real[:, 0, 0] = r.real[:, 1, 1] = c
+    r.imag[:, 0, 0] = s
+    r.imag[:, 1, 1] = -s
     return r
 
 
@@ -197,22 +188,22 @@ def _realize_stack(triples: Sequence[CharacterTriple], real_form: ClassLabel) ->
         solve, width = _sl2r_solve, 8
     else:
         raise ValueError("real_form must be SU2 or SL2R")
-    rows = [solve(c) for c in triples]
-    cols = np.array(rows, dtype=complex).reshape(-1, width).T
+    # width shapes an empty stack too
+    cols = np.array([solve(c) for c in triples], dtype=float).reshape(-1, width).T
     if real_form is ClassLabel.SU2:
-        X = _diagonals(cols[0], cols[1])
-        tilt = _rotations(cols[4].real, cols[5].real)
-        Y = tilt @ _diagonals(cols[2], cols[3]) @ tilt.transpose(0, 2, 1)
+        X = _eigenvalues(cols[0], cols[1])
+        tilt = _rotations(cols[4], cols[5])
+        Y = tilt @ _eigenvalues(cols[2], cols[3]) @ tilt.transpose(0, 2, 1)
     else:
-        X = _rotations(cols[0].real, cols[1].real)
-        Y = _rotations(cols[2].real, cols[3].real)
-        dd = cols[4].real
+        X = _rotations(cols[0], cols[1])
+        Y = _rotations(cols[2], cols[3])
+        dd = cols[4]
         Y[:, 0, 1] *= dd
         # numpy divides a complex by a real as entry * (1 / dd), which entry / dd can miss by an ulp
         Y[:, 1, 0] *= 1.0 / dd
     XY = X @ Y
     traces = np.stack([(m[:, 0, 0] + m[:, 1, 1]).real for m in (X, Y, XY)])
-    if not (np.abs(traces - cols[-3:].real) < TRACE_TOLERANCE).all():
+    if not (np.abs(traces - cols[-3:]) < TRACE_TOLERANCE).all():
         raise AssertionError("realized traces miss the trace triple")
     _check_form(X, real_form)
     _check_form(Y, real_form)

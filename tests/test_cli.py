@@ -13,11 +13,19 @@ import pytest
 
 import brieskorn
 import brieskorn.character
+import brieskorn.cli
 import brieskorn.realize
 from brieskorn.character import ClassLabel, phi_map
-from brieskorn.cli import build_record, census_params, main, parse_seifert_override, render_json
-from brieskorn.errors import InvalidSeifertData
-from brieskorn.euler import EulerClass
+from brieskorn.cli import (
+    build_record,
+    census_params,
+    main,
+    parse_seifert_override,
+    render_json,
+    render_text,
+)
+from brieskorn.errors import BrieskornError, InvalidSeifertData
+from brieskorn.euler import EulerClass, enumerate_condition_b
 from brieskorn.realize import realize_sl2r, verify_relations
 from brieskorn.seifert import canonicalize_params, solve_seifert
 
@@ -154,6 +162,102 @@ def test_render_json_matches_stdlib_on_floats_it_never_meets():
     assert render_json(record) == stdlib_json(record)
 
 
+def reference_text(record: dict) -> str:
+    """render_text as it was written before its class lines came from fixed templates."""
+    p = record["params"]
+    s = record["seifert"]
+    lines = [
+        f"Brieskorn sphere Sigma({p['a1']}, {p['a2']}, {p['a3']})   a = {p['a']}",
+        "seifert data: {0; (1,%d), (%d,%d), (%d,%d), (%d,%d)}   [%s]"
+        % (
+            s["b"],
+            p["a1"],
+            s["coefficients"][0],
+            p["a2"],
+            s["coefficients"][1],
+            p["a3"],
+            s["coefficients"][2],
+            s["source"],
+        ),
+        f"euler number {s['euler_number']}   h1 order {s['h1_order']}   "
+        f"convention sign {s['convention_sign']:+d}",
+        "counts: total %d | su2 %d | sl2r %d | |casson| %d | sl2c casson %d"
+        % tuple(
+            record["counts"][name] for name in ("total", "su2", "sl2r", "casson_abs", "casson_sl2c")
+        ),
+    ]
+
+    def format_euler(eu):
+        return "(%d; %s)" % (eu["beta"], ",".join(map(str, eu["coefficients"])))
+
+    def format_triple(entry):
+        exact = ", ".join(entry["traces"])
+        decimal = "%.12f, %.12f, %.12f" % tuple(entry["values"])
+        suffix = ""
+        if "verify" in entry:
+            v = entry["verify"]
+            outcome = "pass" if v["passed"] else "FAIL"
+            suffix = f"   [residual {v['max_residual']:.3e}, gap {v['gap']:.3e}: {outcome}]"
+        return f"eps {entry['epsilon']:+d}   ({exact}) = ({decimal}){suffix}"
+
+    if record["sl2r_classes"]:
+        lines.append("sl2r classes:")
+        for entry in record["sl2r_classes"]:
+            lines.append(
+                f"  {format_euler(entry['euler_class'])}  cover h1 {entry['cover_h1']}   "
+                + format_triple(entry)
+            )
+    else:
+        lines.append("sl2r classes: none (every irreducible class is unitary)")
+
+    if record["su2_classes"]:
+        lines.append("su2 classes:")
+        for entry in record["su2_classes"]:
+            lines.append("  " + format_triple(entry))
+    else:
+        lines.append("su2 classes: none")
+
+    if "condition_b_classes" in record:
+        lines.append("condition-b classes (orientation reversed):")
+        for entry in record["condition_b_classes"]:
+            lines.append(
+                f"  {format_euler(entry['euler_class'])} <- reverse of "
+                + format_euler(entry["reverse_of"])
+            )
+        if not record["condition_b_classes"]:
+            lines[-1] += " none"
+
+    if "verification" in record:
+        v = record["verification"]
+        lines.append(
+            "verification: %d classes, max residual %.3e, min gap %.3e, tol %g: PASS"
+            % (v["classes"], v["max_residual"], v["min_gap"], v["tol"])
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+def test_render_text_matches_reference_over_census(verify):
+    for params in census_params(400):
+        record = build_record(
+            params, solve_seifert(params), "canonical", verify=verify, condition_b=True
+        )
+        assert render_text(record) == reference_text(record), params.triple
+
+
+def test_render_text_matches_reference_on_values_it_never_meets():
+    params = canonicalize_params(2, 3, 7)
+    record = build_record(params, solve_seifert(params), "canonical", verify=True)
+    sl2r, su2 = record["sl2r_classes"][0], record["su2_classes"][0]
+    sl2r["values"] = [-0.0, math.nan, -math.inf]
+    su2["epsilon"] = -1
+    su2["values"] = [1e-300, -2.5, 1e16]
+    sl2r["verify"].update(gap=-math.inf, max_residual=math.nan, passed=False)
+    su2["verify"].update(gap=0.0, max_residual=1e300)
+    record["condition_b_classes"] = []
+    assert render_text(record) == reference_text(record)
+
+
 def test_analyze_csv_single_row(capsys):
     code, out, _ = run(capsys, "analyze", "2", "3", "7", "--format", "csv")
     assert code == 0
@@ -197,6 +301,26 @@ def test_build_record_checks_no_coefficient_range_per_class(monkeypatch):
     assert len(record["condition_b_classes"]) == len(record["sl2r_classes"]) == 100
     # 0 today; each of the three makers checking its classes adds 100
     assert len(calls) < len(record["condition_b_classes"])
+
+
+@pytest.mark.parametrize("change", ["drop", "swap", "duplicate"])
+def test_reversal_check_refuses_a_condition_b_list_it_does_not_match(monkeypatch, capsys, change):
+    params = canonicalize_params(7, 11, 13)
+    listed = enumerate_condition_b(params)
+    if change == "drop":
+        listed = listed[:50] + listed[51:]
+    elif change == "swap":  # a beta = -2 class whose coefficient sum is not above 2
+        listed = listed[:50] + [EulerClass(params, -2, 1, 1, 1)] + listed[51:]
+    else:  # a beta = -2 class of the list, twice
+        listed = listed[:50] + [listed[51]] + listed[51:]
+    assert len(listed) in (99, 100)
+    monkeypatch.setattr(brieskorn.cli, "enumerate_condition_b", lambda p: list(listed))
+    message = "orientation reversal is not a bijection on (7, 11, 13)"
+    with pytest.raises(BrieskornError, match=re.escape(message)):
+        build_record(params, solve_seifert(params), "canonical", condition_b=True)
+    assert run(capsys, "analyze", "7", "11", "13", "--condition-b") == (
+        1, "", f"assertion failure: {message}\n"
+    )
 
 
 def test_analyze_output_file(tmp_path, capsys):

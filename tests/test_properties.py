@@ -157,15 +157,6 @@ def test_su2_count_is_twice_the_fintushel_stern_casson_invariant(partition_sweep
         assert len(su2) == 2 * abs(lam), params.triple
 
 
-def test_kappa_signs_split_the_labels():
-    for params in census_params(300):
-        sigma = solve_seifert(params)
-        for tri in enumerate_su2(params, sigma):
-            assert kappa(tri) < -1e-9
-        for _, tri in phi_map(params, sigma):
-            assert kappa(tri) > 1e-9
-
-
 def test_half_angle_coordinate_forces_trace_zero():
     # the self-mirrored slot beta1 = a1/2 pins the first trace to 0
     seen = 0
