@@ -18,11 +18,9 @@ from .character import (
     classify,
     count_report,
     enumerate_su2,
-    is_reducible_triple,
     kappa,
     phi_map,
     reversed_trace_check,
-    trace_of_generator,
     trace_triple_of,
 )
 from .errors import (
@@ -47,12 +45,10 @@ from .euler import (
 )
 from .seifert import (
     BrieskornParams,
-    GroupPresentation,
     SeifertInvariant,
     canonicalize_params,
     euler_number,
     h1_order,
-    presentation,
     solve_seifert,
     sphere_convention_sign,
 )
@@ -85,7 +81,6 @@ __all__ = [
     "CountReport",
     "DegenerateAngle",
     "EulerClass",
-    "GroupPresentation",
     "InconsistentClassification",
     "InjectivityViolation",
     "InvalidSeifertData",
@@ -105,10 +100,8 @@ __all__ = [
     "enumerate_su2",
     "euler_number",
     "h1_order",
-    "is_reducible_triple",
     "kappa",
     "phi_map",
-    "presentation",
     "realize_sl2r",
     "realize_su2",
     "reverse_orientation",
@@ -117,7 +110,6 @@ __all__ = [
     "solve_seifert",
     "sphere_convention_sign",
     "stretch_for_product_trace",
-    "trace_of_generator",
     "trace_triple_of",
     "verify_relations",
 ]

@@ -10,7 +10,6 @@ the euler classes select.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,7 +38,6 @@ from .seifert import (
 KAPPA_TOLERANCE = 1e-9
 
 
-@functools.total_ordering
 @dataclass(frozen=True, init=False)
 class TraceValue:
     """The number 2cos(pi*n/q), stored as the reduced pair 0 <= n <= q.
@@ -54,39 +52,23 @@ class TraceValue:
     q: int
     value: float = field(compare=False, repr=False)
 
-    def __init__(self, t: Fraction | int) -> None:
-        t = Fraction(t)
-        if not 0 <= t <= 1:
-            raise ValueError(f"canonical angle must lie in [0, 1], got {t}")
-        self._set(t.numerator, t.denominator)
-
-    def _set(self, n: int, q: int) -> None:
+    def __init__(self, n: int, q: int) -> None:
+        """2cos(pi*n/q) for integers n and q >= 1, folded into [0, 1] by evenness and period 2."""
+        if q < 1:
+            raise ValueError(f"denominator must be at least 1, got {q}")
+        n %= 2 * q
+        if n > q:
+            n = 2 * q - n
+        g = math.gcd(n, q)
+        n, q = n // g, q // g
         # n / q is the correctly rounded float(Fraction(n, q))
         object.__setattr__(
             self, "__dict__", {"n": n, "q": q, "value": 2.0 * math.cos(math.pi * (n / q))}
         )
 
-    @classmethod
-    def fold(cls, n: int, q: int) -> "TraceValue":
-        """2cos(pi*n/q) for integers n and q > 0, folded into [0, 1] by evenness and 2-periodicity."""
-        n %= 2 * q
-        if n > q:
-            n = 2 * q - n
-        g = math.gcd(n, q)
-        tv = object.__new__(cls)
-        tv._set(n // g, q // g)
-        return tv
-
-    @classmethod
-    def from_angle(cls, angle: Fraction | int) -> "TraceValue":
-        return cls.fold(*Fraction(angle).as_integer_ratio())
-
     @property
     def t(self) -> Fraction:
         return Fraction(self.n, self.q)
-
-    def __lt__(self, other: "TraceValue") -> bool:
-        return self.n * other.q < other.n * self.q
 
     def __str__(self) -> str:
         return f"2cos({self.n}π/{self.q})"
@@ -182,25 +164,6 @@ def _total_count(params: BrieskornParams) -> int:
     return product // 4
 
 
-def trace_of_generator(beta_i: int, a_i: int, order: int, b_i: int) -> TraceValue:
-    """Canonical form of the generator trace 2cos(-order * b_i * pi / a_i).
-
-    beta_i pins the expected residue of -order*b_i mod a_i: coherent covering
-    data lands on beta_i or a_i - beta_i depending on the sign convention.
-    """
-    if not 0 < beta_i < a_i:
-        raise ValueError(f"beta_i must lie in (0, {a_i}), got {beta_i}")
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    r = (-order * b_i) % a_i
-    if r == 0:
-        raise DegenerateAngle(
-            f"generator of order {a_i} maps to the center (trace +-2)"
-        )
-    assert r in (beta_i, a_i - beta_i), "residue disagrees with the euler class"
-    return TraceValue.fold(-order * b_i, a_i)
-
-
 def _check_sphere_data(params: BrieskornParams, sigma: SeifertInvariant) -> None:
     if sigma.multiplicities != params.triple:
         raise ValueError("sigma multiplicities disagree with params")
@@ -219,14 +182,12 @@ def trace_triple_of(eu: EulerClass, sigma: SeifertInvariant) -> CharacterTriple:
 
     The covering space eu selects has first homology of order a*|e|; the
     central generator goes to a lift of rotation by that order times pi, so
-    epsilon is -1 exactly when the order is odd. Every trace is folded afresh.
+    epsilon is -1 exactly when the order is odd. Every trace is folded afresh,
+    as TraceValue(-order * b_i, a_i).
     """
     _check_sphere_data(eu.params, sigma)
     order, epsilon = _cover_order(eu)
-    traces = [
-        trace_of_generator(beta, ai, order, bi)
-        for beta, (ai, bi) in zip(eu.betas, sigma.pairs)
-    ]
+    traces = [TraceValue(-order * bi, ai) for ai, bi in sigma.pairs]
     return CharacterTriple(*traces, epsilon=epsilon)
 
 
@@ -242,11 +203,11 @@ class _GeneratorTraces(dict):
         self.q = q
 
     def __missing__(self, r: int) -> TraceValue:
-        tv = self[r] = TraceValue.fold(r, self.q)
+        tv = self[r] = TraceValue(r, self.q)
         return tv
 
     def trace(self, n: int) -> TraceValue:
-        """TraceValue.fold(n, q), through the memo."""
+        """TraceValue(n, q), through the memo."""
         q = self.q
         r = n % (2 * q)
         return self[2 * q - r if r > q else r]
@@ -256,7 +217,7 @@ class TraceMemo:
     """One sphere's trace values, each folded and evaluated once per generator.
 
     Building the memo checks the sphere data once; the triples it makes skip
-    that check and the per-generator checks of trace_of_generator.
+    that check.
     """
 
     def __init__(self, params: BrieskornParams, sigma: SeifertInvariant) -> None:
@@ -269,10 +230,11 @@ class TraceMemo:
     def triple_of(self, eu: EulerClass) -> CharacterTriple:
         """trace_triple_of(eu, sigma), with each trace looked up in the memo.
 
-        The checks trace_of_generator makes cannot fail here. EulerClass
-        guarantees 0 < beta_i < a_i. Modulo a_i, the cover order is
-        +-beta_i*a/a_i, hence at least 1, and b_i*a/a_i is +-1 because the
-        memo checked h1 order 1; so -order*b_i is +-beta_i, never 0.
+        Each trace lies strictly inside (-2, 2) and sits on the angle beta_i/a_i
+        or its mirror 1 - beta_i/a_i. EulerClass guarantees 0 < beta_i < a_i.
+        Modulo a_i, the cover order is +-beta_i*a/a_i, hence at least 1, and
+        b_i*a/a_i is +-1 because the memo checked h1 order 1; so -order*b_i is
+        +-beta_i modulo a_i, never 0.
         """
         if eu.params is not self.params and eu.params != self.params:
             raise ValueError("euler class belongs to another sphere")
@@ -296,12 +258,6 @@ def _walls(tx: TraceValue, ty: TraceValue, tz: TraceValue) -> tuple[int, int, in
     lcm = math.lcm(q1, q2, q3)
     big1, big2 = tx.n * (lcm // q1), ty.n * (lcm // q2)
     return abs(big1 - big2), tz.n * (lcm // q3), min(big1 + big2, 2 * lcm - big1 - big2)
-
-
-def is_reducible_triple(c: CharacterTriple) -> bool:
-    """Exact test: the third angle equals the folded sum or difference of the first two."""
-    lower, big3, upper = _walls(c.tx, c.ty, c.tz)
-    return big3 == lower or big3 == upper
 
 
 def kappa(c: CharacterTriple) -> float:
@@ -432,8 +388,8 @@ def reversed_trace_check(
     partner is reverse_orientation(eu). The reversed covering must have the
     negated euler number, hence the same homology order, and the reversed
     class must give the same trace triple, central sign included. The
-    partner's triple is folded afresh by trace_triple_of from its own cover
-    order.
+    partner's triple is folded afresh by trace_triple_of, each trace as
+    TraceValue(-order * b_i, a_i) from the partner's own cover order.
 
     For a true partner both hold by construction: its cover euler number is
     -(-2a + 3a - S) = -(a - S) for S = a*sum beta_i/a_i, and a triple reads

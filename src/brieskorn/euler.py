@@ -9,7 +9,6 @@ Reversing orientation swaps the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NotRealizable
@@ -39,7 +38,7 @@ class EulerClass:
             if not 0 < bi < ai:
                 raise ValueError(f"coefficient {bi} outside (0, {ai})")
             cleared += bi * (a // ai)
-        # held once: the cover order, the angle sum and both conditions read it
+        # held once: the cover order and both conditions read it
         object.__setattr__(self, "_cleared_sum", cleared)
 
     @classmethod
@@ -69,9 +68,6 @@ class EulerClass:
     def cover_euler_number(self) -> int:
         """a * e of the covering this class selects; its absolute value is the h1 order."""
         return -(self.params.a * self.beta + self.cleared_sum())
-
-    def angle_sum(self) -> Fraction:
-        return Fraction(self.cleared_sum(), self.params.a)
 
     def satisfies_condition_a(self) -> bool:
         """beta = -1 and the coefficient sum stays below 1."""

@@ -154,39 +154,3 @@ def sphere_convention_sign(s: SeifertInvariant) -> int:
     if value == -1:
         return -1
     raise InvalidSeifertData(f"a*(b + sum b_i/a_i) = {value}, expected +1 or -1")
-
-
-@dataclass(frozen=True)
-class GroupPresentation:
-    """Fundamental group data: x, y, z, h with h central.
-
-    power_relators holds (a_i, e_i) meaning generator^a_i = h^e_i, with
-    e_i = -b_i; the product relator is x y z = h^b.
-    """
-
-    power_relators: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    product_exponent: int
-    generators: tuple[str, str, str, str] = ("x", "y", "z", "h")
-    central: str = "h"
-
-    def __str__(self) -> str:
-        def h_power(e: int) -> str:
-            if e == 0:
-                return "1"
-            if e == 1:
-                return "h"
-            return f"h^{e}"
-
-        parts = [
-            f"{g}^{ai} = {h_power(ei)}"
-            for g, (ai, ei) in zip(self.generators, self.power_relators)
-        ]
-        parts.append(f"xyz = {h_power(self.product_exponent)}")
-        gens = ", ".join(self.generators)
-        return f"<{gens} | {self.central} central, " + ", ".join(parts) + ">"
-
-
-def presentation(s: SeifertInvariant) -> GroupPresentation:
-    """Transcribe Seifert data into the four-generator central presentation."""
-    relators = tuple((ai, -bi) for ai, bi in s.pairs)
-    return GroupPresentation(power_relators=relators, product_exponent=s.b)

@@ -17,11 +17,9 @@ from brieskorn.character import (
     classify,
     count_report,
     enumerate_su2,
-    is_reducible_triple,
     kappa,
     phi_map,
     reversed_trace_check,
-    trace_of_generator,
     trace_triple_of,
 )
 from brieskorn.errors import (
@@ -45,62 +43,59 @@ OVERRIDE_2313 = SeifertInvariant(0, ((2, 1), (3, -2), (13, 2)))
 
 
 def triple(t1, t2, t3, eps=-1):
-    return CharacterTriple(TraceValue(t1), TraceValue(t2), TraceValue(t3), epsilon=eps)
+    return CharacterTriple(
+        *(TraceValue(*F(t).as_integer_ratio()) for t in (t1, t2, t3)), epsilon=eps
+    )
 
 
 def test_trace_value_folds_sign_and_period():
-    assert TraceValue.from_angle(F(7, 6)).t == F(5, 6)
-    assert TraceValue.from_angle(F(-1, 6)).t == F(1, 6)
-    assert TraceValue.from_angle(F(25, 6)).t == F(1, 6)
-    assert TraceValue.from_angle(2).t == 0
+    assert TraceValue(7, 6).t == F(5, 6)
+    assert TraceValue(-1, 6).t == F(1, 6)
+    assert TraceValue(25, 6).t == F(1, 6)
+    assert TraceValue(2, 1).t == 0
+    assert TraceValue(3, 2).t == F(1, 2)
+    # the stored pair is reduced, whether or not the fold moved the angle
+    assert (TraceValue(4, 6).n, TraceValue(4, 6).q) == (2, 3)
+    assert (TraceValue(12, 8).n, TraceValue(12, 8).q) == (1, 2)
+    assert (TraceValue(10, 5).n, TraceValue(10, 5).q) == (0, 1)
+    assert (TraceValue(-5, 5).n, TraceValue(-5, 5).q) == (1, 1)
 
 
 def test_trace_value_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        TraceValue(F(3, 2))
+    for q in (0, -3):
+        with pytest.raises(ValueError, match="denominator"):
+            TraceValue(1, q)
 
 
 def test_trace_value_str():
-    assert str(TraceValue(F(3, 7))) == "2cos(3π/7)"
-    assert str(TraceValue(F(1, 2))) == "2cos(1π/2)"
+    assert str(TraceValue(3, 7)) == "2cos(3π/7)"
+    assert str(TraceValue(1, 2)) == "2cos(1π/2)"
 
 
-@given(st.fractions(min_value=-50, max_value=50, max_denominator=400))
-def test_trace_value_canonical_invariants(r):
-    tv = TraceValue.from_angle(r)
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=400),
+    st.integers(min_value=1, max_value=50),
+)
+def test_trace_value_canonical_invariants(r, scale):
+    n, q = r.numerator, r.denominator
+    tv = TraceValue(n, q)
     assert 0 <= tv.t <= 1
-    assert TraceValue.from_angle(-r) == tv == TraceValue.from_angle(r + 2)
+    assert math.gcd(tv.n, tv.q) == 1
+    assert TraceValue(-n, q) == tv == TraceValue(n + 2 * q, q)
+    scaled = TraceValue(scale * n, scale * q)
+    assert scaled == tv and scaled.value == tv.value
     assert abs(tv.value - 2.0 * math.cos(math.pi * float(r))) < 1e-9
     # the carried float is bit for bit the one evaluated from the reduced pair
-    assert tv.value == TraceValue(tv.t).value == 2.0 * math.cos(math.pi * (tv.n / tv.q))
+    assert tv.value == TraceValue(tv.n, tv.q).value == 2.0 * math.cos(math.pi * (tv.n / tv.q))
 
 
 def test_trace_value_equality_and_hash_ignore_the_float():
-    tv = TraceValue(F(3, 7))
-    other = TraceValue.fold(3, 7)
+    tv = TraceValue(3, 7)
+    other = TraceValue(-11, 7)
     object.__setattr__(other, "value", -tv.value)
     assert other == tv and hash(other) == hash(tv)
     assert len({tv, other}) == 1
     assert repr(tv) == "TraceValue(n=3, q=7)"
-
-
-def test_trace_of_generator_published_values():
-    # order 1 against the (2,3,7) data: traces 0, -1, 2cos(pi/7)
-    assert trace_of_generator(1, 2, 1, 1).t == F(1, 2)
-    assert trace_of_generator(1, 3, 1, -2).t == F(2, 3)
-    assert trace_of_generator(1, 7, 1, 1).t == F(1, 7)
-    # order 7 against the (2,3,13) data: third trace 2cos(12pi/13)
-    assert trace_of_generator(1, 13, 7, 2).t == F(12, 13)
-
-
-def test_trace_of_generator_degenerate_center():
-    with pytest.raises(DegenerateAngle):
-        trace_of_generator(1, 2, 2, 1)
-
-
-def test_trace_of_generator_rejects_wrong_residue():
-    with pytest.raises(AssertionError):
-        trace_of_generator(2, 7, 1, 1)
 
 
 def test_trace_triple_237():
@@ -146,18 +141,6 @@ def test_trace_triple_357_high_precision_oracle():
                 assert abs(raw - folded) < mpmath.mpf(10) ** -50
 
 
-@pytest.mark.parametrize(
-    "angles, expected",
-    [
-        ((F(1, 3), F(1, 3), F(2, 3)), True),
-        ((F(1, 2), F(2, 3), F(1, 7)), False),
-        ((F(1, 2), F(1, 2), F(0)), True),
-    ],
-)
-def test_is_reducible_examples(angles, expected):
-    assert is_reducible_triple(triple(*angles)) is expected
-
-
 def test_kappa_frozen_values():
     zero = triple(F(1, 2), F(1, 2), F(0))
     assert kappa(zero) == pytest.approx(0.0, abs=1e-12)
@@ -194,7 +177,7 @@ def test_classify_rejects_central_trace():
 
 
 def test_character_triple_rejects_a_central_sign_other_than_plus_or_minus_one():
-    tv = TraceValue(F(1, 3))
+    tv = TraceValue(1, 3)
     for epsilon in (0, 2, -2):
         with pytest.raises(ValueError):
             CharacterTriple(tv, tv, tv, epsilon=epsilon)
@@ -342,9 +325,9 @@ def test_trace_memo_holds_each_folded_trace_once():
     pairs = [(eu, memo.triple_of(eu)) for eu in enumerate_E(params)]
     for generator, ai in zip(memo.generators, params.triple):
         assert 0 < len(generator) <= ai + 1
-        assert all(0 <= r <= ai and tv == TraceValue.fold(r, ai) for r, tv in generator.items())
+        assert all(0 <= r <= ai and tv == TraceValue(r, ai) for r, tv in generator.items())
         for n in range(-3 * ai, 3 * ai):
-            assert generator.trace(n) == TraceValue.fold(n, ai)
+            assert generator.trace(n) == TraceValue(n, ai)
     # one object per distinct trace value
     values = {id(tv) for _, tri in pairs for tv in (tri.tx, tri.ty, tri.tz)}
     assert len(values) <= sum(len(generator) for generator in memo.generators)

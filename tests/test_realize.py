@@ -34,7 +34,9 @@ OVERRIDE_237 = SeifertInvariant(0, ((2, 1), (3, -2), (7, 1)))
 
 
 def triple(t1, t2, t3, eps=-1):
-    return CharacterTriple(TraceValue(t1), TraceValue(t2), TraceValue(t3), epsilon=eps)
+    return CharacterTriple(
+        *(TraceValue(*F(t).as_integer_ratio()) for t in (t1, t2, t3)), epsilon=eps
+    )
 
 
 def test_stretch_closed_form():
@@ -146,6 +148,13 @@ def test_verify_relations_rejects_shifted_data():
     shifted = SeifertInvariant(-1, ((2, 1), (3, 1), (7, 1)))
     with pytest.raises(ValueError):
         verify_relations(X, X, shifted, ClassLabel.SU2, epsilon=1)
+
+
+def test_verify_relations_rejects_a_central_sign_other_than_plus_or_minus_one():
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for epsilon in (0, 2):
+        with pytest.raises(ValueError, match=r"epsilon must be \+1 or -1"):
+            verify_relations(rotation, rotation, OVERRIDE_237, ClassLabel.SL2R, epsilon=epsilon)
 
 
 def chebyshev_power(m: np.ndarray, n: int) -> np.ndarray:

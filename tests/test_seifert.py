@@ -19,7 +19,6 @@ from brieskorn.seifert import (
     canonicalize_params,
     euler_number,
     h1_order,
-    presentation,
     solve_seifert,
     sphere_convention_sign,
 )
@@ -146,27 +145,6 @@ def test_h1_order_b_minus_one_variant_357():
 def test_convention_sign_rejects_non_unit_order():
     with pytest.raises(InvalidSeifertData):
         sphere_convention_sign(SeifertInvariant(0, ((2, 1), (3, 1), (7, 1))))
-
-
-def test_presentation_canonical_237():
-    pres = presentation(solve_seifert(canonicalize_params(2, 3, 7)))
-    assert pres.generators == ("x", "y", "z", "h")
-    assert pres.power_relators == ((2, -1), (3, -2), (7, 8))
-    assert pres.product_exponent == 0
-    rendered = str(pres)
-    assert "h central" in rendered
-    assert "x^2 = h^-1" in rendered
-    assert "xyz = 1" in rendered
-
-
-def test_presentation_published_form_2313():
-    # x^2 = h^-1, y^3 = h^2, z^13 = h^-2, xyz = 1
-    pres = presentation(SeifertInvariant(0, ((2, 1), (3, -2), (13, 2))))
-    assert pres.power_relators == ((2, -1), (3, 2), (13, -2))
-    assert (
-        str(pres)
-        == "<x, y, z, h | h central, x^2 = h^-1, y^3 = h^2, z^13 = h^-2, xyz = 1>"
-    )
 
 
 def test_seifert_invariant_str_includes_base_pair():
