@@ -157,6 +157,11 @@ def sphere_summary(
             if not passed.all():
                 k = int(passed.argmin())
                 j = int(cert.residuals[k].argmax())
+                if cert.residuals[k, j] < tol:  # every relation held, so the gap failed
+                    raise BrieskornError(
+                        f"commutator gap not above tolerance on {params.triple}: "
+                        f"class {names[k]}, gap {float(cert.gaps[k])!r}, tol {tol:g}"
+                    )
                 raise BrieskornError(
                     f"relation residuals exceed tolerance on {params.triple}: class {names[k]}, "
                     f"relation {cert.relations[j]} residual {float(cert.residuals[k, j])!r}, "

@@ -1,10 +1,16 @@
 """Explicit 2x2 matrix realizations of trace triples and relation checking.
 
-Both constructions solve one scalar equation in closed form. Unitary pairs:
-X diagonal, Y a tilted diagonal, and the tilt phi interpolates
-tr(XY) = 2(cos th1 cos th2 - sin th1 sin th2 cos phi). Real pairs: X a
-rotation, Y a rotation conjugated by diag(d, 1/d), and the stretch d solves
-tr(XY) = 2 cos th1 cos th2 - (d^2 + d^-2) sin th1 sin th2.
+One construction serves both real forms. X is the rotation R(th1) and Y is
+D R(th2) D^-1 with D = diag(lambda, 1/lambda), so with u = lambda^2 + lambda^-2
+
+    tr(XY) = 2 cos th1 cos th2 - u sin th1 sin th2,
+    kappa = sin^2 th1 sin^2 th2 (u^2 - 4).
+
+A unitary class (kappa < 0) has |u| < 2, which puts lambda^2 on the unit
+circle and the pair in SU(2); a real class (kappa > 0) has |u| > 2, which
+puts lambda^2 on the real line and the pair in SL(2,R), with lambda^2 = +-d^2
+for the stretch d >= 1 of `stretch_for_product_trace`. Past the sines of the
+two angles, the solve for each class is elementwise arithmetic.
 
 `certify_classes` realizes all classes of one real form on a sphere as
 (n, 2, 2) stacks, runs every check once per stack, and returns one
@@ -57,19 +63,6 @@ def frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(_square_sum(m.real) + _square_sum(m.imag))
 
 
-def _power(m: np.ndarray, n: int) -> np.ndarray:
-    """m**n for n >= 1 on a stack, by the products np.linalg.matrix_power makes."""
-    if n == 3:  # matrix_power's shortcut; the bit loop would give m @ (m @ m)
-        return (m @ m) @ m
-    z = result = None
-    while n > 0:
-        z = m if z is None else z @ z
-        n, bit = divmod(n, 2)
-        if bit:
-            result = z if result is None else result @ z
-    return result
-
-
 def _check_form(stack: np.ndarray, real_form: ClassLabel) -> None:
     """Raise ValueError unless every matrix of the stack has determinant 1 and lies in real_form."""
     if real_form is ClassLabel.SL2R:
@@ -118,29 +111,6 @@ class Certificate:
         return float(self.gaps.min(initial=math.inf))
 
 
-def _first_angles(c: CharacterTriple) -> tuple[float, float, float, float, float]:
-    """cos and sin of the rotation angles th1 and th2, and the target trace 2 cos th3."""
-    tx, ty, tz = c.tx, c.ty, c.tz
-    # n / q rounds exactly as float(Fraction(n, q)) does
-    th1, th2 = math.pi * (tx.n / tx.q), math.pi * (ty.n / ty.q)
-    s1, s2 = math.sin(th1), math.sin(th2)
-    if s1 * s2 < 1e-15:
-        raise NotRealizable("degenerate rotation angle, traces are +-2")
-    return math.cos(th1), s1, math.cos(th2), s2, 2.0 * math.cos(math.pi * (tz.n / tz.q))
-
-
-def _su2_solve(c: CharacterTriple) -> tuple:
-    """cos and sin of th1, th2 and half the tilt phi, and the target traces."""
-    c1, s1, c2, s2, target = _first_angles(c)
-    cos_phi = (2.0 * c1 * c2 - target) / (2.0 * s1 * s2)
-    if abs(cos_phi) >= 1.0:
-        raise NotRealizable(
-            f"target trace {target} lies outside the open unitary interval"
-        )
-    phi = math.acos(cos_phi)
-    return c1, s1, c2, s2, math.cos(phi / 2.0), math.sin(phi / 2.0), 2.0 * c1, 2.0 * c2, target
-
-
 def stretch_for_product_trace(u: float) -> float:
     """Solve d^2 + d^-2 = u for the stretch d >= 1; u must exceed 2."""
     if u <= 2.0:
@@ -149,17 +119,24 @@ def stretch_for_product_trace(u: float) -> float:
     return math.sqrt(dd)
 
 
-def _sl2r_solve(c: CharacterTriple) -> tuple:
-    """cos and sin of both rotation angles, the squared stretch d^2, and the three target traces.
-
-    When the target sits on the far side of the unitary interval the second
-    rotation angle is negated, which flips the sign of the stretch term but
-    keeps tr Y fixed; only its sine changes sign.
-    """
-    c1, s1, c2, s2, target = _first_angles(c)
-    u = (2.0 * c1 * c2 - target) / (s1 * s2)
+def _solve(c: CharacterTriple, real_form: ClassLabel) -> tuple:
+    """cos and sin of both rotation angles, lambda^2 as real and imaginary parts, and the three traces."""
+    tx, ty, tz = c.tx, c.ty, c.tz
+    # n / q rounds exactly as float(Fraction(n, q)) does
+    s1, s2 = math.sin(math.pi * (tx.n / tx.q)), math.sin(math.pi * (ty.n / ty.q))
+    if s1 * s2 < 1e-15:
+        raise NotRealizable("degenerate rotation angle, traces are +-2")
+    c1, c2 = tx.value / 2.0, ty.value / 2.0  # value is 2.0 * math.cos(angle); halving is exact
+    u = (2.0 * c1 * c2 - tz.value) / (s1 * s2)
+    if real_form is ClassLabel.SU2:
+        if abs(u) >= 2.0:
+            raise NotRealizable(
+                f"target trace {tz.value} lies outside the open unitary interval"
+            )
+        h = u / 2.0
+        return c1, s1, c2, s2, h, math.sqrt(1.0 - h * h), tx.value, ty.value, tz.value
     d = stretch_for_product_trace(abs(u))
-    return c1, s1, c2, (s2 if u >= 0 else -s2), d * d, 2.0 * c1, 2.0 * c2, target
+    return c1, s1, c2, s2, math.copysign(d * d, u), 0.0, tx.value, ty.value, tz.value
 
 
 def _rotations(c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -171,50 +148,31 @@ def _rotations(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return r
 
 
-def _eigenvalues(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """diag(c + is, c - is): the eigenvalues exp(+-i th) of the rotation with cos c and sin s."""
-    r = np.zeros((len(c), 2, 2), dtype=complex)
-    r.real[:, 0, 0] = r.real[:, 1, 1] = c
-    r.imag[:, 0, 0] = s
-    r.imag[:, 1, 1] = -s
-    return r
-
-
 def _realize_stack(triples: Sequence[CharacterTriple], real_form: ClassLabel) -> tuple:
     """X, Y and XY stacks for the triples, with the traces and X and Y checked."""
-    if real_form is ClassLabel.SU2:
-        solve, width = _su2_solve, 9
-    elif real_form is ClassLabel.SL2R:
-        solve, width = _sl2r_solve, 8
-    else:
+    if real_form not in (ClassLabel.SU2, ClassLabel.SL2R):
         raise ValueError("real_form must be SU2 or SL2R")
-    # width shapes an empty stack too
-    cols = np.array([solve(c) for c in triples], dtype=float).reshape(-1, width).T
-    if real_form is ClassLabel.SU2:
-        X = _eigenvalues(cols[0], cols[1])
-        tilt = _rotations(cols[4], cols[5])
-        Y = tilt @ _eigenvalues(cols[2], cols[3]) @ tilt.transpose(0, 2, 1)
-    else:
-        X = _rotations(cols[0], cols[1])
-        Y = _rotations(cols[2], cols[3])
-        dd = cols[4]
-        Y[:, 0, 1] *= dd
-        # numpy divides a complex by a real as entry * (1 / dd), which entry / dd can miss by an ulp
-        Y[:, 1, 0] *= 1.0 / dd
+    # the width 9 shapes an empty stack too
+    cols = np.array([_solve(c, real_form) for c in triples], dtype=float).reshape(-1, 9).T
+    X = _rotations(cols[0], cols[1])
+    Y = _rotations(cols[2], cols[3])
+    lam_sq = cols[4] + 1j * cols[5]
+    # Y = D R(th2) D^-1 with D = diag(lambda, 1/lambda). For a real lambda^2 = +-d^2 the
+    # complex reciprocal is exactly +-1/d^2, so a real Y gets the bits of a stretch by d^2
+    Y[:, 0, 1] *= lam_sq
+    Y[:, 1, 0] *= 1.0 / lam_sq
     XY = X @ Y
     traces = np.stack([(m[:, 0, 0] + m[:, 1, 1]).real for m in (X, Y, XY)])
-    if not (np.abs(traces - cols[-3:]) < TRACE_TOLERANCE).all():
+    if not (np.abs(traces - cols[6:]) < TRACE_TOLERANCE).all():
         raise AssertionError("realized traces miss the trace triple")
     _check_form(X, real_form)
     _check_form(Y, real_form)
     return X, Y, XY
 
 
-def _check_relation_inputs(sigma: SeifertInvariant, epsilons: Sequence[int], tol: float) -> None:
+def _check_relation_inputs(sigma: SeifertInvariant, tol: float) -> None:
     if sigma.b != 0:
         raise ValueError("relation check needs data with b = 0 (product relator xyz = 1)")
-    if any(eps not in (1, -1) for eps in epsilons):
-        raise ValueError("epsilon must be +1 or -1")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
 
@@ -238,7 +196,7 @@ def _certificate(
         flip = odd_sign & (bi % 2 == 1)
         center = np.where(flip[:, None, None], -_I2, _I2)
         names.append(f"{name}^{ai}")
-        residuals.append(frobenius(_power(stack, ai) - center))
+        residuals.append(frobenius(np.linalg.matrix_power(stack, ai) - center))
     commutator = XY @ sl2_inverse(X) @ sl2_inverse(Y)
     offset = commutator[:, 0, 0] + commutator[:, 1, 1] - 2.0
     # np.hypot is the modulus abs(complex) takes, bit for bit
@@ -260,20 +218,19 @@ def certify_classes(
     real_form, AssertionError when a pair misses its traces, ValueError when
     X, Y or Z fails its determinant or real-form check.
     """
-    epsilons = [c.epsilon for c in triples]
-    _check_relation_inputs(sigma, epsilons, tol)
+    _check_relation_inputs(sigma, tol)
     X, Y, XY = _realize_stack(triples, real_form)
-    return _certificate(X, Y, XY, real_form, sigma, epsilons, tol)
+    return _certificate(X, Y, XY, real_form, sigma, [c.epsilon for c in triples], tol)
 
 
 def realize_su2(c: CharacterTriple) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary pair (X, Y) with tr X, tr Y, tr XY matching the triple."""
+    """Unitary pair (X, Y): the rotation by th1, and a rotation conjugated by a unit-circle lambda^2."""
     X, Y, _ = _realize_stack([c], ClassLabel.SU2)
     return X[0], Y[0]
 
 
 def realize_sl2r(c: CharacterTriple) -> tuple[np.ndarray, np.ndarray]:
-    """Real pair (X, Y): a rotation and a stretched rotation hitting tr XY."""
+    """Real pair (X, Y): the rotation by th1, and a rotation conjugated by a real lambda^2 = +-d^2."""
     X, Y, _ = _realize_stack([c], ClassLabel.SL2R)
     return X[0], Y[0]
 
@@ -291,7 +248,9 @@ def verify_relations(
     Raises ValueError unless X and Y are 2x2, have determinant 1 and lie in
     real_form.
     """
-    _check_relation_inputs(sigma, [epsilon], tol)
+    _check_relation_inputs(sigma, tol)
+    if epsilon not in (1, -1):
+        raise ValueError("epsilon must be +1 or -1")
     pair = np.array([X, Y], dtype=complex)
     if pair.shape != (2, 2, 2):
         raise ValueError("expected a pair of 2x2 matrices")

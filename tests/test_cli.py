@@ -387,6 +387,25 @@ def test_verify_failure_names_class_relation_and_residual(capsys):
     assert re.search(r"relation [xyz]\^[237] residual ", err)
 
 
+def test_verify_failure_on_the_gap_alone_names_the_gap(capsys):
+    # at tol 0.5 every relation of (-1; 1,1,1) holds, but its gap |kappa| = 0.247 does not clear tol
+    code, out, err = run(capsys, "analyze", "2", "3", "7", "--verify", "--tol", "0.5")
+    assert code == 1
+    assert out == ""
+    params = canonicalize_params(2, 3, 7)
+    sigma = solve_seifert(params)
+    [(eu, triple)] = phi_map(params, sigma)
+    cert = verify_relations(*realize_sl2r(triple), sigma, ClassLabel.SL2R, triple.epsilon, 0.5)
+    assert cert.max_residual < 0.5
+    assert err == (
+        "assertion failure: commutator gap not above tolerance on (2, 3, 7): "
+        f"class (-1; 1,1,1), gap {cert.gaps[0].item()!r}, tol 0.5\n"
+    )
+    code, _, err = run(capsys, "census", "100", "--verify", "--tol", "0.3")
+    assert code == 1
+    assert "commutator gap not above tolerance on (2, 3, 7)" in err
+
+
 def test_verify_failure_at_first_float_defect_is_pinned(capsys):
     # (4,3,127) at a = 1524 is the smallest sphere whose true classes fail
     # tol 1e-9 on float64 round-off; the message pins the class, relation,
@@ -541,7 +560,8 @@ def test_parse_seifert_override_rejects_garbage():
 # from before render_json wrote the class lists from per-entry templates, the
 # next two from before certificates became arrays, the next from before
 # each trace value was folded once per sphere, and the last from before the
-# checks that restate other checks were dropped.
+# checks that restate other checks were dropped. The six commands with
+# --verify date from before both real forms came from one construction.
 PINNED_STDOUT = {
     ("census", "1000"): "1119ad93483e3995215ace91f56781803534538ad7351bbc8be4d1fc62f8c529",
     ("census", "1000", "--format", "csv"): (
@@ -559,11 +579,11 @@ PINNED_STDOUT = {
     ),
     # convention sign -1 and odd coefficients
     ("analyze", "2", "3", "7", "--seifert=0,-1,-2,8", "--condition-b", "--verify"): (
-        "1ac3e2ba62fe7965f2e0667f099193880210e640c92d2da06c72bd81ca459ff8"
+        "3a170e36a23c4e129d9b3c435f6c688ace973ee402ee36ef4ccf9a3ef1ee48c9"
     ),
     # every class's residual and gap, printed with repr
     ("analyze", "3", "5", "7", "--verify", "--format", "json"): (
-        "a8f36deb3d72d83fddf0734315f1d50b96d407db76c56d112d28648e39934617"
+        "9e0f9d6c15251a6f5799663074d3da66a16598ffd6821070b81649aa218b5d95"
     ),
     # no SL(2,R) classes: an empty class list
     ("analyze", "2", "3", "5", "--format", "json"): (
@@ -571,19 +591,19 @@ PINNED_STDOUT = {
     ),
     # both class templates with their verify blocks, and the condition-b template
     ("analyze", "2", "3", "7", "--verify", "--condition-b", "--format", "json"): (
-        "47fa47dcf44ab5fa2d0dc69447ea10fa49cedf2f37e2e90c88b1d48af8198002"
+        "571d372144633c193aaddd4c6a15918bf1f7dd05b40e3111ca8ddc5017d8760d"
     ),
     # each sphere's max_residual and min_gap, printed with repr
     ("census", "300", "--verify", "--format", "csv"): (
-        "60aaef84a399df2b2a354ca52e8d93fb34a4bfb2016d50d55083bab9f5427d76"
+        "4abbda026e35e0b8021aa5b377233ce15c92e22d871244c1fe3364606a253330"
     ),
     # an empty SL(2,R) stack under --verify
     ("analyze", "2", "3", "5", "--verify", "--format", "json"): (
-        "fecaec9d939cea7de72e7f6058a020ba4c20c1f2f013cf5daf82c102fd60ea28"
+        "7eac91e1ee77880f3ec25b04a392820af6587d10aa4c96cff3f57f4a0a4bdc7a"
     ),
     # classes sharing each trace value many times over: every float, residual and reversal entry
     ("analyze", "7", "11", "13", "--verify", "--condition-b", "--format", "json"): (
-        "e198ce72c511090a45818a7d4e8d75ebb2dbe033a63bdb7b07668cb78dc7d8d9"
+        "dd3eedb5d39601a79c64838db19c0d0958673e6b6fdd04f42500a5aa483ed947"
     ),
     # the reversal listing and every shared trace value as text
     ("analyze", "7", "11", "13", "--condition-b"): (

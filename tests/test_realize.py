@@ -87,7 +87,7 @@ def test_realize_sl2r_rejects_unitary_triple():
     "angles",
     [
         (F(1, 2), F(2, 3), F(6, 7)),  # target trace below the unitary interval
-        (F(1, 2), F(4, 5), F(2, 7)),  # target trace above it: negated-angle branch
+        (F(1, 2), F(4, 5), F(2, 7)),  # target trace above it: lambda^2 = -d^2
     ],
 )
 def test_realize_sl2r_both_sign_branches(angles):
@@ -253,7 +253,7 @@ def test_stack_matches_one_class_wrappers(multiplicities, override):
 
 
 def reference_pair(c, real_form):
-    """The one-class construction of X and Y that the stacks replaced."""
+    """X and Y built for one class with math and plain 2x2 arrays: R(th1), and D R(th2) D^-1."""
     th1, th2, th3 = (math.pi * (tv.n / tv.q) for tv in (c.tx, c.ty, c.tz))
     c1, s1, c2, s2 = math.cos(th1), math.sin(th1), math.cos(th2), math.sin(th2)
     target = 2.0 * math.cos(th3)
@@ -263,11 +263,13 @@ def reference_pair(c, real_form):
         return np.array([[co, -si], [si, co]], dtype=complex)
 
     if real_form is ClassLabel.SU2:
-        phi = math.acos((2.0 * c1 * c2 - target) / (2.0 * s1 * s2))
-        tilt = rotation(phi / 2.0)
-        X = np.diag([cmath.exp(1j * th1), cmath.exp(-1j * th1)])
-        Y = tilt @ np.diag([cmath.exp(1j * th2), cmath.exp(-1j * th2)]) @ tilt.T
-        return X, Y
+        # lambda^2 = e^(i phi) on the unit circle, with cos phi = h
+        h = (2.0 * c1 * c2 - target) / (2.0 * s1 * s2)
+        lam = np.complex128(complex(h, math.sqrt(1.0 - h * h)))
+        rot = rotation(th2)
+        # numpy's complex reciprocal, which Python's complex division can miss by an ulp
+        Y = np.array([[rot[0, 0], rot[0, 1] * lam], [rot[1, 0] * (1.0 / lam), rot[1, 1]]])
+        return rotation(th1), Y
     u = (2.0 * c1 * c2 - target) / (s1 * s2)
     d = stretch_for_product_trace(abs(u))
     dd = d * d
