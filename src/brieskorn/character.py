@@ -171,24 +171,13 @@ def _check_sphere_data(params: BrieskornParams, sigma: SeifertInvariant) -> None
         raise ValueError("sigma must describe a homology sphere (h1 order 1)")
 
 
-def _cover_order(eu: EulerClass) -> tuple[int, int]:
-    """The h1 order of the covering eu selects, and the central sign it gives."""
-    order = abs(eu.cover_euler_number())
-    return order, -1 if order % 2 else 1
-
-
 def trace_triple_of(eu: EulerClass, sigma: SeifertInvariant) -> CharacterTriple:
-    """Trace triple of the class attached to eu, computed from the covering order.
+    """Trace triple of the class attached to eu, through a fresh TraceMemo of its sphere.
 
-    The covering space eu selects has first homology of order a*|e|; the
-    central generator goes to a lift of rotation by that order times pi, so
-    epsilon is -1 exactly when the order is odd. Every trace is folded afresh,
-    as TraceValue(-order * b_i, a_i).
+    Building the memo checks that sigma describes eu's sphere; TraceMemo.triple_of
+    says how the triple follows from the covering order.
     """
-    _check_sphere_data(eu.params, sigma)
-    order, epsilon = _cover_order(eu)
-    traces = [TraceValue(-order * bi, ai) for ai, bi in sigma.pairs]
-    return CharacterTriple(*traces, epsilon=epsilon)
+    return TraceMemo(eu.params, sigma).triple_of(eu)
 
 
 class _GeneratorTraces(dict):
@@ -223,12 +212,16 @@ class TraceMemo:
     def __init__(self, params: BrieskornParams, sigma: SeifertInvariant) -> None:
         _check_sphere_data(params, sigma)
         self.params = params
-        self.sigma = sigma
         self.coefficients = sigma.coefficients
         self.generators = tuple(_GeneratorTraces(ai) for ai in params.triple)
 
     def triple_of(self, eu: EulerClass) -> CharacterTriple:
-        """trace_triple_of(eu, sigma), with each trace looked up in the memo.
+        """Trace triple of the class attached to eu, computed from the covering order.
+
+        The covering space eu selects has first homology of order a*|e|; the
+        central generator goes to a lift of rotation by that order times pi, so
+        epsilon is -1 exactly when the order is odd. Trace i is
+        TraceValue(-order * b_i, a_i), looked up in the memo.
 
         Each trace lies strictly inside (-2, 2) and sits on the angle beta_i/a_i
         or its mirror 1 - beta_i/a_i. EulerClass guarantees 0 < beta_i < a_i.
@@ -238,26 +231,25 @@ class TraceMemo:
         """
         if eu.params is not self.params and eu.params != self.params:
             raise ValueError("euler class belongs to another sphere")
-        order, epsilon = _cover_order(eu)
+        order = abs(eu.cover_euler_number())
         b1, b2, b3 = self.coefficients
         traces1, traces2, traces3 = self.generators
         return CharacterTriple._signed(
             traces1.trace(-order * b1),
             traces2.trace(-order * b2),
             traces3.trace(-order * b3),
-            epsilon,
+            -1 if order % 2 else 1,
         )
 
 
-def _walls(tx: TraceValue, ty: TraceValue, tz: TraceValue) -> tuple[int, int, int]:
-    """(|N1 - N2|, N3, min(N1 + N2, 2L - N1 - N2)) for the angles N_i/L over L = lcm(q_i).
+def _window(big1: int, big2: int, whole: int) -> tuple[int, int]:
+    """The open interval (|N1 - N2|, min(N1 + N2, 2*whole - N1 - N2)) of the angles N_i/whole.
 
-    The outer two are the folded difference and sum of the first two angles.
+    Its ends are the folded difference and sum of the two angles. A third
+    angle N3/whole makes a unitary triple with them exactly when
+    lower < N3 < upper, and a reducible one when N3 is an end.
     """
-    q1, q2, q3 = tx.q, ty.q, tz.q
-    lcm = math.lcm(q1, q2, q3)
-    big1, big2 = tx.n * (lcm // q1), ty.n * (lcm // q2)
-    return abs(big1 - big2), tz.n * (lcm // q3), min(big1 + big2, 2 * lcm - big1 - big2)
+    return abs(big1 - big2), min(big1 + big2, 2 * whole - big1 - big2)
 
 
 def kappa(c: CharacterTriple) -> float:
@@ -283,7 +275,9 @@ def classify(c: CharacterTriple) -> ClassLabel:
     # a canonical pair has 0 <= n <= q, so this excludes the traces +-2
     if not (0 < tx.n < tx.q and 0 < ty.n < ty.q and 0 < tz.n < tz.q):
         raise DegenerateAngle("classification needs all traces strictly inside (-2, 2)")
-    lower, big3, upper = _walls(tx, ty, tz)
+    lcm = math.lcm(tx.q, ty.q, tz.q)
+    lower, upper = _window(tx.n * (lcm // tx.q), ty.n * (lcm // ty.q), lcm)
+    big3 = tz.n * (lcm // tz.q)
     if big3 == lower or big3 == upper:
         return _REDUCIBLE
     k = kappa(c)
@@ -303,9 +297,12 @@ def enumerate_su2(
 
     For central sign epsilon, generator i is a rotation by pi*l_i/a_i whose
     a_i-th power must be epsilon**(-b_i) * I, forcing l_i even when epsilon
-    is +1 and l_i = b_i mod 2 when epsilon is -1. A candidate survives
-    exactly when its angles pass the strict triangle test classify makes,
-    done here over the common denominator a. Each survivor must also pass
+    is +1 and l_i = b_i mod 2 when epsilon is -1. A triple is unitary
+    exactly when l3*a/a3 lies strictly inside the _window of l1*a/a1 and
+    l2*a/a2 over the common denominator a, the test classify makes. So each
+    (l1, l2) lists its l3 as one range: from the first l3 above the lower end,
+    moved onto the parity, up to the last l3 below the upper end. The upper
+    end is at most a, so l3 stays below a3. Each survivor must also pass
     classify's float cross-check, kappa < -KAPPA_TOLERANCE, and the count
     must match the closed form (a1-1)(a2-1)(a3-1)/4 - |X0|.
 
@@ -319,7 +316,7 @@ def enumerate_su2(
         raise ValueError("unitary enumeration needs data with b = 0 (product relator xyz = 1)")
     a1, a2, a3 = params.triple
     a = params.a
-    cofactors = (a // a1, a // a2, a // a3)
+    f1, f2, f3 = a // a1, a // a2, a // a3
     survivors: list[tuple[int, int, int, int]] = []
     for eps in (-1, 1):
         starts = [
@@ -327,15 +324,13 @@ def enumerate_su2(
             for bi in sigma.coefficients
         ]
         for l1 in range(starts[0], a1, 2):
-            big1 = l1 * cofactors[0]
+            big1 = l1 * f1
             for l2 in range(starts[1], a2, 2):
-                big2 = l2 * cofactors[1]
-                lower = abs(big1 - big2)
-                upper = min(big1 + big2, 2 * a - big1 - big2)
-                for l3 in range(starts[2], a3, 2):
-                    big3 = l3 * cofactors[2]
-                    if lower < big3 < upper:
-                        survivors.append((l1, l2, l3, eps))
+                lower, upper = _window(big1, l2 * f2, a)
+                # the first l3 of the parity of starts[2] with l3*f3 > lower
+                first = lower // f3 + 1
+                first += (first - starts[2]) % 2
+                survivors += [(l1, l2, l3, eps) for l3 in range(first, (upper - 1) // f3 + 1, 2)]
     survivors.sort()
     # 0 < l_i < a_i is already a folded key
     traces1, traces2, traces3 = memo.generators
@@ -388,8 +383,9 @@ def reversed_trace_check(
     partner is reverse_orientation(eu). The reversed covering must have the
     negated euler number, hence the same homology order, and the reversed
     class must give the same trace triple, central sign included. The
-    partner's triple is folded afresh by trace_triple_of, each trace as
-    TraceValue(-order * b_i, a_i) from the partner's own cover order.
+    partner's triple comes from trace_triple_of, through a fresh TraceMemo,
+    each trace as TraceValue(-order * b_i, a_i) from the partner's own cover
+    order.
 
     For a true partner both hold by construction: its cover euler number is
     -(-2a + 3a - S) = -(a - S) for S = a*sum beta_i/a_i, and a triple reads

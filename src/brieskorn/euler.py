@@ -110,21 +110,24 @@ def enumerate_E(params: BrieskornParams) -> list[EulerClass]:
 
 
 def enumerate_condition_b(params: BrieskornParams) -> list[EulerClass]:
-    """Brute-force enumeration of the beta = -2 classes, lexicographic order.
+    """The beta = -2 classes, lexicographic order, read from their own inequality.
 
-    Kept independent of enumerate_E on purpose: the orientation-reversal
-    bijection between the two lists is a checked property, not a definition.
+    Condition b asks b1*c1 + b2*c2 + b3*c3 > 2a on cleared denominators. For
+    each (b1, b2) the b3 that meet it are one range, from the first b3 above
+    (2a - b1*c1 - b2*c2)/c3, at least 1, up to a3 - 1. The range reads only
+    that inequality, not enumerate_E: the orientation-reversal bijection
+    between the two lists stays a checked property, not a definition.
     """
     a1, a2, a3 = params.triple
     a = params.a
     c1, c2, c3 = a2 * a3, a1 * a3, a1 * a2
+    make = EulerClass._in_range
     out: list[EulerClass] = []
     for b1 in range(1, a1):
         for b2 in range(1, a2):
-            for b3 in range(1, a3):
-                cleared = b1 * c1 + b2 * c2 + b3 * c3
-                if cleared > 2 * a:
-                    out.append(EulerClass._in_range(params, -2, b1, b2, b3, cleared))
+            partial = b1 * c1 + b2 * c2
+            first = max(1, (2 * a - partial) // c3 + 1)
+            out += [make(params, -2, b1, b2, b3, partial + b3 * c3) for b3 in range(first, a3)]
     return out
 
 

@@ -173,8 +173,8 @@ def _realize_stack(triples: Sequence[CharacterTriple], real_form: ClassLabel) ->
 def _check_relation_inputs(sigma: SeifertInvariant, tol: float) -> None:
     if sigma.b != 0:
         raise ValueError("relation check needs data with b = 0 (product relator xyz = 1)")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and positive")
 
 
 def _certificate(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from brieskorn.cli import census_params
 from brieskorn.errors import NotRealizable
 from brieskorn.euler import (
     EulerClass,
@@ -60,11 +61,11 @@ def test_x0_matches_brute_force(triple):
     assert [tuple(t) for t in enumerate_X0(params)] == brute_x0(params)
 
 
-@pytest.mark.parametrize("triple", [(2, 3, 7), (4, 5, 9), (3, 5, 7)])
-def test_condition_b_matches_brute_force(triple):
-    params = canonicalize_params(*triple)
-    got = [eu.betas for eu in enumerate_condition_b(params)]
-    assert got == brute_condition_b(params)
+def test_condition_b_matches_brute_force():
+    # every sphere with a <= 1000, so each edge of the computed b3 range is met
+    for params in census_params(1000):
+        got = [eu.betas for eu in enumerate_condition_b(params)]
+        assert got == brute_condition_b(params), params.triple
 
 
 def test_condition_b_237_single_class():

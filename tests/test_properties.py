@@ -18,7 +18,6 @@ from brieskorn.character import (
     enumerate_su2,
     kappa,
     phi_map,
-    trace_triple_of,
 )
 from brieskorn.errors import InconsistentClassification
 from brieskorn.cli import census_params
@@ -30,7 +29,13 @@ from brieskorn.euler import (
     reverse_orientation,
     seifert_from_euler,
 )
-from brieskorn.seifert import cleared_euler_number, euler_number, h1_order, solve_seifert
+from brieskorn.seifert import (
+    canonicalize_params,
+    cleared_euler_number,
+    euler_number,
+    h1_order,
+    solve_seifert,
+)
 
 SWEEP = census_params(400)
 IDS = ["%dx%dx%d" % p.triple for p in SWEEP]
@@ -266,14 +271,25 @@ def fresh_su2_triples(params, sigma):
     return [tri for _, _, tri in sorted(found, key=lambda row: (row[0], row[1]))]
 
 
+def fresh_triple(eu, sigma):
+    """The class's trace triple folded afresh from its cover order, without a memo."""
+    order = abs(eu.cover_euler_number())
+    return CharacterTriple(
+        *(TraceValue(-order * bi, ai) for ai, bi in sigma.pairs),
+        epsilon=-1 if order % 2 else 1,
+    )
+
+
 def test_memoized_triples_match_fresh_folds():
     # each sphere's memo shares one TraceValue per distinct trace; the triples
-    # and every carried float must equal ones folded and evaluated afresh
-    for params in census_params(1000):
+    # and every carried float must equal ones folded and evaluated afresh. The
+    # last two spheres have a3 > 2000 and wide SU(2) windows.
+    wide = [canonicalize_params(2, 3, 6007), canonicalize_params(7, 11, 2003)]
+    for params in census_params(1000) + wide:
         sigma = solve_seifert(params)
         pairs = phi_map(params, sigma)
         for eu, tri in pairs:
-            assert tri == trace_triple_of(eu, sigma)
+            assert tri == fresh_triple(eu, sigma)
         su2 = enumerate_su2(params, sigma)
         assert su2 == fresh_su2_triples(params, sigma)
         for tri in su2 + [tri for _, tri in pairs]:

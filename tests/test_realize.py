@@ -318,8 +318,12 @@ def test_stack_checks_its_inputs():
     shifted = SeifertInvariant(-1, ((2, 1), (3, 1), (7, 1)))
     with pytest.raises(ValueError, match="b = 0"):
         certify_classes([c], shifted, ClassLabel.SL2R)
-    with pytest.raises(ValueError, match="positive"):
-        certify_classes([c], OVERRIDE_237, ClassLabel.SL2R, tol=0.0)
+    X, Y = realize_sl2r(c)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            certify_classes([c], OVERRIDE_237, ClassLabel.SL2R, tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            verify_relations(X, Y, OVERRIDE_237, ClassLabel.SL2R, c.epsilon, tol=tol)
     with pytest.raises(ValueError, match="SU2 or SL2R"):
         certify_classes([c], OVERRIDE_237, ClassLabel.REDUCIBLE)
     empty = certify_classes([], OVERRIDE_237, ClassLabel.SU2)

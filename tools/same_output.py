@@ -1,0 +1,130 @@
+"""Check that the CLI gives the same output at a git revision and in the working tree.
+
+    python tools/same_output.py REV
+
+The script extracts src/ at REV into a temporary directory with git archive.
+It runs one fixed command set through brieskorn.cli.main against that source
+and against the working tree's src/, in one subprocess each. It prints the
+number of commands, then each command whose exit code, stdout or stderr
+differ, and exits 1 if any differ. The command set:
+
+- census 3000 and census 1000 --verify, each in text, csv and json;
+- analyze 4 3 127 --verify and analyze 2 3 7 --verify --tol 1e-16;
+- every PINNED_STDOUT command, read from tests/test_cli.py;
+- analyze --verify --format json, analyze --condition-b and
+  analyze --condition-b --format json on 60 spheres: the middle sphere of
+  each of 60 equal slices of census_params(6000), the spheres the
+  benchmark samples.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# run in each subprocess: read the commands as JSON on stdin, run each
+# through cli.main and print one [exit code, stdout digest, stderr digest] per command
+_RUNNER = r"""
+import contextlib, hashlib, io, json, sys
+from brieskorn import cli
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+rows = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except BaseException as exc:
+            code = "raised " + type(exc).__name__
+            print(repr(exc), file=sys.stderr)
+    rows.append([code, digest(out.getvalue()), digest(err.getvalue())])
+json.dump(rows, sys.stdout)
+"""
+
+
+def pinned_commands() -> list[list[str]]:
+    """The keys of PINNED_STDOUT in tests/test_cli.py, read without importing the test."""
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "PINNED_STDOUT" for t in node.targets
+        ):
+            return [list(ast.literal_eval(key)) for key in node.value.keys]
+    raise SystemExit("PINNED_STDOUT not found in tests/test_cli.py")
+
+
+def sampled_spheres(census_params) -> list[tuple[int, int, int]]:
+    """The middle sphere of each of 60 equal slices of census_params(6000)."""
+    population = [p.triple for p in census_params(6000)]
+    step = len(population) / 60
+    return [population[int((i + 0.5) * step)] for i in range(60)]
+
+
+def commands(census_params) -> list[list[str]]:
+    out = []
+    for base in (["census", "3000"], ["census", "1000", "--verify"]):
+        out += [base, base + ["--format", "csv"], base + ["--format", "json"]]
+    out += [
+        ["analyze", "4", "3", "127", "--verify"],
+        ["analyze", "2", "3", "7", "--verify", "--tol", "1e-16"],
+    ]
+    out += pinned_commands()
+    for triple in sampled_spheres(census_params):
+        given = list(map(str, triple))
+        out += [
+            ["analyze", *given, "--verify", "--format", "json"],
+            ["analyze", *given, "--condition-b"],
+            ["analyze", *given, "--condition-b", "--format", "json"],
+        ]
+    return out
+
+
+def run_all(src: Path, argvs: list[list[str]]) -> list[list]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNNER], input=json.dumps(argvs), env=env,
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: same_output.py REV", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "src"))
+    from brieskorn.cli import census_params
+
+    argvs = commands(census_params)
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = Path(tmp) / "src.tar"
+        with archive.open("wb") as f:
+            subprocess.run(["git", "archive", argv[0], "src"], cwd=ROOT, stdout=f, check=True)
+        with tarfile.open(archive) as tar:
+            tar.extractall(tmp, filter="data")
+        before = run_all(Path(tmp) / "src", argvs)
+    after = run_all(ROOT / "src", argvs)
+    print(f"{len(argvs)} commands")
+    differ = 0
+    for cmd, old, new in zip(argvs, before, after):
+        parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), old, new) if x != y]
+        if parts:
+            differ += 1
+            print(f"differ in {', '.join(parts)}: {' '.join(cmd)}")
+    print(f"{differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
