@@ -61,7 +61,14 @@ def test_x0_matches_brute_force(triple):
     assert [tuple(t) for t in enumerate_X0(params)] == brute_x0(params)
 
 
-def test_condition_b_matches_brute_force():
+@pytest.mark.parametrize("triple", [(2, 3, 7), (4, 5, 9), (3, 5, 7)])
+def test_condition_b_matches_brute_force(triple):
+    params = canonicalize_params(*triple)
+    got = [eu.betas for eu in enumerate_condition_b(params)]
+    assert got == brute_condition_b(params)
+
+
+def test_condition_b_matches_brute_force_over_census():
     # every sphere with a <= 1000, so each edge of the computed b3 range is met
     for params in census_params(1000):
         got = [eu.betas for eu in enumerate_condition_b(params)]
