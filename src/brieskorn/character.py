@@ -6,6 +6,11 @@ denominators; floating point only appears as a cross-check discriminant.
 The module enumerates the unitary classes directly and produces the real
 (non-unitary) classes by pulling back rotations through the coverings that
 the euler classes select.
+
+Each sphere's lattices are walked once. phi_map folds each pulled-back
+class's traces from its cleared sum, and UnitaryClasses holds the unitary
+classes as (l1, l2, l3, epsilon) integer rows; a CharacterTriple view of a
+row is built only where a class is printed or certified.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     CountMismatch,
@@ -252,14 +258,18 @@ def _window(big1: int, big2: int, whole: int) -> tuple[int, int]:
     return abs(big1 - big2), min(big1 + big2, 2 * whole - big1 - big2)
 
 
+def _kappa(t1: float, t2: float, t3: float) -> float:
+    """t1^2 + t2^2 + t3^2 - t1*t2*t3 - 4, the one place the discriminant is written."""
+    return t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 4.0
+
+
 def kappa(c: CharacterTriple) -> float:
     """Floating discriminant t1^2 + t2^2 + t3^2 - t1*t2*t3 - 4 of the triple.
 
     Negative inside the unitary region, zero on the reducible walls, positive
     outside; used only to corroborate the exact tests.
     """
-    t1, t2, t3 = c.tx.value, c.ty.value, c.tz.value
-    return t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 4.0
+    return _kappa(c.tx.value, c.ty.value, c.tz.value)
 
 
 def classify(c: CharacterTriple) -> ClassLabel:
@@ -280,7 +290,7 @@ def classify(c: CharacterTriple) -> ClassLabel:
     big3 = tz.n * (lcm // tz.q)
     if big3 == lower or big3 == upper:
         return _REDUCIBLE
-    k = kappa(c)
+    k = _kappa(tx.value, ty.value, tz.value)
     if lower < big3 < upper:
         if not k < -KAPPA_TOLERANCE:
             raise InconsistentClassification(f"unitary triple with kappa = {k}")
@@ -290,10 +300,8 @@ def classify(c: CharacterTriple) -> ClassLabel:
     return _SL2R
 
 
-def enumerate_su2(
-    params: BrieskornParams, sigma: SeifertInvariant
-) -> list[CharacterTriple]:
-    """Trace triples of all irreducible unitary classes, in rotation-number order.
+class UnitaryClasses:
+    """The irreducible unitary classes of one sphere, as (l1, l2, l3, epsilon) rows.
 
     For central sign epsilon, generator i is a rotation by pi*l_i/a_i whose
     a_i-th power must be epsilon**(-b_i) * I, forcing l_i even when epsilon
@@ -302,45 +310,58 @@ def enumerate_su2(
     l2*a/a2 over the common denominator a, the test classify makes. So each
     (l1, l2) lists its l3 as one range: from the first l3 above the lower end,
     moved onto the parity, up to the last l3 below the upper end. The upper
-    end is at most a, so l3 stays below a3. Each survivor must also pass
-    classify's float cross-check, kappa < -KAPPA_TOLERANCE, and the count
-    must match the closed form (a1-1)(a2-1)(a3-1)/4 - |X0|.
+    end is at most a, so l3 stays below a3. Each row must also pass
+    classify's float cross-check, kappa < -KAPPA_TOLERANCE, on the memo's
+    trace values. The rows are in rotation-number order.
 
     The keys are distinct by construction: distinct 0 < l_i < a_i fold to
     distinct reduced pairs, and since sum b_i*a/a_i = +-1 the b_i are never
-    all even, so no tuple survives under both signs. Each trace value is
-    folded and evaluated once, through a per-call TraceMemo.
+    all even, so no tuple survives under both signs. The count is not
+    checked here: CountReport.of and enumerate_su2 check it.
     """
-    memo = TraceMemo(params, sigma)
-    if sigma.b != 0:
-        raise ValueError("unitary enumeration needs data with b = 0 (product relator xyz = 1)")
-    a1, a2, a3 = params.triple
-    a = params.a
-    f1, f2, f3 = a // a1, a // a2, a // a3
-    survivors: list[tuple[int, int, int, int]] = []
-    for eps in (-1, 1):
-        starts = [
-            2 if (eps == 1 or bi % 2 == 0) else 1
-            for bi in sigma.coefficients
-        ]
-        for l1 in range(starts[0], a1, 2):
-            big1 = l1 * f1
-            for l2 in range(starts[1], a2, 2):
-                lower, upper = _window(big1, l2 * f2, a)
-                # the first l3 of the parity of starts[2] with l3*f3 > lower
-                first = lower // f3 + 1
-                first += (first - starts[2]) % 2
-                survivors += [(l1, l2, l3, eps) for l3 in range(first, (upper - 1) // f3 + 1, 2)]
-    survivors.sort()
-    # 0 < l_i < a_i is already a folded key
-    traces1, traces2, traces3 = memo.generators
-    triples: list[CharacterTriple] = []
-    for l1, l2, l3, eps in survivors:
-        triple = CharacterTriple._signed(traces1[l1], traces2[l2], traces3[l3], eps)
-        k = kappa(triple)
-        if not k < -KAPPA_TOLERANCE:
-            raise InconsistentClassification(f"unitary triple with kappa = {k}")
-        triples.append(triple)
+
+    def __init__(self, params: BrieskornParams, sigma: SeifertInvariant) -> None:
+        self.memo = memo = TraceMemo(params, sigma)
+        if sigma.b != 0:
+            raise ValueError("unitary enumeration needs data with b = 0 (product relator xyz = 1)")
+        a1, a2, a3 = params.triple
+        a = params.a
+        f1, f2, f3 = a // a1, a // a2, a // a3
+        rows: list[tuple[int, int, int, int]] = []
+        for eps in (-1, 1):
+            starts = [2 if (eps == 1 or bi % 2 == 0) else 1 for bi in sigma.coefficients]
+            for l1 in range(starts[0], a1, 2):
+                big1 = l1 * f1
+                for l2 in range(starts[1], a2, 2):
+                    lower, upper = _window(big1, l2 * f2, a)
+                    # the first l3 of the parity of starts[2] with l3*f3 > lower
+                    first = lower // f3 + 1
+                    first += (first - starts[2]) % 2
+                    rows += [(l1, l2, l3, eps) for l3 in range(first, (upper - 1) // f3 + 1, 2)]
+        rows.sort()
+        # 0 < l_i < a_i is already a folded key
+        traces1, traces2, traces3 = memo.generators
+        for l1, l2, l3, _ in rows:
+            k = _kappa(traces1[l1].value, traces2[l2].value, traces3[l3].value)
+            if not k < -KAPPA_TOLERANCE:
+                raise InconsistentClassification(f"unitary triple with kappa = {k}")
+        self.rows = rows
+
+    @cached_property
+    def triples(self) -> list[CharacterTriple]:
+        """The rows as CharacterTriple views through the memo, built on first read."""
+        traces1, traces2, traces3 = self.memo.generators
+        make = CharacterTriple._signed
+        return [make(traces1[l1], traces2[l2], traces3[l3], eps) for l1, l2, l3, eps in self.rows]
+
+
+def enumerate_su2(params: BrieskornParams, sigma: SeifertInvariant) -> list[CharacterTriple]:
+    """Trace triples of all irreducible unitary classes, in rotation-number order.
+
+    The views of UnitaryClasses, whose count must match the closed form
+    (a1-1)(a2-1)(a3-1)/4 - |X0| from a fresh X0 scan.
+    """
+    triples = UnitaryClasses(params, sigma).triples
     expected = _total_count(params) - len(enumerate_X0(params))
     if len(triples) != expected:
         raise CountMismatch(
@@ -360,10 +381,29 @@ def phi_map(
 ) -> list[tuple[EulerClass, CharacterTriple]]:
     """The class-to-triple map on the beta = -1 classes, with injectivity asserted.
 
-    Each trace value is folded and evaluated once, through a per-call TraceMemo.
+    One loop over enumerate_E. A class (-1; k, l, m) selects a cover of order
+    a - S, with S its cleared sum below a, and TraceMemo.triple_of says how
+    the triple follows from that order. Here the fold of each -order*b_i is
+    written inline: reduce mod 2a_i, then mirror a residue above a_i, which
+    is the memo's key. Each TraceValue is built and evaluated once per call,
+    in a per-call TraceMemo.
     """
     memo = TraceMemo(params, sigma)
-    pairs = [(eu, memo.triple_of(eu)) for eu in enumerate_E(params)]
+    a = params.a
+    (a1, a2, a3), (b1, b2, b3) = params.triple, memo.coefficients
+    traces1, traces2, traces3 = memo.generators
+    make = CharacterTriple._signed
+    pairs = []
+    for eu in enumerate_E(params):
+        order = a - eu.cleared_sum()
+        r1, r2, r3 = -order * b1 % (2 * a1), -order * b2 % (2 * a2), -order * b3 % (2 * a3)
+        triple = make(
+            traces1[2 * a1 - r1 if r1 > a1 else r1],
+            traces2[2 * a2 - r2 if r2 > a2 else r2],
+            traces3[2 * a3 - r3 if r3 > a3 else r3],
+            -1 if order % 2 else 1,
+        )
+        pairs.append((eu, triple))
     keys = [triple.key for _, triple in pairs]
     if len(set(keys)) != len(keys):
         raise InjectivityViolation(

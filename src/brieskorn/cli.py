@@ -16,8 +16,8 @@ import sys
 from .character import (
     ClassLabel,
     CountReport,
+    UnitaryClasses,
     classify,
-    enumerate_su2,
     phi_map,
 )
 from .errors import (
@@ -129,14 +129,20 @@ def sphere_summary(
 ):
     """One pass over a sphere: enumerate, classify, count and (with verify) certify every class.
 
+    Each lattice is walked once. The unitary classes stay integer rows, and
+    their count is checked once, by CountReport.of against the closed-form
+    total: with sl2r = |X0|, total = su2 + sl2r is the check su2 = total - |X0|.
+    Their CharacterTriple views are built only when verify certifies them
+    or a caller reads them to print.
+
     Returns the summary record (params, counts, and with verify the
-    verification block), the pulled-back pairs, the unitary triples, and the
+    verification block), the pulled-back pairs, the UnitaryClasses, and the
     certificates of the pulled-back stack then the unitary one (empty without
     verify). Every assertion runs before anything is returned.
     """
     pairs = phi_map(params, sigma)
-    su2_triples = enumerate_su2(params, sigma)
-    counts = CountReport.of(params, su2=len(su2_triples), sl2r=len(pairs))
+    unitary = UnitaryClasses(params, sigma)
+    counts = CountReport.of(params, su2=len(unitary.rows), sl2r=len(pairs))
     for eu, triple in pairs:
         label = classify(triple)
         if label is not ClassLabel.SL2R:
@@ -150,7 +156,7 @@ def sphere_summary(
         # an SL(2,R) class is named by its euler class, a unitary one by its traces
         for names, triples, real_form in (
             ([eu for eu, _ in pairs], [t for _, t in pairs], ClassLabel.SL2R),
-            (su2_triples, su2_triples, ClassLabel.SU2),
+            (unitary.triples, unitary.triples, ClassLabel.SU2),
         ):
             cert = certify_classes(triples, sigma, real_form, tol)
             passed = cert.passed
@@ -186,7 +192,7 @@ def sphere_summary(
             "min_gap": min(cert.min_gap for cert in certificates),
             "passed": True,
         }
-    return summary, pairs, su2_triples, certificates
+    return summary, pairs, unitary, certificates
 
 
 def build_record(
@@ -203,7 +209,7 @@ def build_record(
     onto the brute-force condition-b classes. The partners' trace triples are
     not folded again: reversed_trace_check says why they agree by construction.
     """
-    record, pairs, su2_triples, certificates = sphere_summary(params, sigma, verify, tol)
+    record, pairs, unitary, certificates = sphere_summary(params, sigma, verify, tol)
     leaves: dict = {}
     record["seifert"] = {
         "b": sigma.b,
@@ -220,7 +226,7 @@ def build_record(
         entry["cover_h1"] = abs(eu.cover_euler_number())
         sl2r_classes.append(entry)
     su2_classes = record["su2_classes"] = [
-        _triple_entry(triple, ClassLabel.SU2.value, leaves) for triple in su2_triples
+        _triple_entry(triple, ClassLabel.SU2.value, leaves) for triple in unitary.triples
     ]
     # certificates hold the pulled-back stack, then the unitary one, each in its list's order
     for entries, cert in zip((sl2r_classes, su2_classes), certificates):

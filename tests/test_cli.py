@@ -15,7 +15,7 @@ import brieskorn
 import brieskorn.character
 import brieskorn.cli
 import brieskorn.realize
-from brieskorn.character import ClassLabel, phi_map
+from brieskorn.character import ClassLabel, UnitaryClasses, phi_map
 from brieskorn.cli import (
     build_record,
     census_params,
@@ -285,7 +285,7 @@ def test_build_record_checks_the_sphere_data_per_sphere_not_per_class(monkeypatc
     params = canonicalize_params(7, 11, 13)
     record = build_record(params, solve_seifert(params), "canonical", condition_b=True)
     assert len(record["condition_b_classes"]) == len(record["sl2r_classes"]) == 100
-    # 2 today: the memos of phi_map and enumerate_su2
+    # 2 today: the memos of phi_map and UnitaryClasses
     assert len(calls) < len(record["condition_b_classes"])
 
 
@@ -526,6 +526,46 @@ def test_census_deterministic(capsys):
     _, first, _ = run(capsys, "census", "120", "--format", "json")
     _, second, _ = run(capsys, "census", "120", "--format", "json")
     assert first == second
+
+
+def test_census_fails_when_a_pulled_back_class_is_classified_unitary(monkeypatch, capsys):
+    # classify is the exact check on every pulled-back class of the census path
+    classify = brieskorn.cli.classify
+    monkeypatch.setattr(
+        brieskorn.cli,
+        "classify",
+        lambda tri: ClassLabel.SU2 if tri.key == (1, 2, 2, 3, 6, 7) else classify(tri),
+    )
+    assert run(capsys, "census", "1000") == (
+        1,
+        "(2,3,5) a=30 total=2 su2=2 sl2r=0 |casson|=1 sl2c=2\n",
+        "census aborted at (2,3,7): pulled-back class (-1; 1,1,1) classified as SU2\n",
+    )
+
+
+def test_census_fails_when_a_unitary_row_is_missing(monkeypatch, capsys):
+    # the census path scans X0 once, so CountReport.of is its one unitary count check
+    class Short(UnitaryClasses):
+        def __init__(self, params, sigma):
+            super().__init__(params, sigma)
+            if params.triple == (3, 5, 7):
+                del self.rows[3]
+
+    monkeypatch.setattr(brieskorn.cli, "UnitaryClasses", Short)
+    code, out, err = run(capsys, "census", "1000")
+    assert code == 1
+    assert len(out.splitlines()) == 9  # the spheres before (3,5,7)
+    assert err == "census aborted at (3,5,7): total 12 != su2 7 + sl2r 4\n"
+
+
+def test_census_fails_when_two_pulled_back_triples_collide(monkeypatch, capsys):
+    enumerate_E = brieskorn.character.enumerate_E
+    monkeypatch.setattr(brieskorn.character, "enumerate_E", lambda params: enumerate_E(params) * 2)
+    assert run(capsys, "census", "1000") == (
+        1,
+        "(2,3,5) a=30 total=2 su2=2 sl2r=0 |casson|=1 sl2c=2\n",
+        "census aborted at (2,3,7): distinct euler classes of (2, 3, 7) share a trace triple\n",
+    )
 
 
 def test_census_params_ordering_and_bound():

@@ -14,6 +14,7 @@ from brieskorn.character import (
     ClassLabel,
     CountReport,
     TraceValue,
+    UnitaryClasses,
     classify,
     enumerate_su2,
     kappa,
@@ -30,11 +31,13 @@ from brieskorn.euler import (
     seifert_from_euler,
 )
 from brieskorn.seifert import (
+    SeifertInvariant,
     canonicalize_params,
     cleared_euler_number,
     euler_number,
     h1_order,
     solve_seifert,
+    sphere_convention_sign,
 )
 
 SWEEP = census_params(400)
@@ -254,8 +257,11 @@ def fresh_value(tv: TraceValue) -> float:
     return 2.0 * math.cos(math.pi * (tv.n / tv.q))
 
 
-def fresh_su2_triples(params, sigma):
-    """Every window candidate folded afresh and kept when classify says SU2, in rotation-number order."""
+def fresh_su2_rows(params, sigma):
+    """Every window candidate folded afresh and kept when classify says SU2, in rotation-number order.
+
+    Each row is ((l1, l2, l3), epsilon, triple).
+    """
     found = []
     for eps in (-1, 1):
         ranges = [
@@ -268,7 +274,7 @@ def fresh_su2_triples(params, sigma):
             )
             if classify(tri) is ClassLabel.SU2:
                 found.append((ls, eps, tri))
-    return [tri for _, _, tri in sorted(found, key=lambda row: (row[0], row[1]))]
+    return sorted(found, key=lambda row: (row[0], row[1]))
 
 
 def fresh_triple(eu, sigma):
@@ -280,23 +286,56 @@ def fresh_triple(eu, sigma):
     )
 
 
+def check_against_fresh_folds(params, sigma):
+    """phi_map, the unitary rows and their views against folds made afresh, without a memo."""
+    pairs = phi_map(params, sigma)
+    for eu, tri in pairs:
+        assert tri == fresh_triple(eu, sigma)
+    unitary = UnitaryClasses(params, sigma)
+    fresh = fresh_su2_rows(params, sigma)
+    assert unitary.rows == [(*ls, eps) for ls, eps, _ in fresh]
+    assert unitary.triples == [tri for _, _, tri in fresh]
+    assert len(unitary.rows) + len(pairs) == (params.a1 - 1) * (params.a2 - 1) * (params.a3 - 1) // 4
+    for triples in (unitary.triples, [tri for _, tri in pairs]):
+        traces = [tv for tri in triples for tv in (tri.tx, tri.ty, tri.tz)]
+        for tv in traces:
+            expected = fresh_value(tv)
+            assert tv.value == expected
+            assert TraceValue(tv.n, tv.q).value == expected
+        # one object per distinct trace value: each walk's memo is keyed by folded angles
+        assert len({id(tv) for tv in traces}) == len(set(traces))
+
+
+def negated(sigma):
+    """The same sphere's data with every coefficient negated: convention sign -1."""
+    return SeifertInvariant(0, tuple((ai, -bi) for ai, bi in sigma.pairs))
+
+
+def odd_b2(sigma):
+    """The same euler number with (b1 + a1, b2 - a2, b3); b2 changes parity, since a2 is odd."""
+    (a1, b1), (a2, b2), (a3, b3) = sigma.pairs
+    return SeifertInvariant(0, ((a1, b1 + a1), (a2, b2 - a2), (a3, b3)))
+
+
 def test_memoized_triples_match_fresh_folds():
     # each sphere's memo shares one TraceValue per distinct trace; the triples
     # and every carried float must equal ones folded and evaluated afresh. The
     # last two spheres have a3 > 2000 and wide SU(2) windows.
     wide = [canonicalize_params(2, 3, 6007), canonicalize_params(7, 11, 2003)]
     for params in census_params(1000) + wide:
-        sigma = solve_seifert(params)
-        pairs = phi_map(params, sigma)
-        for eu, tri in pairs:
-            assert tri == fresh_triple(eu, sigma)
-        su2 = enumerate_su2(params, sigma)
-        assert su2 == fresh_su2_triples(params, sigma)
-        for tri in su2 + [tri for _, tri in pairs]:
-            for tv in (tri.tx, tri.ty, tri.tz):
-                expected = fresh_value(tv)
-                assert tv.value == expected
-                assert TraceValue(tv.n, tv.q).value == expected
+        check_against_fresh_folds(params, solve_seifert(params))
+
+
+@pytest.mark.parametrize("override, sign", [(negated, -1), (odd_b2, 1)], ids=["negated", "odd_b2"])
+def test_memoized_triples_match_fresh_folds_on_override_data(override, sign):
+    # canonical data has b1 odd and b2, b3 even on every sphere. Negated data
+    # flip the sign of every -order*b_i before the fold; odd_b2 data walk the
+    # odd l2 ranges of the epsilon = -1 rows, and the even l1 ones when a1 is odd
+    assert odd_b2(solve_seifert(canonicalize_params(7, 11, 13))).coefficients == (12, -7, -14)
+    for params in census_params(1000):
+        sigma = override(solve_seifert(params))
+        assert sphere_convention_sign(sigma) == sign
+        check_against_fresh_folds(params, sigma)
 
 
 def test_lattice_makers_build_what_the_public_constructors_build():

@@ -11,6 +11,11 @@ differ, and exits 1 if any differ. The command set:
 - census 3000 and census 1000 --verify, each in text, csv and json;
 - analyze 4 3 127 --verify and analyze 2 3 7 --verify --tol 1e-16;
 - every PINNED_STDOUT command, read from tests/test_cli.py;
+- analyze 7 11 13 with three --seifert overrides (every coefficient
+  negated, so convention sign -1; b2 odd; and b = 1, normalized to the
+  odd-b2 data), each in text, --format json, --verify and --condition-b;
+- analyze 3 5 211 --seifert=0,-5,-2,436 in text and with --verify, which
+  exits 1 on the known float64 certificate failure;
 - analyze --verify --format json, analyze --condition-b and
   analyze --condition-b --format json on 60 spheres: the middle sphere of
   each of 60 equal slices of census_params(6000), the spheres the
@@ -80,6 +85,11 @@ def commands(census_params) -> list[list[str]]:
         ["analyze", "2", "3", "7", "--verify", "--tol", "1e-16"],
     ]
     out += pinned_commands()
+    for data in ("0,-5,-4,14", "0,12,-7,-14", "1,12,-18,-14"):
+        base = ["analyze", "7", "11", "13", f"--seifert={data}"]
+        out += [base, base + ["--format", "json"], base + ["--verify"], base + ["--condition-b"]]
+    base = ["analyze", "3", "5", "211", "--seifert=0,-5,-2,436"]
+    out += [base, base + ["--verify"]]
     for triple in sampled_spheres(census_params):
         given = list(map(str, triple))
         out += [
