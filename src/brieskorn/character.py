@@ -201,12 +201,6 @@ class _GeneratorTraces(dict):
         tv = self[r] = TraceValue(r, self.q)
         return tv
 
-    def trace(self, n: int) -> TraceValue:
-        """TraceValue(n, q), through the memo."""
-        q = self.q
-        r = n % (2 * q)
-        return self[2 * q - r if r > q else r]
-
 
 class TraceMemo:
     """One sphere's trace values, each folded and evaluated once per generator.
@@ -220,6 +214,8 @@ class TraceMemo:
         self.params = params
         self.coefficients = sigma.coefficients
         self.generators = tuple(_GeneratorTraces(ai) for ai in params.triple)
+        # a_i, b_i and the memo of each generator, unpacked at once per class
+        self._fold = (*params.triple, *sigma.coefficients, *self.generators)
 
     def triple_of(self, eu: EulerClass) -> CharacterTriple:
         """Trace triple of the class attached to eu, computed from the covering order.
@@ -237,13 +233,20 @@ class TraceMemo:
         """
         if eu.params is not self.params and eu.params != self.params:
             raise ValueError("euler class belongs to another sphere")
-        order = abs(eu.cover_euler_number())
-        b1, b2, b3 = self.coefficients
-        traces1, traces2, traces3 = self.generators
+        return self._triple_for_order(abs(eu.cover_euler_number()))
+
+    def _triple_for_order(self, order: int) -> CharacterTriple:
+        """The triple of a class whose cover has homology of this order, as triple_of says.
+
+        Each -order*b_i is reduced mod 2a_i and a residue above a_i is
+        mirrored, which is the memo's key for TraceValue(-order*b_i, a_i).
+        """
+        a1, a2, a3, b1, b2, b3, traces1, traces2, traces3 = self._fold
+        r1, r2, r3 = -order * b1 % (2 * a1), -order * b2 % (2 * a2), -order * b3 % (2 * a3)
         return CharacterTriple._signed(
-            traces1.trace(-order * b1),
-            traces2.trace(-order * b2),
-            traces3.trace(-order * b3),
+            traces1[2 * a1 - r1 if r1 > a1 else r1],
+            traces2[2 * a2 - r2 if r2 > a2 else r2],
+            traces3[2 * a3 - r3 if r3 > a3 else r3],
             -1 if order % 2 else 1,
         )
 
@@ -383,27 +386,14 @@ def phi_map(
 
     One loop over enumerate_E. A class (-1; k, l, m) selects a cover of order
     a - S, with S its cleared sum below a, and TraceMemo.triple_of says how
-    the triple follows from that order. Here the fold of each -order*b_i is
-    written inline: reduce mod 2a_i, then mirror a residue above a_i, which
-    is the memo's key. Each TraceValue is built and evaluated once per call,
-    in a per-call TraceMemo.
+    the triple follows from that order; the same memo method makes it here
+    from the cleared sum, without a cover euler number per class. Each
+    TraceValue is built and evaluated once per call, in a per-call TraceMemo.
     """
     memo = TraceMemo(params, sigma)
     a = params.a
-    (a1, a2, a3), (b1, b2, b3) = params.triple, memo.coefficients
-    traces1, traces2, traces3 = memo.generators
-    make = CharacterTriple._signed
-    pairs = []
-    for eu in enumerate_E(params):
-        order = a - eu.cleared_sum()
-        r1, r2, r3 = -order * b1 % (2 * a1), -order * b2 % (2 * a2), -order * b3 % (2 * a3)
-        triple = make(
-            traces1[2 * a1 - r1 if r1 > a1 else r1],
-            traces2[2 * a2 - r2 if r2 > a2 else r2],
-            traces3[2 * a3 - r3 if r3 > a3 else r3],
-            -1 if order % 2 else 1,
-        )
-        pairs.append((eu, triple))
+    triple_for_order = memo._triple_for_order
+    pairs = [(eu, triple_for_order(a - eu.cleared_sum())) for eu in enumerate_E(params)]
     keys = [triple.key for _, triple in pairs]
     if len(set(keys)) != len(keys):
         raise InjectivityViolation(

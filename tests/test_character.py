@@ -326,8 +326,12 @@ def test_trace_memo_holds_each_folded_trace_once():
     for generator, ai in zip(memo.generators, params.triple):
         assert 0 < len(generator) <= ai + 1
         assert all(0 <= r <= ai and tv == TraceValue(r, ai) for r, tv in generator.items())
-        for n in range(-3 * ai, 3 * ai):
-            assert generator.trace(n) == TraceValue(n, ai)
+    # the memo's fold against fresh TraceValues, over residues of both signs
+    for order in range(-300, 300):
+        tri = memo._triple_for_order(order)
+        fresh = [TraceValue(-order * bi, ai) for bi, ai in zip(sigma.coefficients, params.triple)]
+        assert [tri.tx, tri.ty, tri.tz] == fresh
+        assert tri.epsilon == (-1 if order % 2 else 1)
     # one object per distinct trace value
     values = {id(tv) for _, tri in pairs for tv in (tri.tx, tri.ty, tri.tz)}
     assert len(values) <= sum(len(generator) for generator in memo.generators)
