@@ -7,10 +7,13 @@ The module enumerates the unitary classes directly and produces the real
 (non-unitary) classes by pulling back rotations through the coverings that
 the euler classes select.
 
-Each sphere's lattices are walked once. phi_map folds each pulled-back
-class's traces from its cleared sum, and UnitaryClasses holds the unitary
-classes as (l1, l2, l3, epsilon) integer rows; a CharacterTriple view of a
-row is built only where a class is printed or certified.
+Each sphere's lattices are walked once, through one TraceMemo. Both kinds
+of class are integer rows on that memo: PulledBackClasses holds the
+beta = -1 classes as (k, l, m, order) rows and folds each triple from the
+cover order, and UnitaryClasses holds the unitary classes as
+(l1, l2, l3, epsilon) rows. An EulerClass or unitary CharacterTriple view
+of a row is built only where a class is printed or certified; phi_map and
+enumerate_su2 build those views over a fresh memo.
 """
 
 from __future__ import annotations
@@ -212,7 +215,7 @@ class TraceMemo:
     def __init__(self, params: BrieskornParams, sigma: SeifertInvariant) -> None:
         _check_sphere_data(params, sigma)
         self.params = params
-        self.coefficients = sigma.coefficients
+        self.sigma = sigma
         self.generators = tuple(_GeneratorTraces(ai) for ai in params.triple)
         # a_i, b_i and the memo of each generator, unpacked at once per class
         self._fold = (*params.triple, *sigma.coefficients, *self.generators)
@@ -303,6 +306,42 @@ def classify(c: CharacterTriple) -> ClassLabel:
     return _SL2R
 
 
+class PulledBackClasses:
+    """The beta = -1 classes of one sphere, as (k, l, m, order) rows on one TraceMemo.
+
+    There is one row per X0 lattice point, in enumerate_X0's order: the
+    class (-1; k, l, m) and order = a - k*c1 - l*c2 - m*c3 (c_i = a/a_i),
+    the homology order of the cover the class selects. Its trace triple is
+    memo._triple_for_order(order), the fold TraceMemo.triple_of describes;
+    the triples are checked pairwise distinct here. The EulerClass views are
+    built on first read of .classes.
+    """
+
+    def __init__(self, memo: TraceMemo) -> None:
+        self.memo = memo
+        params = memo.params
+        a1, a2, a3 = params.triple
+        a = params.a
+        c1, c2, c3 = a2 * a3, a1 * a3, a1 * a2
+        self.rows = rows = [
+            (k, l, m, a - k * c1 - l * c2 - m * c3) for k, l, m in enumerate_X0(params)
+        ]
+        triple_for_order = memo._triple_for_order
+        self.triples = triples = [triple_for_order(row[3]) for row in rows]
+        if len({triple.key for triple in triples}) != len(triples):
+            raise InjectivityViolation(
+                f"distinct euler classes of {params.triple} share a trace triple"
+            )
+
+    @cached_property
+    def classes(self) -> list[EulerClass]:
+        """The rows as EulerClass views (-1; k, l, m), built on first read."""
+        params = self.memo.params
+        a = params.a
+        make = EulerClass._in_range
+        return [make(params, -1, k, l, m, a - order) for k, l, m, order in self.rows]
+
+
 class UnitaryClasses:
     """The irreducible unitary classes of one sphere, as (l1, l2, l3, epsilon) rows.
 
@@ -320,11 +359,13 @@ class UnitaryClasses:
     The keys are distinct by construction: distinct 0 < l_i < a_i fold to
     distinct reduced pairs, and since sum b_i*a/a_i = +-1 the b_i are never
     all even, so no tuple survives under both signs. The count is not
-    checked here: CountReport.of and enumerate_su2 check it.
+    checked here: CountReport.of and enumerate_su2 check it. The memo is the
+    sphere's one TraceMemo, which PulledBackClasses may share.
     """
 
-    def __init__(self, params: BrieskornParams, sigma: SeifertInvariant) -> None:
-        self.memo = memo = TraceMemo(params, sigma)
+    def __init__(self, memo: TraceMemo) -> None:
+        self.memo = memo
+        params, sigma = memo.params, memo.sigma
         if sigma.b != 0:
             raise ValueError("unitary enumeration needs data with b = 0 (product relator xyz = 1)")
         a1, a2, a3 = params.triple
@@ -361,10 +402,10 @@ class UnitaryClasses:
 def enumerate_su2(params: BrieskornParams, sigma: SeifertInvariant) -> list[CharacterTriple]:
     """Trace triples of all irreducible unitary classes, in rotation-number order.
 
-    The views of UnitaryClasses, whose count must match the closed form
-    (a1-1)(a2-1)(a3-1)/4 - |X0| from a fresh X0 scan.
+    The views of UnitaryClasses over a fresh TraceMemo, whose count must
+    match the closed form (a1-1)(a2-1)(a3-1)/4 - |X0| from a fresh X0 scan.
     """
-    triples = UnitaryClasses(params, sigma).triples
+    triples = UnitaryClasses(TraceMemo(params, sigma)).triples
     expected = _total_count(params) - len(enumerate_X0(params))
     if len(triples) != expected:
         raise CountMismatch(
@@ -384,22 +425,13 @@ def phi_map(
 ) -> list[tuple[EulerClass, CharacterTriple]]:
     """The class-to-triple map on the beta = -1 classes, with injectivity asserted.
 
-    One loop over enumerate_E. A class (-1; k, l, m) selects a cover of order
-    a - S, with S its cleared sum below a, and TraceMemo.triple_of says how
-    the triple follows from that order; the same memo method makes it here
-    from the cleared sum, without a cover euler number per class. Each
-    TraceValue is built and evaluated once per call, in a per-call TraceMemo.
+    The (euler class, trace triple) pairs of PulledBackClasses over a fresh
+    TraceMemo, in enumerate_E's order: a class (-1; k, l, m) selects a cover
+    of order a - S, with S its cleared sum, and TraceMemo.triple_of says how
+    the triple follows from that order. The CLI reads the table itself.
     """
-    memo = TraceMemo(params, sigma)
-    a = params.a
-    triple_for_order = memo._triple_for_order
-    pairs = [(eu, triple_for_order(a - eu.cleared_sum())) for eu in enumerate_E(params)]
-    keys = [triple.key for _, triple in pairs]
-    if len(set(keys)) != len(keys):
-        raise InjectivityViolation(
-            f"distinct euler classes of {params.triple} share a trace triple"
-        )
-    return pairs
+    table = PulledBackClasses(TraceMemo(params, sigma))
+    return list(zip(table.classes, table.triples))
 
 
 def reversed_trace_check(

@@ -16,9 +16,10 @@ import sys
 from .character import (
     ClassLabel,
     CountReport,
+    PulledBackClasses,
+    TraceMemo,
     UnitaryClasses,
     classify,
-    phi_map,
 )
 from .errors import (
     BrieskornError,
@@ -129,47 +130,51 @@ def sphere_summary(
 ):
     """One pass over a sphere: enumerate, classify, count and (with verify) certify every class.
 
-    Each lattice is walked once. The unitary classes stay integer rows, and
-    their count is checked once, by CountReport.of against the closed-form
-    total: with sl2r = |X0|, total = su2 + sl2r is the check su2 = total - |X0|.
-    Their CharacterTriple views are built only when verify certifies them
+    One TraceMemo serves the sphere, so its data is checked once, and both
+    tables read it: PulledBackClasses for the beta = -1 classes and
+    UnitaryClasses for the unitary ones. Each lattice is walked once, and
+    the classes stay integer rows. The unitary count is checked once, by
+    CountReport.of against the closed-form total: with sl2r = |X0|,
+    total = su2 + sl2r is the check su2 = total - |X0|. classify checks
+    every pulled-back triple independently. EulerClass and unitary
+    CharacterTriple views are built only when verify certifies the classes
     or a caller reads them to print.
 
     Returns the summary record (params, counts, and with verify the
-    verification block), the pulled-back pairs, the UnitaryClasses, and the
+    verification block), the PulledBackClasses, the UnitaryClasses, and the
     certificates of the pulled-back stack then the unitary one (empty without
     verify). Every assertion runs before anything is returned.
     """
-    pairs = phi_map(params, sigma)
-    unitary = UnitaryClasses(params, sigma)
-    counts = CountReport.of(params, su2=len(unitary.rows), sl2r=len(pairs))
-    for eu, triple in pairs:
+    memo = TraceMemo(params, sigma)
+    pulled = PulledBackClasses(memo)
+    unitary = UnitaryClasses(memo)
+    counts = CountReport.of(params, su2=len(unitary.rows), sl2r=len(pulled.rows))
+    sl2r = ClassLabel.SL2R
+    for i, triple in enumerate(pulled.triples):
         label = classify(triple)
-        if label is not ClassLabel.SL2R:
+        if label is not sl2r:
             raise InconsistentClassification(
-                f"pulled-back class {eu} classified as {label.value}"
+                f"pulled-back class {pulled.classes[i]} classified as {label.value}"
             )
     certificates = []
     if verify:
         from .realize import certify_classes  # numpy loads only when a class is certified
 
-        # an SL(2,R) class is named by its euler class, a unitary one by its traces
-        for names, triples, real_form in (
-            ([eu for eu, _ in pairs], [t for _, t in pairs], ClassLabel.SL2R),
-            (unitary.triples, unitary.triples, ClassLabel.SU2),
-        ):
-            cert = certify_classes(triples, sigma, real_form, tol)
+        for table, real_form in ((pulled, sl2r), (unitary, ClassLabel.SU2)):
+            cert = certify_classes(table.triples, sigma, real_form, tol)
             passed = cert.passed
             if not passed.all():
                 k = int(passed.argmin())
+                # an SL(2,R) class is named by its euler class, a unitary one by its traces
+                name = pulled.classes[k] if table is pulled else unitary.triples[k]
                 j = int(cert.residuals[k].argmax())
                 if cert.residuals[k, j] < tol:  # every relation held, so the gap failed
                     raise BrieskornError(
                         f"commutator gap not above tolerance on {params.triple}: "
-                        f"class {names[k]}, gap {float(cert.gaps[k])!r}, tol {tol:g}"
+                        f"class {name}, gap {float(cert.gaps[k])!r}, tol {tol:g}"
                     )
                 raise BrieskornError(
-                    f"relation residuals exceed tolerance on {params.triple}: class {names[k]}, "
+                    f"relation residuals exceed tolerance on {params.triple}: class {name}, "
                     f"relation {cert.relations[j]} residual {float(cert.residuals[k, j])!r}, "
                     f"gap {float(cert.gaps[k])!r}, tol {tol:g}"
                 )
@@ -192,7 +197,7 @@ def sphere_summary(
             "min_gap": min(cert.min_gap for cert in certificates),
             "passed": True,
         }
-    return summary, pairs, unitary, certificates
+    return summary, pulled, unitary, certificates
 
 
 def build_record(
@@ -209,8 +214,9 @@ def build_record(
     onto the brute-force condition-b classes. The partners' trace triples are
     not folded again: reversed_trace_check says why they agree by construction.
     """
-    record, pairs, unitary, certificates = sphere_summary(params, sigma, verify, tol)
+    record, pulled, unitary, certificates = sphere_summary(params, sigma, verify, tol)
     leaves: dict = {}
+    sl2r_label, su2_label = ClassLabel.SL2R.value, ClassLabel.SU2.value
     record["seifert"] = {
         "b": sigma.b,
         "coefficients": list(sigma.coefficients),
@@ -220,13 +226,13 @@ def build_record(
         "convention_sign": sphere_convention_sign(sigma),
     }
     sl2r_classes = record["sl2r_classes"] = []
-    for eu, triple in pairs:
-        entry = _triple_entry(triple, ClassLabel.SL2R.value, leaves)
+    for eu, triple, row in zip(pulled.classes, pulled.triples, pulled.rows):
+        entry = _triple_entry(triple, sl2r_label, leaves)
         entry["euler_class"] = _euler_entry(eu)
-        entry["cover_h1"] = abs(eu.cover_euler_number())
+        entry["cover_h1"] = row[3]
         sl2r_classes.append(entry)
     su2_classes = record["su2_classes"] = [
-        _triple_entry(triple, ClassLabel.SU2.value, leaves) for triple in unitary.triples
+        _triple_entry(triple, su2_label, leaves) for triple in unitary.triples
     ]
     # certificates hold the pulled-back stack, then the unitary one, each in its list's order
     for entries, cert in zip((sl2r_classes, su2_classes), certificates):
@@ -240,7 +246,7 @@ def build_record(
         # reverses that order, and enumerate_condition_b lists ascending. So the reversal
         # is a bijection exactly when it maps the pulled-back classes, taken backwards,
         # onto the brute-force list entry by entry; any gap, extra or duplicate breaks that.
-        if [reverse_orientation(eu) for eu, _ in reversed(pairs)] != reversed_classes:
+        if [reverse_orientation(eu) for eu in reversed(pulled.classes)] != reversed_classes:
             raise BrieskornError(
                 f"orientation reversal is not a bijection on {params.triple}"
             )

@@ -285,8 +285,8 @@ def test_build_record_checks_the_sphere_data_per_sphere_not_per_class(monkeypatc
     params = canonicalize_params(7, 11, 13)
     record = build_record(params, solve_seifert(params), "canonical", condition_b=True)
     assert len(record["condition_b_classes"]) == len(record["sl2r_classes"]) == 100
-    # 2 today: the memos of phi_map and UnitaryClasses
-    assert len(calls) < len(record["condition_b_classes"])
+    # one TraceMemo serves both class tables of the sphere
+    assert len(calls) == 1
 
 
 def test_build_record_checks_no_coefficient_range_per_class(monkeypatch):
@@ -546,9 +546,9 @@ def test_census_fails_when_a_pulled_back_class_is_classified_unitary(monkeypatch
 def test_census_fails_when_a_unitary_row_is_missing(monkeypatch, capsys):
     # the census path scans X0 once, so CountReport.of is its one unitary count check
     class Short(UnitaryClasses):
-        def __init__(self, params, sigma):
-            super().__init__(params, sigma)
-            if params.triple == (3, 5, 7):
+        def __init__(self, memo):
+            super().__init__(memo)
+            if memo.params.triple == (3, 5, 7):
                 del self.rows[3]
 
     monkeypatch.setattr(brieskorn.cli, "UnitaryClasses", Short)
@@ -559,8 +559,8 @@ def test_census_fails_when_a_unitary_row_is_missing(monkeypatch, capsys):
 
 
 def test_census_fails_when_two_pulled_back_triples_collide(monkeypatch, capsys):
-    enumerate_E = brieskorn.character.enumerate_E
-    monkeypatch.setattr(brieskorn.character, "enumerate_E", lambda params: enumerate_E(params) * 2)
+    enumerate_X0 = brieskorn.character.enumerate_X0
+    monkeypatch.setattr(brieskorn.character, "enumerate_X0", lambda params: enumerate_X0(params) * 2)
     assert run(capsys, "census", "1000") == (
         1,
         "(2,3,5) a=30 total=2 su2=2 sl2r=0 |casson|=1 sl2c=2\n",

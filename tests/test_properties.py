@@ -14,14 +14,13 @@ from brieskorn.character import (
     ClassLabel,
     CountReport,
     TraceValue,
-    UnitaryClasses,
     classify,
     enumerate_su2,
     kappa,
     phi_map,
 )
 from brieskorn.errors import InconsistentClassification
-from brieskorn.cli import census_params
+from brieskorn.cli import census_params, sphere_summary
 from brieskorn.euler import (
     EulerClass,
     enumerate_E,
@@ -287,22 +286,26 @@ def fresh_triple(eu, sigma):
 
 
 def check_against_fresh_folds(params, sigma):
-    """phi_map, the unitary rows and their views against folds made afresh, without a memo."""
+    """phi_map, sphere_summary's class tables and their views against folds made afresh."""
     pairs = phi_map(params, sigma)
     for eu, tri in pairs:
         assert tri == fresh_triple(eu, sigma)
-    unitary = UnitaryClasses(params, sigma)
+    # sphere_summary builds both tables on one TraceMemo
+    _, pulled, unitary, _ = sphere_summary(params, sigma)
+    assert unitary.memo is pulled.memo
+    assert list(zip(pulled.classes, pulled.triples)) == pairs
+    assert [row[3] for row in pulled.rows] == [abs(eu.cover_euler_number()) for eu in pulled.classes]
     fresh = fresh_su2_rows(params, sigma)
     assert unitary.rows == [(*ls, eps) for ls, eps, _ in fresh]
     assert unitary.triples == [tri for _, _, tri in fresh]
     assert len(unitary.rows) + len(pairs) == (params.a1 - 1) * (params.a2 - 1) * (params.a3 - 1) // 4
-    for triples in (unitary.triples, [tri for _, tri in pairs]):
+    for triples in (unitary.triples + pulled.triples, [tri for _, tri in pairs]):
         traces = [tv for tri in triples for tv in (tri.tx, tri.ty, tri.tz)]
         for tv in traces:
             expected = fresh_value(tv)
             assert tv.value == expected
             assert TraceValue(tv.n, tv.q).value == expected
-        # one object per distinct trace value: each walk's memo is keyed by folded angles
+        # one object per distinct trace value: a memo is keyed by folded angles
         assert len({id(tv) for tv in traces}) == len(set(traces))
 
 
