@@ -11,8 +11,9 @@ Each sphere's lattices are walked once, through one TraceMemo. Both kinds
 of class are integer rows on that memo: PulledBackClasses holds the
 beta = -1 classes as (k, l, m, order) rows and folds each triple from the
 cover order, and UnitaryClasses holds the unitary classes as
-(l1, l2, l3, epsilon) rows. An EulerClass or unitary CharacterTriple view
-of a row is built only where a class is printed or certified; phi_map and
+(l1, l2, l3, epsilon) rows. The command line writes every output from the
+rows; a unitary CharacterTriple view is built where a class is certified,
+and an EulerClass view only to name a class that fails. phi_map and
 enumerate_su2 build those views over a fresh memo.
 """
 

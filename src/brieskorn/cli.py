@@ -2,6 +2,13 @@
 
 Output is deterministic: identical arguments produce byte-identical stdout.
 Nothing is colorized, so NO_COLOR is honored trivially.
+
+Every output is written from the sphere's integer class rows, with no dict
+or EulerClass per class: build_record checks a sphere and returns a
+SphereRecord, and the text, JSON and census JSON writers fill one `%`
+template per class from its row and from the texts of its three trace
+values, made once per distinct value. render_json writes exactly what
+json.dumps writes for the record's dict form, which README.md lays out.
 """
 
 from __future__ import annotations
@@ -12,12 +19,15 @@ import io
 import json
 import math
 import sys
+from itertools import repeat
+from typing import NamedTuple
 
 from .character import (
     ClassLabel,
     CountReport,
     PulledBackClasses,
     TraceMemo,
+    TraceValue,
     UnitaryClasses,
     classify,
 )
@@ -28,7 +38,7 @@ from .errors import (
     NotPairwiseCoprime,
     ValueTooSmall,
 )
-from .euler import enumerate_condition_b, reverse_orientation
+from .euler import enumerate_condition_b, reversed_coefficients
 from .seifert import (
     BrieskornParams,
     SeifertInvariant,
@@ -93,35 +103,6 @@ def parse_seifert_override(text: str, params: BrieskornParams) -> tuple[SeifertI
     return sigma, source
 
 
-def _euler_entry(eu) -> dict:
-    return {"beta": eu.beta, "coefficients": list(eu.betas)}
-
-
-def _triple_entry(triple, label: str, leaves: dict) -> dict:
-    """The JSON entry of one class: its label, central sign and three trace values.
-
-    build_record adds the euler class and cover order of an SL(2,R) class and,
-    with verify, the verify block. leaves memoizes each trace value's angle
-    string, trace string and value, keyed by its reduced pair (n, q), which
-    hashes faster than the TraceValue.
-    """
-    columns = []
-    for tv in (triple.tx, triple.ty, triple.tz):
-        key = (tv.n, tv.q)
-        leaf = leaves.get(key)
-        if leaf is None:
-            leaf = leaves[key] = (str(tv.t), str(tv), tv.value)
-        columns.append(leaf)
-    angles, traces, values = zip(*columns)
-    return {
-        "label": label,
-        "epsilon": triple.epsilon,
-        "angles": list(angles),
-        "traces": list(traces),
-        "values": list(values),
-    }
-
-
 def sphere_summary(
     params: BrieskornParams,
     sigma: SeifertInvariant,
@@ -136,9 +117,9 @@ def sphere_summary(
     the classes stay integer rows. The unitary count is checked once, by
     CountReport.of against the closed-form total: with sl2r = |X0|,
     total = su2 + sl2r is the check su2 = total - |X0|. classify checks
-    every pulled-back triple independently. EulerClass and unitary
-    CharacterTriple views are built only when verify certifies the classes
-    or a caller reads them to print.
+    every pulled-back triple independently. Unitary CharacterTriple views are
+    built only when verify certifies the classes, and EulerClass views only
+    to name a class that fails.
 
     Returns the summary record (params, counts, and with verify the
     verification block), the PulledBackClasses, the UnitaryClasses, and the
@@ -200,6 +181,39 @@ def sphere_summary(
     return summary, pulled, unitary, certificates
 
 
+class SphereRecord(NamedTuple):
+    """One sphere's analysis as build_record hands it to the writers.
+
+    summary holds the small blocks: params, counts, seifert and, with verify,
+    verification. The classes stay the integer rows of the two tables; the
+    certificates hold the pulled-back stack, then the unitary one (none
+    without verify). With condition b, partners holds the coefficients
+    (a1-k, a2-l, a3-m) of the reversed partner of each pulled-back class, in
+    the condition-b list's order, so the pulled-back rows taken backwards.
+    leaves maps id() of each of the sphere's TraceValues to its texts (_leaf).
+    """
+
+    summary: dict
+    pulled: PulledBackClasses
+    unitary: UnitaryClasses
+    certificates: list
+    partners: list | None
+    leaves: dict
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _leaf(tv: TraceValue) -> tuple[str, str, str, str, str]:
+    """A trace value's texts: trace and "%.12f" for text, then angle, trace and float in JSON.
+
+    Every value a record holds lies strictly inside (-2, 2), so its angle n/q
+    has q > 1 and prints as "n/q", and its float is finite and prints as its repr.
+    """
+    trace = str(tv)
+    return trace, "%.12f" % tv.value, '"%d/%d"' % (tv.n, tv.q), _json_str(trace), repr(tv.value)
+
+
 def build_record(
     params: BrieskornParams,
     sigma: SeifertInvariant,
@@ -207,17 +221,16 @@ def build_record(
     verify: bool = False,
     tol: float = 1e-9,
     condition_b: bool = False,
-) -> dict:
+) -> SphereRecord:
     """Assemble the full analysis for one sphere; every assertion runs before emission.
 
     With condition_b, orientation reversal must map the pulled-back classes
-    onto the brute-force condition-b classes. The partners' trace triples are
-    not folded again: reversed_trace_check says why they agree by construction.
+    onto the brute-force condition-b classes, checked on the integer rows. The
+    partners' trace triples are not folded again: reversed_trace_check says
+    why they agree by construction.
     """
-    record, pulled, unitary, certificates = sphere_summary(params, sigma, verify, tol)
-    leaves: dict = {}
-    sl2r_label, su2_label = ClassLabel.SL2R.value, ClassLabel.SU2.value
-    record["seifert"] = {
+    summary, pulled, unitary, certificates = sphere_summary(params, sigma, verify, tol)
+    summary["seifert"] = {
         "b": sigma.b,
         "coefficients": list(sigma.coefficients),
         "source": source,
@@ -225,100 +238,106 @@ def build_record(
         "h1_order": h1_order(sigma),
         "convention_sign": sphere_convention_sign(sigma),
     }
-    sl2r_classes = record["sl2r_classes"] = []
-    for eu, triple, row in zip(pulled.classes, pulled.triples, pulled.rows):
-        entry = _triple_entry(triple, sl2r_label, leaves)
-        entry["euler_class"] = _euler_entry(eu)
-        entry["cover_h1"] = row[3]
-        sl2r_classes.append(entry)
-    su2_classes = record["su2_classes"] = [
-        _triple_entry(triple, su2_label, leaves) for triple in unitary.triples
-    ]
-    # certificates hold the pulled-back stack, then the unitary one, each in its list's order
-    for entries, cert in zip((sl2r_classes, su2_classes), certificates):
-        rows = zip(cert.residuals.max(axis=1).tolist(), cert.gaps.tolist(), cert.passed.tolist())
-        for entry, (residual, gap, passed) in zip(entries, rows):
-            entry["verify"] = {"max_residual": residual, "gap": gap, "passed": passed}
-
+    partners = None
     if condition_b:
-        reversed_classes = enumerate_condition_b(params)
-        # Order condition: enumerate_E lists (k, l, m) ascending, beta_i -> a_i - beta_i
+        # Order condition: enumerate_X0 lists (k, l, m) ascending, beta_i -> a_i - beta_i
         # reverses that order, and enumerate_condition_b lists ascending. So the reversal
-        # is a bijection exactly when it maps the pulled-back classes, taken backwards,
-        # onto the brute-force list entry by entry; any gap, extra or duplicate breaks that.
-        if [reverse_orientation(eu) for eu in reversed(pulled.classes)] != reversed_classes:
+        # is a bijection exactly when it maps the pulled-back classes (-1; k, l, m), taken
+        # backwards, onto the brute-force list entry by entry, each partner with beta = -2;
+        # any gap, extra or duplicate breaks that.
+        partners = reversed_coefficients(params, reversed(pulled.rows))
+        listed = enumerate_condition_b(params)
+        if [(eu.beta1, eu.beta2, eu.beta3) for eu in listed if eu.beta == -2] != partners:
             raise BrieskornError(
                 f"orientation reversal is not a bijection on {params.triple}"
             )
-        record["condition_b_classes"] = [
-            {"euler_class": _euler_entry(eu), "reverse_of": entry["euler_class"]}
-            for eu, entry in zip(reversed_classes, reversed(sl2r_classes))
-        ]
-    return record
+    # the memo holds every trace value the two tables read, each once
+    leaves = {id(tv): _leaf(tv) for traces in pulled.memo.generators for tv in traces.values()}
+    return SphereRecord(summary, pulled, unitary, certificates, partners, leaves)
 
 
-_TRIPLE_LINE = "eps %+d   (%s, %s, %s) = (%.12f, %.12f, %.12f)"
-_SL2R_LINE = "  (%d; %d,%d,%d)  cover h1 %d   " + _TRIPLE_LINE
+def _pulled_fields(record: SphereRecord):
+    """(k, l, m, cover order, epsilon, three trace leaves) of each pulled-back class."""
+    leaves = record.leaves
+    for (k, l, m, order), t in zip(record.pulled.rows, record.pulled.triples):
+        yield k, l, m, order, t.epsilon, leaves[id(t.tx)], leaves[id(t.ty)], leaves[id(t.tz)]
+
+
+def _unitary_fields(record: SphereRecord):
+    """(epsilon, three trace leaves) of each unitary class; each l_i is its generator's memo key."""
+    leaves = record.leaves
+    g1, g2, g3 = (
+        {r: leaves[id(tv)] for r, tv in traces.items()} for traces in record.unitary.memo.generators
+    )
+    for l1, l2, l3, eps in record.unitary.rows:
+        yield eps, g1[l1], g2[l2], g3[l3]
+
+
+def _verify_columns(record: SphereRecord, text: bool) -> list:
+    """Per class list, each class's verify leaves: (residual, gap) for text, JSON (gap, residual) else.
+
+    Without verify, each class gets no leaves. A printed class has passed, so
+    both floats are finite and JSON writes each as its repr: its residual is
+    below tol, and its gap is a trace of products that its finite powers bound.
+    """
+    if not record.certificates:
+        return [repeat(())] * 2
+    columns = [
+        (cert.residuals.max(axis=1).tolist(), cert.gaps.tolist()) for cert in record.certificates
+    ]
+    if text:
+        return [zip(residuals, gaps) for residuals, gaps in columns]
+    return [zip(map(repr, gaps), map(repr, residuals)) for residuals, gaps in columns]
+
+
+_TRIPLE_LINE = "eps %+d   (%s, %s, %s) = (%s, %s, %s)"
+_SL2R_LINE = "  (-1; %d,%d,%d)  cover h1 %d   " + _TRIPLE_LINE
 _SU2_LINE = "  " + _TRIPLE_LINE
-_REVERSAL_LINE = "  (%d; %d,%d,%d) <- reverse of (%d; %d,%d,%d)"
+_VERIFY_SUFFIX = "   [residual %.3e, gap %.3e: pass]"
+_REVERSAL_LINE = "  (-2; %d,%d,%d) <- reverse of (-1; %d,%d,%d)"
 
 
-def _verify_text(entry: dict) -> str:
-    """The verify suffix of a class line; empty without a verify block."""
-    v = entry.get("verify")
-    if v is None:
-        return ""
-    outcome = "pass" if v["passed"] else "FAIL"
-    return "   [residual %.3e, gap %.3e: %s]" % (v["max_residual"], v["gap"], outcome)
-
-
-def render_text(record: dict) -> str:
-    p = record["params"]
-    s = record["seifert"]
+def render_text(record: SphereRecord) -> str:
+    """The text report: the sphere, its data and counts, then one line per class."""
+    p, s = record.summary["params"], record.summary["seifert"]
+    c = s["coefficients"]
     lines = [
         f"Brieskorn sphere Sigma({p['a1']}, {p['a2']}, {p['a3']})   a = {p['a']}",
         "seifert data: {0; (1,%d), (%d,%d), (%d,%d), (%d,%d)}   [%s]"
-        % (
-            s["b"],
-            p["a1"],
-            s["coefficients"][0],
-            p["a2"],
-            s["coefficients"][1],
-            p["a3"],
-            s["coefficients"][2],
-            s["source"],
-        ),
+        % (s["b"], p["a1"], c[0], p["a2"], c[1], p["a3"], c[2], s["source"]),
         f"euler number {s['euler_number']}   h1 order {s['h1_order']}   convention sign {s['convention_sign']:+d}",
         "counts: total %d | su2 %d | sl2r %d | |casson| %d | sl2c casson %d"
-        % tuple(record["counts"][name] for name in CSV_COLUMNS[4:]),
+        % tuple(record.summary["counts"][name] for name in CSV_COLUMNS[4:]),
+    ]
+    suffix = _VERIFY_SUFFIX if record.certificates else ""
+    pulled_checks, unitary_checks = _verify_columns(record, text=True)
+    line = _SL2R_LINE + suffix
+    lines.append(
+        "sl2r classes:"
+        if record.pulled.rows
+        else "sl2r classes: none (every irreducible class is unitary)"
+    )
+    lines += [
+        line % (k, l, m, order, eps, x[0], y[0], z[0], x[1], y[1], z[1], *v)
+        for (k, l, m, order, eps, x, y, z), v in zip(_pulled_fields(record), pulled_checks)
+    ]
+    line = _SU2_LINE + suffix
+    lines.append("su2 classes:" if record.unitary.rows else "su2 classes: none")
+    lines += [
+        line % (eps, x[0], y[0], z[0], x[1], y[1], z[1], *v)
+        for (eps, x, y, z), v in zip(_unitary_fields(record), unitary_checks)
     ]
 
-    sl2r, su2 = record["sl2r_classes"], record["su2_classes"]
-    lines.append(
-        "sl2r classes:" if sl2r else "sl2r classes: none (every irreducible class is unitary)"
-    )
-    for e in sl2r:
-        eu = e["euler_class"]
-        text = _SL2R_LINE % (
-            eu["beta"], *eu["coefficients"], e["cover_h1"], e["epsilon"], *e["traces"], *e["values"]
-        )
-        lines.append(text + _verify_text(e))
-    lines.append("su2 classes:" if su2 else "su2 classes: none")
-    for e in su2:
-        lines.append(_SU2_LINE % (e["epsilon"], *e["traces"], *e["values"]) + _verify_text(e))
-
-    if "condition_b_classes" in record:
-        reversals = record["condition_b_classes"]
+    if record.partners is not None:
         header = "condition-b classes (orientation reversed):"
-        lines.append(header if reversals else header + " none")
-        for e in reversals:
-            eu, rev = e["euler_class"], e["reverse_of"]
-            lines.append(
-                _REVERSAL_LINE % (eu["beta"], *eu["coefficients"], rev["beta"], *rev["coefficients"])
-            )
+        lines.append(header if record.partners else header + " none")
+        lines += [
+            _REVERSAL_LINE % (b1, b2, b3, k, l, m)
+            for (b1, b2, b3), (k, l, m, _) in zip(record.partners, reversed(record.pulled.rows))
+        ]
 
-    if "verification" in record:
-        v = record["verification"]
+    if record.certificates:
+        v = record.summary["verification"]
         lines.append(
             "verification: %d classes, max residual %.3e, min gap %.3e, tol %g: PASS"
             % (v["classes"], v["max_residual"], v["min_gap"], v["tol"])
@@ -326,120 +345,107 @@ def render_text(record: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _entry_template(skeleton: dict) -> str:
-    """One class-list entry as json.dumps(indent=2) lays it out two levels deep.
+def _entry_templates(compact: bool) -> dict:
+    """The entry template of each class list, as json.dumps lays the entry out.
 
-    Each leaf of skeleton is a "%s" or "%d" slot, so the slots follow the
-    sorted key order of the entry.
-    """
-    text = json.dumps(skeleton, sort_keys=True, indent=2)
-    text = text.replace('"%s"', "%s").replace('"%d"', "%d")
-    return "    " + text.replace("\n", "\n    ")
-
-
-_TRIPLE_SKELETON = {
-    "angles": ["%s"] * 3,
-    "epsilon": "%d",
-    "label": "%s",
-    "traces": ["%s"] * 3,
-    "values": ["%s"] * 3,
-}
-_VERIFY_SKELETON = {"verify": {"gap": "%s", "max_residual": "%s", "passed": "%s"}}
-_EULER_SKELETON = {"beta": "%d", "coefficients": ["%d"] * 3}
-_SL2R_SKELETON = {**_TRIPLE_SKELETON, "cover_h1": "%d", "euler_class": _EULER_SKELETON}
-# indexed by whether the entry has a verify block
-_SU2_TEMPLATES = tuple(
-    _entry_template({**_TRIPLE_SKELETON, **extra}) for extra in ({}, _VERIFY_SKELETON)
-)
-_SL2R_TEMPLATES = tuple(
-    _entry_template({**_SL2R_SKELETON, **extra}) for extra in ({}, _VERIFY_SKELETON)
-)
-_CONDITION_B_TEMPLATE = _entry_template(
-    {"euler_class": _EULER_SKELETON, "reverse_of": _EULER_SKELETON}
-)
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _json_float(x: float) -> str:
-    """x as json.dumps writes it: the float repr when finite, else NaN or +-Infinity."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-
-
-class _FloatText(dict):
-    """The JSON text of each float seen, computed on first sight.
-
-    A record repeats each trace value across many classes, and the float repr
-    is the costliest leaf. Zero is never stored, since 0.0 and -0.0 are one key.
+    Compact is the separators=(",", ":") layout of a census line; otherwise
+    the entry sits two levels deep in an indent=2 dump. Each "%s" or "%d"
+    leaf of a skeleton becomes a slot, so the slots follow the sorted key
+    order of the entry; every other leaf is the same in every entry. The two
+    class lists have one template without and one with the verify block.
     """
 
-    def __missing__(self, x: float) -> str:
-        text = _json_float(x)
-        if x:
-            self[x] = text
-        return text
+    def template(skeleton: dict) -> str:
+        if compact:
+            text = json.dumps(skeleton, sort_keys=True, separators=(",", ":"))
+        else:
+            text = "    " + json.dumps(skeleton, sort_keys=True, indent=2).replace("\n", "\n    ")
+        return text.replace('"%s"', "%s").replace('"%d"', "%d")
+
+    triple = {"angles": ["%s"] * 3, "epsilon": "%d", "traces": ["%s"] * 3, "values": ["%s"] * 3}
+    sl2r = {
+        **triple,
+        "label": ClassLabel.SL2R.value,
+        "cover_h1": "%d",
+        "euler_class": {"beta": -1, "coefficients": ["%d"] * 3},
+    }
+    su2 = {**triple, "label": ClassLabel.SU2.value}
+    verified = {"verify": {"gap": "%s", "max_residual": "%s", "passed": True}}
+    return {
+        "sl2r_classes": (template(sl2r), template({**sl2r, **verified})),
+        "su2_classes": (template(su2), template({**su2, **verified})),
+        "condition_b_classes": template(
+            {
+                "euler_class": {"beta": -2, "coefficients": ["%d"] * 3},
+                "reverse_of": {"beta": -1, "coefficients": ["%d"] * 3},
+            }
+        ),
+    }
 
 
-def _class_json(templates: tuple, entry: dict, middle: tuple, floats: _FloatText) -> str:
-    """One class entry; middle holds its kind's leaves that sort between angles and label."""
-    leaves = (
-        *map(_json_str, entry["angles"]),
-        *middle,
-        _json_str(entry["label"]),
-        *map(_json_str, entry["traces"]),
-        *map(floats.__getitem__, entry["values"]),
-    )
-    v = entry.get("verify")
-    if v is None:
-        return templates[0] % leaves
-    passed = "true" if v["passed"] else "false"
-    return templates[1] % (*leaves, _json_float(v["gap"]), _json_float(v["max_residual"]), passed)
+# indexed by compact
+_TEMPLATES = (_entry_templates(False), _entry_templates(True))
 
 
-def _su2_json(entry: dict, floats: _FloatText) -> str:
-    return _class_json(_SU2_TEMPLATES, entry, (entry["epsilon"],), floats)
+def _class_lists(record: SphereRecord, compact: bool) -> dict[str, list[str]]:
+    """Each class list of the record as its JSON entries."""
+    templates = _TEMPLATES[compact]
+    verified = bool(record.certificates)
+    pulled_checks, unitary_checks = _verify_columns(record, text=False)
+    entry = templates["sl2r_classes"][verified]
+    lists = {
+        "sl2r_classes": [
+            entry % (x[2], y[2], z[2], order, eps, k, l, m, x[3], y[3], z[3], x[4], y[4], z[4], *v)
+            for (k, l, m, order, eps, x, y, z), v in zip(_pulled_fields(record), pulled_checks)
+        ]
+    }
+    entry = templates["su2_classes"][verified]
+    lists["su2_classes"] = [
+        entry % (x[2], y[2], z[2], eps, x[3], y[3], z[3], x[4], y[4], z[4], *v)
+        for (eps, x, y, z), v in zip(_unitary_fields(record), unitary_checks)
+    ]
+    if record.partners is not None:
+        entry = templates["condition_b_classes"]
+        lists["condition_b_classes"] = [
+            entry % (b1, b2, b3, k, l, m)
+            for (b1, b2, b3), (k, l, m, _) in zip(record.partners, reversed(record.pulled.rows))
+        ]
+    return lists
 
 
-def _sl2r_json(entry: dict, floats: _FloatText) -> str:
-    eu = entry["euler_class"]
-    middle = (entry["cover_h1"], entry["epsilon"], eu["beta"], *eu["coefficients"])
-    return _class_json(_SL2R_TEMPLATES, entry, middle, floats)
+def render_json(record: SphereRecord) -> str:
+    """The record as json.dumps(..., sort_keys=True, indent=2) + "\\n" writes its dict form.
 
-
-def _condition_b_json(entry: dict, floats: _FloatText) -> str:
-    eu, rev = entry["euler_class"], entry["reverse_of"]
-    return _CONDITION_B_TEMPLATE % (
-        eu["beta"], *eu["coefficients"], rev["beta"], *rev["coefficients"]
-    )
-
-
-_CLASS_LIST_WRITERS = {
-    "condition_b_classes": _condition_b_json,
-    "sl2r_classes": _sl2r_json,
-    "su2_classes": _su2_json,
-}
-
-
-def render_json(record: dict) -> str:
-    """Exactly json.dumps(record, sort_keys=True, indent=2) + "\\n".
-
-    The class lists, nearly all of the bytes, are written one entry per
-    template; the small blocks go through json.dumps and are indented one
-    level more, which is safe because indented json.dumps never puts a raw
-    newline inside a string.
+    The dict form holds the summary blocks and, as lists of entries, the
+    classes; README.md gives its layout. The class lists, nearly all of the
+    bytes, are written one entry per template; the small blocks go through
+    json.dumps and are indented one level more, which is safe because
+    indented json.dumps never puts a raw newline inside a string.
     """
+    lists = _class_lists(record, compact=False)
     blocks = []
-    floats = _FloatText()
-    for key in sorted(record):
-        value = record[key]
-        write = _CLASS_LIST_WRITERS.get(key)
-        if write is None:
+    for key, value in sorted({**record.summary, **lists}.items()):
+        if key not in lists:
             text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
         elif value:
-            text = "[\n" + ",\n".join([write(entry, floats) for entry in value]) + "\n  ]"
+            text = "[\n" + ",\n".join(value) + "\n  ]"
         else:
             text = "[]"
         blocks.append("  %s: %s" % (_json_str(key), text))
     return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
+def _census_json_row(record: SphereRecord) -> str:
+    """The census line of a record: its dict form as json.dumps(..., separators=(",", ":"))."""
+    lists = _class_lists(record, compact=True)
+    blocks = []
+    for key, value in sorted({**record.summary, **lists}.items()):
+        if key in lists:
+            text = "[%s]" % ",".join(value)
+        else:
+            text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        blocks.append(_json_str(key) + ":" + text)
+    return "{%s}" % ",".join(blocks)
 
 
 def _csv_row(record: dict, verify: bool) -> list:
@@ -547,7 +553,7 @@ def _run_analyze(args) -> int:
     if args.format == "json":
         text = render_json(record)
     elif args.format == "csv":
-        text = render_csv([record], args.verify)
+        text = render_csv([record.summary], args.verify)
     else:
         text = render_text(record)
     return _emit(text, args.output)
@@ -567,8 +573,9 @@ def _run_census(args) -> int:
             # only JSON prints the classes; text and CSV print the counts
             if args.format == "json":
                 record = build_record(params, sigma, "canonical", args.verify, args.tol)
+                summary = record.summary
             else:
-                record = sphere_summary(params, sigma, args.verify, args.tol)[0]
+                summary = sphere_summary(params, sigma, args.verify, args.tol)[0]
         except BrieskornError as exc:
             print(
                 f"census aborted at ({params.a1},{params.a2},{params.a3}): {exc}",
@@ -576,13 +583,13 @@ def _run_census(args) -> int:
             )
             return 1
         rows += 1
-        sum_sl2r += record["counts"]["sl2r"]
+        sum_sl2r += summary["counts"]["sl2r"]
         if args.format == "json":
-            out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            out.write(_census_json_row(record) + "\n")
         elif args.format == "csv":
-            writer.writerow(_csv_row(record, args.verify))
+            writer.writerow(_csv_row(summary, args.verify))
         else:
-            out.write(_census_text_row(record) + "\n")
+            out.write(_census_text_row(summary) + "\n")
     print(
         f"census ok: {rows} spheres, aggregate identity sl2c - 2|casson| = sl2r = {sum_sl2r}",
         file=sys.stderr,

@@ -131,6 +131,16 @@ def enumerate_condition_b(params: BrieskornParams) -> list[EulerClass]:
     return out
 
 
+def reversed_coefficients(params: BrieskornParams, rows) -> list[tuple[int, int, int]]:
+    """(a1-b1, a2-b2, a3-b3) for each row that begins (b1, b2, b3): the reversal on integers.
+
+    These are the coefficients of each class's reversed-orientation partner;
+    reverse_orientation adds the swap of beta = -1 and beta = -2.
+    """
+    a1, a2, a3 = params.triple
+    return [(a1 - row[0], a2 - row[1], a3 - row[2]) for row in rows]
+
+
 def reverse_orientation(eu: EulerClass) -> EulerClass:
     """Swap a realizable class with its reversed-orientation partner.
 
@@ -144,11 +154,10 @@ def reverse_orientation(eu: EulerClass) -> EulerClass:
     else:
         raise NotRealizable(f"{eu} satisfies neither realizability condition")
     params = eu.params
-    a1, a2, a3 = params.triple
+    [(beta1, beta2, beta3)] = reversed_coefficients(params, [eu.betas])
     # sum (a_i - beta_i) * a/a_i = 3a - S
     return EulerClass._in_range(
-        params, new_beta, a1 - eu.beta1, a2 - eu.beta2, a3 - eu.beta3,
-        3 * params.a - eu.cleared_sum(),
+        params, new_beta, beta1, beta2, beta3, 3 * params.a - eu.cleared_sum()
     )
 
 

@@ -1,8 +1,8 @@
 """Command line behavior: formats, determinism, exit codes."""
 
+import functools
 import hashlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -15,7 +15,14 @@ import brieskorn
 import brieskorn.character
 import brieskorn.cli
 import brieskorn.realize
-from brieskorn.character import ClassLabel, UnitaryClasses, phi_map
+from brieskorn.character import (
+    ClassLabel,
+    CountReport,
+    PulledBackClasses,
+    UnitaryClasses,
+    enumerate_su2,
+    phi_map,
+)
 from brieskorn.cli import (
     build_record,
     census_params,
@@ -25,9 +32,15 @@ from brieskorn.cli import (
     render_text,
 )
 from brieskorn.errors import BrieskornError, InvalidSeifertData
-from brieskorn.euler import EulerClass, enumerate_condition_b
-from brieskorn.realize import realize_sl2r, verify_relations
-from brieskorn.seifert import canonicalize_params, solve_seifert
+from brieskorn.euler import EulerClass, enumerate_condition_b, reverse_orientation
+from brieskorn.realize import certify_classes, realize_sl2r, verify_relations
+from brieskorn.seifert import (
+    canonicalize_params,
+    euler_number,
+    h1_order,
+    solve_seifert,
+    sphere_convention_sign,
+)
 
 
 def run(capsys, *argv):
@@ -115,6 +128,83 @@ def test_analyze_json_override_normalizes_b(capsys):
     assert record["seifert"]["convention_sign"] == -1
 
 
+def reference_record(params, sigma, source, verify=False, tol=1e-9, condition_b=False) -> dict:
+    """The analysis of one sphere as a dict, built class by class from the public API.
+
+    render_json must write its stdlib_json, render_text its reference_text, and
+    census --format json its compact json.dumps (without condition_b).
+    """
+    pairs = phi_map(params, sigma)
+    unitary = enumerate_su2(params, sigma)
+    counts = CountReport.of(params, su2=len(unitary), sl2r=len(pairs))
+
+    def euler(eu):
+        return {"beta": eu.beta, "coefficients": list(eu.betas)}
+
+    def entry(triple, label):
+        traces = (triple.tx, triple.ty, triple.tz)
+        return {
+            "label": label,
+            "epsilon": triple.epsilon,
+            "angles": [str(t) for t in triple.angles],
+            "traces": [str(tv) for tv in traces],
+            "values": list(triple.values),
+        }
+
+    record = {
+        "params": {
+            "a1": params.a1,
+            "a2": params.a2,
+            "a3": params.a3,
+            "a": params.a,
+            "input_permutation": list(params.permutation),
+        },
+        "seifert": {
+            "b": sigma.b,
+            "coefficients": list(sigma.coefficients),
+            "source": source,
+            "euler_number": str(euler_number(sigma)),
+            "h1_order": h1_order(sigma),
+            "convention_sign": sphere_convention_sign(sigma),
+        },
+        "counts": {
+            name: getattr(counts, name)
+            for name in ("total", "su2", "sl2r", "casson_abs", "casson_sl2c")
+        },
+        "sl2r_classes": [
+            {
+                **entry(triple, "SL2R"),
+                "euler_class": euler(eu),
+                "cover_h1": abs(eu.cover_euler_number()),
+            }
+            for eu, triple in pairs
+        ],
+        "su2_classes": [entry(triple, "SU2") for triple in unitary],
+    }
+    if verify:
+        certificates = [
+            certify_classes([triple for _, triple in pairs], sigma, ClassLabel.SL2R, tol),
+            certify_classes(unitary, sigma, ClassLabel.SU2, tol),
+        ]
+        for entries, cert in zip((record["sl2r_classes"], record["su2_classes"]), certificates):
+            rows = zip(cert.residuals.tolist(), cert.gaps.tolist(), cert.passed.tolist())
+            for e, (residuals, gap, passed) in zip(entries, rows):
+                e["verify"] = {"max_residual": max(residuals), "gap": gap, "passed": passed}
+        record["verification"] = {
+            "tol": tol,
+            "classes": sum(map(len, certificates)),
+            "max_residual": max(cert.max_residual for cert in certificates),
+            "min_gap": min(cert.min_gap for cert in certificates),
+            "passed": all(cert.passed.all() for cert in certificates),
+        }
+    if condition_b:
+        record["condition_b_classes"] = [
+            {"euler_class": euler(eu), "reverse_of": euler(reverse_orientation(eu))}
+            for eu in enumerate_condition_b(params)
+        ]
+    return record
+
+
 def stdlib_json(record: dict) -> str:
     """The reference render_json must reproduce byte for byte."""
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
@@ -137,29 +227,42 @@ def test_render_json_matches_stdlib(triple, seifert, verify, condition_b):
     else:
         sigma, source = solve_seifert(params), "canonical"
     record = build_record(params, sigma, source, verify=verify, condition_b=condition_b)
-    assert render_json(record) == stdlib_json(record)
+    reference = reference_record(params, sigma, source, verify=verify, condition_b=condition_b)
+    assert render_json(record) == stdlib_json(reference)
+
+
+@functools.lru_cache(maxsize=None)
+def census_records(verify: bool) -> list:
+    """(record, reference) for every sphere of census_params(400), with condition b."""
+    out = []
+    for params in census_params(400):
+        sigma = solve_seifert(params)
+        out.append(
+            (
+                build_record(params, sigma, "canonical", verify=verify, condition_b=True),
+                reference_record(params, sigma, "canonical", verify=verify, condition_b=True),
+            )
+        )
+    return out
 
 
 @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
 def test_render_json_matches_stdlib_over_census(verify):
-    for params in census_params(400):
-        record = build_record(
-            params, solve_seifert(params), "canonical", verify=verify, condition_b=True
-        )
-        assert render_json(record) == stdlib_json(record), params.triple
+    for record, reference in census_records(verify):
+        assert render_json(record) == stdlib_json(reference), reference["params"]
 
 
-def test_render_json_matches_stdlib_on_floats_it_never_meets():
-    params = canonicalize_params(2, 3, 7)
-    record = build_record(params, solve_seifert(params), "canonical", verify=True)
-    sl2r, su2 = record["sl2r_classes"][0], record["su2_classes"][0]
-    # a float memoized as 0.0 must not answer for -0.0, nor a finite one for nan
-    sl2r["values"] = [0.0, -0.0, math.nan]
-    su2["values"] = [-0.0, 0.0, math.inf]
-    sl2r["verify"].update(gap=-math.inf, max_residual=math.nan, passed=False)
-    record["verification"]["min_gap"] = math.inf
-    record["su2_classes"][1]["values"] = [1e-300, -2.5, 1e16]
-    assert render_json(record) == stdlib_json(record)
+@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+def test_census_json_lines_match_compact_stdlib(capsys, verify):
+    code, out, _ = run(capsys, "census", "400", "--format", "json", *["--verify"] * verify)
+    assert code == 0
+    lines = out.splitlines()
+    references = [reference for _, reference in census_records(verify)]
+    assert len(lines) == len(references)
+    for line, reference in zip(lines, references):
+        # a census lists no condition-b classes
+        census = {key: value for key, value in reference.items() if key != "condition_b_classes"}
+        assert line == json.dumps(census, sort_keys=True, separators=(",", ":"))
 
 
 def reference_text(record: dict) -> str:
@@ -238,24 +341,8 @@ def reference_text(record: dict) -> str:
 
 @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
 def test_render_text_matches_reference_over_census(verify):
-    for params in census_params(400):
-        record = build_record(
-            params, solve_seifert(params), "canonical", verify=verify, condition_b=True
-        )
-        assert render_text(record) == reference_text(record), params.triple
-
-
-def test_render_text_matches_reference_on_values_it_never_meets():
-    params = canonicalize_params(2, 3, 7)
-    record = build_record(params, solve_seifert(params), "canonical", verify=True)
-    sl2r, su2 = record["sl2r_classes"][0], record["su2_classes"][0]
-    sl2r["values"] = [-0.0, math.nan, -math.inf]
-    su2["epsilon"] = -1
-    su2["values"] = [1e-300, -2.5, 1e16]
-    sl2r["verify"].update(gap=-math.inf, max_residual=math.nan, passed=False)
-    su2["verify"].update(gap=0.0, max_residual=1e300)
-    record["condition_b_classes"] = []
-    assert render_text(record) == reference_text(record)
+    for record, reference in census_records(verify):
+        assert render_text(record) == reference_text(reference), reference["params"]
 
 
 def test_analyze_csv_single_row(capsys):
@@ -284,7 +371,7 @@ def test_build_record_checks_the_sphere_data_per_sphere_not_per_class(monkeypatc
     )
     params = canonicalize_params(7, 11, 13)
     record = build_record(params, solve_seifert(params), "canonical", condition_b=True)
-    assert len(record["condition_b_classes"]) == len(record["sl2r_classes"]) == 100
+    assert len(record.partners) == len(record.pulled.rows) == 100
     # one TraceMemo serves both class tables of the sphere
     assert len(calls) == 1
 
@@ -298,12 +385,30 @@ def test_build_record_checks_no_coefficient_range_per_class(monkeypatch):
     monkeypatch.setattr(EulerClass, "__post_init__", lambda eu: calls.append(eu) or post_init(eu))
     params = canonicalize_params(7, 11, 13)
     record = build_record(params, solve_seifert(params), "canonical", condition_b=True)
-    assert len(record["condition_b_classes"]) == len(record["sl2r_classes"]) == 100
+    assert len(record.partners) == len(record.pulled.rows) == 100
     # 0 today; each of the three makers checking its classes adds 100
-    assert len(calls) < len(record["condition_b_classes"])
+    assert len(calls) < len(record.partners)
 
 
-@pytest.mark.parametrize("change", ["drop", "swap", "duplicate"])
+def test_condition_b_json_makes_no_euler_class_past_the_condition_b_scan(monkeypatch, capsys):
+    # the reversal is checked and every class is written from integer rows, so
+    # the only EulerClass objects are those the condition-b scan lists
+    made = []
+    in_range = EulerClass._in_range.__func__
+    monkeypatch.setattr(
+        EulerClass,
+        "_in_range",
+        classmethod(lambda cls, *args: made.append(args) or in_range(cls, *args)),
+    )
+    monkeypatch.setattr(
+        PulledBackClasses, "classes", property(lambda table: pytest.fail("read .classes"))
+    )
+    code, out, _ = run(capsys, "analyze", "7", "11", "13", "--condition-b", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["condition_b_classes"]) == len(made) == 100
+
+
+@pytest.mark.parametrize("change", ["drop", "swap", "duplicate", "beta"])
 def test_reversal_check_refuses_a_condition_b_list_it_does_not_match(monkeypatch, capsys, change):
     params = canonicalize_params(7, 11, 13)
     listed = enumerate_condition_b(params)
@@ -311,8 +416,10 @@ def test_reversal_check_refuses_a_condition_b_list_it_does_not_match(monkeypatch
         listed = listed[:50] + listed[51:]
     elif change == "swap":  # a beta = -2 class whose coefficient sum is not above 2
         listed = listed[:50] + [EulerClass(params, -2, 1, 1, 1)] + listed[51:]
-    else:  # a beta = -2 class of the list, twice
+    elif change == "duplicate":  # a beta = -2 class of the list, twice
         listed = listed[:50] + [listed[51]] + listed[51:]
+    else:  # the right coefficients under beta = -1
+        listed = listed[:50] + [EulerClass(params, -1, *listed[50].betas)] + listed[51:]
     assert len(listed) in (99, 100)
     monkeypatch.setattr(brieskorn.cli, "enumerate_condition_b", lambda p: list(listed))
     message = "orientation reversal is not a bijection on (7, 11, 13)"

@@ -16,7 +16,7 @@ differ, and exits 1 if any differ. The command set:
   odd-b2 data), each in text, --format json, --verify and --condition-b;
 - analyze 3 5 211 --seifert=0,-5,-2,436 in text and with --verify, which
   exits 1 on the known float64 certificate failure;
-- analyze --verify --format json, analyze --condition-b and
+- analyze --verify in text, csv and json, analyze --condition-b and
   analyze --condition-b --format json on 60 spheres: the middle sphere of
   each of 60 equal slices of census_params(6000), the spheres the
   benchmark samples.
@@ -93,6 +93,8 @@ def commands(census_params) -> list[list[str]]:
     for triple in sampled_spheres(census_params):
         given = list(map(str, triple))
         out += [
+            ["analyze", *given, "--verify"],
+            ["analyze", *given, "--verify", "--format", "csv"],
             ["analyze", *given, "--verify", "--format", "json"],
             ["analyze", *given, "--condition-b"],
             ["analyze", *given, "--condition-b", "--format", "json"],
