@@ -9,11 +9,11 @@ the euler classes select.
 
 Each sphere's lattices are walked once, through one TraceMemo. Both kinds
 of class are integer rows on that memo: PulledBackClasses holds the
-beta = -1 classes as (k, l, m, order) rows and folds each triple from the
-cover order, and UnitaryClasses holds the unitary classes as
-(l1, l2, l3, epsilon) rows. The command line writes every output from the
-rows; a unitary CharacterTriple view is built where a class is certified,
-and an EulerClass view only to name a class that fails. phi_map and
+beta = -1 classes as (k, l, m, order) rows and folds each triple, and its
+memo keys, from the cover order, and UnitaryClasses holds the unitary
+classes as (l1, l2, l3, epsilon) rows. The command line writes every output
+from the rows and certifies from the memo keys; a unitary CharacterTriple
+view or an EulerClass view is built only to name a class that fails. phi_map and
 enumerate_su2 build those views over a fresh memo.
 """
 
@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import (
     CountMismatch,
@@ -42,6 +42,9 @@ from .seifert import (
     h1_order,
     solve_seifert,
 )
+
+if TYPE_CHECKING:  # fractions loads only where a Fraction is made
+    from fractions import Fraction
 
 # |kappa| below this is treated as "indistinguishable from reducible" and
 # any irreducible label must clear it with the right sign
@@ -78,6 +81,8 @@ class TraceValue:
 
     @property
     def t(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.n, self.q)
 
     def __str__(self) -> str:
@@ -218,8 +223,8 @@ class TraceMemo:
         self.params = params
         self.sigma = sigma
         self.generators = tuple(_GeneratorTraces(ai) for ai in params.triple)
-        # a_i, b_i and the memo of each generator, unpacked at once per class
-        self._fold = (*params.triple, *sigma.coefficients, *self.generators)
+        # a_i and b_i, unpacked at once per class
+        self._fold = (*params.triple, *sigma.coefficients)
 
     def triple_of(self, eu: EulerClass) -> CharacterTriple:
         """Trace triple of the class attached to eu, computed from the covering order.
@@ -237,22 +242,30 @@ class TraceMemo:
         """
         if eu.params is not self.params and eu.params != self.params:
             raise ValueError("euler class belongs to another sphere")
-        return self._triple_for_order(abs(eu.cover_euler_number()))
+        return self._triples_for_orders([abs(eu.cover_euler_number())])[1][0]
 
-    def _triple_for_order(self, order: int) -> CharacterTriple:
-        """The triple of a class whose cover has homology of this order, as triple_of says.
+    def _keys_for_order(self, order):
+        """The three memo keys and epsilon of a class whose cover has homology of this order.
 
-        Each -order*b_i is reduced mod 2a_i and a residue above a_i is
-        mirrored, which is the memo's key for TraceValue(-order*b_i, a_i).
+        Each -order*b_i is reduced mod 2a_i to r, and r is mirrored into
+        [0, a_i] as a_i - |a_i - r|, which is the memo's key for
+        TraceValue(-order*b_i, a_i); epsilon is -1 exactly when the order is
+        odd.
         """
-        a1, a2, a3, b1, b2, b3, traces1, traces2, traces3 = self._fold
+        a1, a2, a3, b1, b2, b3 = self._fold
         r1, r2, r3 = -order * b1 % (2 * a1), -order * b2 % (2 * a2), -order * b3 % (2 * a3)
-        return CharacterTriple._signed(
-            traces1[2 * a1 - r1 if r1 > a1 else r1],
-            traces2[2 * a2 - r2 if r2 > a2 else r2],
-            traces3[2 * a3 - r3 if r3 > a3 else r3],
-            -1 if order % 2 else 1,
-        )
+        return a1 - abs(a1 - r1), a2 - abs(a2 - r2), a3 - abs(a3 - r3), 1 - order % 2 * 2
+
+    def _triples_for_orders(self, orders) -> tuple[list, list[CharacterTriple]]:
+        """The keys and epsilon, then the triple, of each class whose cover has an order in orders.
+
+        This is the one trace fold: triple_of says how a triple follows from
+        its cover order.
+        """
+        keys = list(map(self._keys_for_order, orders))
+        traces1, traces2, traces3 = self.generators
+        make = CharacterTriple._signed
+        return keys, [make(traces1[r1], traces2[r2], traces3[r3], eps) for r1, r2, r3, eps in keys]
 
 
 def _window(big1: int, big2: int, whole: int) -> tuple[int, int]:
@@ -312,10 +325,12 @@ class PulledBackClasses:
 
     There is one row per X0 lattice point, in enumerate_X0's order: the
     class (-1; k, l, m) and order = a - k*c1 - l*c2 - m*c3 (c_i = a/a_i),
-    the homology order of the cover the class selects. Its trace triple is
-    memo._triple_for_order(order), the fold TraceMemo.triple_of describes;
-    the triples are checked pairwise distinct here. The EulerClass views are
-    built on first read of .classes.
+    the homology order of the cover the class selects. The fold that
+    TraceMemo.triple_of describes gives each row its memo keys and epsilon,
+    kept in .keys as (r1, r2, r3, epsilon) for certification, and its trace
+    triple. The triples are checked pairwise distinct here, on their keys:
+    distinct keys of one generator are distinct trace values. The EulerClass
+    views are built on first read of .classes.
     """
 
     def __init__(self, memo: TraceMemo) -> None:
@@ -327,9 +342,8 @@ class PulledBackClasses:
         self.rows = rows = [
             (k, l, m, a - k * c1 - l * c2 - m * c3) for k, l, m in enumerate_X0(params)
         ]
-        triple_for_order = memo._triple_for_order
-        self.triples = triples = [triple_for_order(row[3]) for row in rows]
-        if len({triple.key for triple in triples}) != len(triples):
+        self.keys, self.triples = memo._triples_for_orders([row[3] for row in rows])
+        if len({key[:3] for key in self.keys}) != len(self.keys):
             raise InjectivityViolation(
                 f"distinct euler classes of {params.triple} share a trace triple"
             )
@@ -355,7 +369,8 @@ class UnitaryClasses:
     moved onto the parity, up to the last l3 below the upper end. The upper
     end is at most a, so l3 stays below a3. Each row must also pass
     classify's float cross-check, kappa < -KAPPA_TOLERANCE, on the memo's
-    trace values. The rows are in rotation-number order.
+    trace values. The rows are in rotation-number order, and .keys is the
+    same list: a row holds its class's memo keys and epsilon.
 
     The keys are distinct by construction: distinct 0 < l_i < a_i fold to
     distinct reduced pairs, and since sum b_i*a/a_i = +-1 the b_i are never
@@ -390,7 +405,8 @@ class UnitaryClasses:
             k = _kappa(traces1[l1].value, traces2[l2].value, traces3[l3].value)
             if not k < -KAPPA_TOLERANCE:
                 raise InconsistentClassification(f"unitary triple with kappa = {k}")
-        self.rows = rows
+        # each row is its class's memo keys and epsilon, the columns certification reads
+        self.rows = self.keys = rows
 
     @cached_property
     def triples(self) -> list[CharacterTriple]:

@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+from functools import cache
 from itertools import repeat
 from typing import NamedTuple
 
@@ -117,9 +118,9 @@ def sphere_summary(
     the classes stay integer rows. The unitary count is checked once, by
     CountReport.of against the closed-form total: with sl2r = |X0|,
     total = su2 + sl2r is the check su2 = total - |X0|. classify checks
-    every pulled-back triple independently. Unitary CharacterTriple views are
-    built only when verify certifies the classes, and EulerClass views only
-    to name a class that fails.
+    every pulled-back triple independently. With verify, both tables are
+    certified from their memo keys, and a unitary CharacterTriple view or an
+    EulerClass view is built only to name a class that fails.
 
     Returns the summary record (params, counts, and with verify the
     verification block), the PulledBackClasses, the UnitaryClasses, and the
@@ -139,10 +140,11 @@ def sphere_summary(
             )
     certificates = []
     if verify:
-        from .realize import certify_classes  # numpy loads only when a class is certified
+        from .realize import certify_columns  # numpy loads only when a class is certified
 
         for table, real_form in ((pulled, sl2r), (unitary, ClassLabel.SU2)):
-            cert = certify_classes(table.triples, sigma, real_form, tol)
+            # each class as its memo keys and epsilon, on the memo's tables
+            cert = certify_columns(memo.generators, table.keys, sigma, real_form, tol)
             passed = cert.passed
             if not passed.all():
                 k = int(passed.argmin())
@@ -493,7 +495,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="brieskorn",
         description="Representation classes of Brieskorn homology spheres",

@@ -9,29 +9,47 @@ D R(th2) D^-1 with D = diag(lambda, 1/lambda), so with u = lambda^2 + lambda^-2
 A unitary class (kappa < 0) has |u| < 2, which puts lambda^2 on the unit
 circle and the pair in SU(2); a real class (kappa > 0) has |u| > 2, which
 puts lambda^2 on the real line and the pair in SL(2,R), with lambda^2 = +-d^2
-for the stretch d >= 1 of `stretch_for_product_trace`. Past the sines of the
-two angles, the solve for each class is elementwise arithmetic.
+for the stretch d >= 1 of `stretch_for_product_trace`.
 
-`certify_classes` realizes all classes of one real form on a sphere as
+`certify_columns` realizes all classes of one real form on a sphere as
 (n, 2, 2) stacks, runs every check once per stack, and returns one
 `Certificate`: an (n, 3) array of relation residuals and an (n,) array of
-irreducibility gaps. The scalar angle math stays per class in math,
-and each stacked operation is the one a single class would get, so a stack
-gives the same bits as its classes taken one at a time. `realize_su2` and
-`realize_sl2r` return one class's pair as plain 2x2 arrays, and
-`verify_relations` checks a given pair through the same code as a stack of
-one.
+irreducibility gaps. The classes come as integer columns. Each generator
+has a table, a mapping from key to TraceValue such as a TraceMemo
+generator, and the classes are (n, 4) integer rows: the keys of each
+class in the three tables, then its central sign epsilon. The cos, sin and
+trace of each table entry are evaluated once, by the math calls that made
+its TraceValue.value, so every class reads the bits of its own trace
+values. The rest of the solve (u, then h and sqrt(1 - h^2), or the stretch
+d) is elementwise numpy in the operation order of the scalar formulas. X is
+a rotation fixed by its trace, so it is built, inverted and raised to its
+power once per entry of the first table, then gathered by the first index
+column.
+
+The SU(2) stacks are complex128 and the SL(2,R) stacks float64. A real
+stack's complex product has imaginary parts that are exact zeros, which
+add nothing to the real part, to the Frobenius norm or to the modulus of
+the commutator offset, so the float64 stacks keep the bits of the complex
+ones; tests/test_realize.py checks this at scale against the complex128
+construction. Each stacked operation is the one a single class would get,
+so a stack gives the same bits as its classes taken one at a time.
+
+`certify_classes` takes CharacterTriples, and `realize_su2` and
+`realize_sl2r` one triple; `_columns` turns them into tables and columns,
+numbering the distinct trace values of each generator. `verify_relations`
+checks a given pair as a stack of one, after the determinant and real-form
+checks on the caller's complex input.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .character import CharacterTriple, ClassLabel
+from .character import CharacterTriple, ClassLabel, TraceValue
 from .errors import NotRealizable
 from .seifert import SeifertInvariant
 
@@ -39,17 +57,13 @@ FORM_TOLERANCE = 1e-12
 TRACE_TOLERANCE = 1e-10
 RELATION_TOLERANCE = 1e-9
 
-_I2 = np.eye(2, dtype=complex)
+_I2 = np.eye(2)
 
 
 def sl2_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a determinant-one matrix, or of each in a stack, by the adjugate; no linear solve."""
-    inv = np.empty(m.shape, dtype=complex)
-    inv[..., 0, 0] = m[..., 1, 1]
-    inv[..., 0, 1] = -m[..., 0, 1]
-    inv[..., 1, 0] = -m[..., 1, 0]
-    inv[..., 1, 1] = m[..., 0, 0]
-    return inv
+    adjugate = (m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
+    return np.stack(adjugate, axis=-1).reshape(m.shape)
 
 
 def _square_sum(a: np.ndarray) -> np.ndarray:
@@ -111,63 +125,71 @@ class Certificate:
         return float(self.gaps.min(initial=math.inf))
 
 
-def stretch_for_product_trace(u: float) -> float:
-    """Solve d^2 + d^-2 = u for the stretch d >= 1; u must exceed 2."""
-    if u <= 2.0:
+def stretch_for_product_trace(u):
+    """Solve d^2 + d^-2 = u for the stretch d >= 1, elementwise for an array; u must exceed 2."""
+    if not np.all(u > 2.0):
         raise NotRealizable(f"required d^2 + d^-2 = {u} is not above 2")
-    dd = (u + math.sqrt(u * u - 4.0)) / 2.0
-    return math.sqrt(dd)
+    return np.sqrt((u + np.sqrt(u * u - 4.0)) / 2.0)
 
 
-def _solve(c: CharacterTriple, real_form: ClassLabel) -> tuple:
-    """cos and sin of both rotation angles, lambda^2 as real and imaginary parts, and the three traces."""
-    tx, ty, tz = c.tx, c.ty, c.tz
+def _table(traces: Mapping[int, TraceValue]) -> tuple:
+    """Each key's position, then the cos, sin and trace of each entry, of one generator's table."""
+    keys = np.fromiter(traces, dtype=np.intp, count=len(traces))
+    position = np.zeros(keys.max(initial=-1) + 1, dtype=np.intp)
+    position[keys] = np.arange(len(keys))
+    # value is 2.0 * math.cos(angle), so halving gives the cos exactly, and
     # n / q rounds exactly as float(Fraction(n, q)) does
-    s1, s2 = math.sin(math.pi * (tx.n / tx.q)), math.sin(math.pi * (ty.n / ty.q))
-    if s1 * s2 < 1e-15:
-        raise NotRealizable("degenerate rotation angle, traces are +-2")
-    c1, c2 = tx.value / 2.0, ty.value / 2.0  # value is 2.0 * math.cos(angle); halving is exact
-    u = (2.0 * c1 * c2 - tz.value) / (s1 * s2)
-    if real_form is ClassLabel.SU2:
-        if abs(u) >= 2.0:
+    values = np.array([tv.value for tv in traces.values()], dtype=float)
+    sines = np.array([math.sin(math.pi * (tv.n / tv.q)) for tv in traces.values()], dtype=float)
+    return position, values / 2.0, sines, values
+
+
+def _rotations(c: np.ndarray, s: np.ndarray, dtype) -> np.ndarray:
+    return np.stack((c, -s, s, c), axis=-1).reshape(-1, 2, 2).astype(dtype)
+
+
+def _realize_columns(tables: Sequence[Mapping], classes, real_form: ClassLabel) -> tuple:
+    """X per entry of the first table, each class's row in it, the Y and XY stacks, and the epsilons.
+
+    The traces and the forms of X and Y are checked. A class with no pair in
+    real_form raises NotRealizable; the first such class names the error.
+    """
+    unitary = real_form is ClassLabel.SU2
+    (pos1, cos1, sin1, tr1), (pos2, cos2, sin2, tr2), (pos3, _, _, tr3) = map(_table, tables)
+    X = _rotations(cos1, sin1, complex if unitary else float)
+    _check_form(X, real_form)  # first, so a real_form other than SU2 or SL2R raises first
+    classes = np.asarray(classes, dtype=np.intp).reshape(-1, 4)
+    at, p2, p3 = pos1[classes[:, 0]], pos2[classes[:, 1]], pos3[classes[:, 2]]
+    c2, s2, ty, tz = cos2[p2], sin2[p2], tr2[p2], tr3[p3]
+    sines = sin1[at] * s2
+    degenerate = sines < 1e-15
+    u = (2.0 * cos1[at] * c2 - tz) / np.where(degenerate, 1.0, sines)
+    unfit = degenerate | (np.abs(u) >= 2.0 if unitary else np.abs(u) <= 2.0)
+    if unfit.any():
+        k = int(unfit.argmax())
+        if degenerate[k]:
+            raise NotRealizable("degenerate rotation angle, traces are +-2")
+        if unitary:
             raise NotRealizable(
-                f"target trace {tz.value} lies outside the open unitary interval"
+                f"target trace {float(tz[k])} lies outside the open unitary interval"
             )
+        stretch_for_product_trace(abs(float(u[k])))  # raises: |u| is not above 2
+    if unitary:
         h = u / 2.0
-        return c1, s1, c2, s2, h, math.sqrt(1.0 - h * h), tx.value, ty.value, tz.value
-    d = stretch_for_product_trace(abs(u))
-    return c1, s1, c2, s2, math.copysign(d * d, u), 0.0, tx.value, ty.value, tz.value
-
-
-def _rotations(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    r = np.empty((len(c), 2, 2), dtype=complex)
-    r[:, 0, 0] = c
-    r[:, 0, 1] = -s
-    r[:, 1, 0] = s
-    r[:, 1, 1] = c
-    return r
-
-
-def _realize_stack(triples: Sequence[CharacterTriple], real_form: ClassLabel) -> tuple:
-    """X, Y and XY stacks for the triples, with the traces and X and Y checked."""
-    if real_form not in (ClassLabel.SU2, ClassLabel.SL2R):
-        raise ValueError("real_form must be SU2 or SL2R")
-    # the width 9 shapes an empty stack too
-    cols = np.array([_solve(c, real_form) for c in triples], dtype=float).reshape(-1, 9).T
-    X = _rotations(cols[0], cols[1])
-    Y = _rotations(cols[2], cols[3])
-    lam_sq = cols[4] + 1j * cols[5]
-    # Y = D R(th2) D^-1 with D = diag(lambda, 1/lambda). For a real lambda^2 = +-d^2 the
-    # complex reciprocal is exactly +-1/d^2, so a real Y gets the bits of a stretch by d^2
+        lam_sq = h + 1j * np.sqrt(1.0 - h * h)
+    else:
+        d = stretch_for_product_trace(np.abs(u))
+        lam_sq = np.copysign(d * d, u)
+    Y = _rotations(c2, s2, X.dtype)
+    # Y = D R(th2) D^-1 with D = diag(lambda, 1/lambda); a real lambda^2 = +-d^2 stretches by d^2
     Y[:, 0, 1] *= lam_sq
     Y[:, 1, 0] *= 1.0 / lam_sq
-    XY = X @ Y
-    traces = np.stack([(m[:, 0, 0] + m[:, 1, 1]).real for m in (X, Y, XY)])
-    if not (np.abs(traces - cols[6:]) < TRACE_TOLERANCE).all():
-        raise AssertionError("realized traces miss the trace triple")
-    _check_form(X, real_form)
+    XY = X[at] @ Y
+    for m, target in ((X, tr1), (Y, ty), (XY, tz)):
+        if not (np.abs((m[:, 0, 0] + m[:, 1, 1]).real - target) < TRACE_TOLERANCE).all():
+            raise AssertionError("realized traces miss the trace triple")
     _check_form(Y, real_form)
-    return X, Y, XY
+    return X, at, Y, XY, classes[:, 3]
 
 
 def _check_relation_inputs(sigma: SeifertInvariant, tol: float) -> None:
@@ -177,61 +199,70 @@ def _check_relation_inputs(sigma: SeifertInvariant, tol: float) -> None:
         raise ValueError("tolerance must be finite and positive")
 
 
-def _certificate(
-    X: np.ndarray, Y: np.ndarray, XY: np.ndarray, real_form: ClassLabel,
-    sigma: SeifertInvariant, epsilons: Sequence[int], tol: float,
-) -> Certificate:
+def _certificate(X, at, Y, XY, epsilons, sigma, real_form, tol) -> Certificate:
     """The certificate of the stacks, after Z = (XY)^-1 passes its form checks.
 
-    Z is (XY)^-1 by construction, which is the product relator for data
-    with b = 0. The power relation for generator i reads
-    M^a_i = epsilon^(-b_i) * I; the commutator trace distance from 2 must
-    stay above tol for the pair to count as irreducible.
+    Class k has the X of row at[k] and the k-th Y, XY and Z. Z is (XY)^-1 by
+    construction, which is the product relator for data with b = 0. The
+    power relation for generator i reads M^a_i = epsilon^(-b_i) * I; the
+    commutator trace distance from 2 must stay above tol for the pair to
+    count as irreducible.
     """
     Z = sl2_inverse(XY)
     _check_form(Z, real_form)
-    odd_sign = np.array(epsilons) == -1
-    names, residuals = [], []
-    for name, stack, (ai, bi) in zip("xyz", (X, Y, Z), sigma.pairs):
+    odd_sign = np.asarray(epsilons) == -1
+    names = tuple(f"{name}^{ai}" for name, (ai, _) in zip("xyz", sigma.pairs))
+    residuals = []
+    for stack, rows, (ai, bi) in zip((X, Y, Z), (at, ..., ...), sigma.pairs):
         flip = odd_sign & (bi % 2 == 1)
-        center = np.where(flip[:, None, None], -_I2, _I2)
-        names.append(f"{name}^{ai}")
-        residuals.append(frobenius(np.linalg.matrix_power(stack, ai) - center))
-    commutator = XY @ sl2_inverse(X) @ sl2_inverse(Y)
+        power = np.linalg.matrix_power(stack, ai)[rows]
+        residuals.append(frobenius(power - np.where(flip[:, None, None], -_I2, _I2)))
+    commutator = XY @ sl2_inverse(X)[at] @ sl2_inverse(Y)
     offset = commutator[:, 0, 0] + commutator[:, 1, 1] - 2.0
-    # np.hypot is the modulus abs(complex) takes, bit for bit
-    gaps = np.hypot(offset.real, offset.imag)
-    return Certificate(tuple(names), np.stack(residuals, axis=1), gaps, tol)
+    # the gap is |offset|, by np.hypot, the modulus abs(complex) takes, bit for bit
+    return Certificate(names, np.stack(residuals, axis=1), np.hypot(offset.real, offset.imag), tol)
 
 
-def certify_classes(
-    triples: Sequence[CharacterTriple],
-    sigma: SeifertInvariant,
-    real_form: ClassLabel,
-    tol: float = RELATION_TOLERANCE,
-) -> Certificate:
-    """Realize every triple in real_form and check its relations, all on one stack.
+def certify_columns(tables: Sequence[Mapping[int, TraceValue]], classes, sigma: SeifertInvariant,
+                    real_form: ClassLabel, tol: float = RELATION_TOLERANCE) -> Certificate:
+    """Realize every class in real_form and check its relations, all on one stack.
 
-    Returns one certificate whose rows follow the triples; a class whose
-    relations fail has a row that did not pass. Every other failed check
-    raises for the whole stack: NotRealizable when a triple has no pair in
-    real_form, AssertionError when a pair misses its traces, ValueError when
-    X, Y or Z fails its determinant or real-form check.
+    classes is an (n, 4) integer array, or a sequence of such rows: row k
+    holds the keys of class k in the three tables, then its central sign
+    epsilon. Returns one certificate whose rows follow the classes; a class
+    whose relations fail has a row that did not pass. Every other failed
+    check raises for the whole stack: NotRealizable when a class has no pair
+    in real_form (the first such class names the error), AssertionError
+    when a pair misses its traces, ValueError when X, Y or Z fails its
+    determinant or real-form check.
     """
     _check_relation_inputs(sigma, tol)
-    X, Y, XY = _realize_stack(triples, real_form)
-    return _certificate(X, Y, XY, real_form, sigma, [c.epsilon for c in triples], tol)
+    return _certificate(*_realize_columns(tables, classes, real_form), sigma, real_form, tol)
+
+
+def _columns(triples: Sequence[CharacterTriple]) -> tuple:
+    """The tables and class rows of the triples, each table keyed in order of first appearance."""
+    keys = ({}, {}, {})
+    rows = [[*(k.setdefault(tv, len(k)) for k, tv in zip(keys, (c.tx, c.ty, c.tz))), c.epsilon]
+            for c in triples]
+    return [dict(zip(k.values(), k)) for k in keys], rows
+
+
+def certify_classes(triples: Sequence[CharacterTriple], sigma: SeifertInvariant,
+                    real_form: ClassLabel, tol: float = RELATION_TOLERANCE) -> Certificate:
+    """certify_columns on the triples, whose rows the certificate follows."""
+    return certify_columns(*_columns(triples), sigma, real_form, tol)
 
 
 def realize_su2(c: CharacterTriple) -> tuple[np.ndarray, np.ndarray]:
     """Unitary pair (X, Y): the rotation by th1, and a rotation conjugated by a unit-circle lambda^2."""
-    X, Y, _ = _realize_stack([c], ClassLabel.SU2)
+    X, _, Y, *_ = _realize_columns(*_columns([c]), ClassLabel.SU2)
     return X[0], Y[0]
 
 
 def realize_sl2r(c: CharacterTriple) -> tuple[np.ndarray, np.ndarray]:
-    """Real pair (X, Y): the rotation by th1, and a rotation conjugated by a real lambda^2 = +-d^2."""
-    X, Y, _ = _realize_stack([c], ClassLabel.SL2R)
+    """Real float64 pair (X, Y): the rotation by th1, and a rotation conjugated by a real +-d^2."""
+    X, _, Y, *_ = _realize_columns(*_columns([c]), ClassLabel.SL2R)
     return X[0], Y[0]
 
 
@@ -246,7 +277,8 @@ def verify_relations(
     """The one-row certificate of a pair of 2x2 matrices in real_form.
 
     Raises ValueError unless X and Y are 2x2, have determinant 1 and lie in
-    real_form.
+    real_form. Those checks read the pair as complex; an SL(2,R) pair that
+    passes is certified as its float64 real part.
     """
     _check_relation_inputs(sigma, tol)
     if epsilon not in (1, -1):
@@ -255,5 +287,5 @@ def verify_relations(
     if pair.shape != (2, 2, 2):
         raise ValueError("expected a pair of 2x2 matrices")
     _check_form(pair, real_form)
-    x, y = pair[:1], pair[1:]
-    return _certificate(x, y, x @ y, real_form, sigma, [epsilon], tol)
+    x, y = np.split(np.ascontiguousarray(pair.real) if real_form is ClassLabel.SL2R else pair, 2)
+    return _certificate(x, np.zeros(1, dtype=np.intp), y, x @ y, [epsilon], sigma, real_form, tol)

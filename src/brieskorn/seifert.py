@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (
     InvalidSeifertData,
     NotPairwiseCoprime,
     ValueTooSmall,
 )
+
+if TYPE_CHECKING:  # fractions loads only where a Fraction is made
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,8 @@ def solve_seifert(params: BrieskornParams) -> SeifertInvariant:
 
 def euler_number(s: SeifertInvariant) -> Fraction:
     """The rational euler number -(b + sum b_i/a_i) of the fibration."""
+    from fractions import Fraction
+
     return Fraction(cleared_euler_number(s), s.a)
 
 

@@ -328,7 +328,7 @@ def test_trace_memo_holds_each_folded_trace_once():
         assert all(0 <= r <= ai and tv == TraceValue(r, ai) for r, tv in generator.items())
     # the memo's fold against fresh TraceValues, over residues of both signs
     for order in range(-300, 300):
-        tri = memo._triple_for_order(order)
+        [tri] = memo._triples_for_orders([order])[1]
         fresh = [TraceValue(-order * bi, ai) for bi, ai in zip(sigma.coefficients, params.triple)]
         assert [tri.tx, tri.ty, tri.tz] == fresh
         assert tri.epsilon == (-1 if order % 2 else 1)

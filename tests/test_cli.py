@@ -24,6 +24,7 @@ from brieskorn.character import (
     phi_map,
 )
 from brieskorn.cli import (
+    build_parser,
     build_record,
     census_params,
     main,
@@ -528,18 +529,48 @@ def test_verify_failure_at_first_float_defect_is_pinned(capsys):
 
 
 def test_unitary_stack_not_certified_after_a_real_class_fails(capsys, monkeypatch):
-    certify = brieskorn.realize.certify_classes
+    certify = brieskorn.realize.certify_columns
     forms = []
 
-    def recording(triples, sigma, real_form, tol):
+    def recording(tables, classes, sigma, real_form, tol):
         forms.append(real_form)
-        return certify(triples, sigma, real_form, tol)
+        return certify(tables, classes, sigma, real_form, tol)
 
-    monkeypatch.setattr(brieskorn.realize, "certify_classes", recording)
+    monkeypatch.setattr(brieskorn.realize, "certify_columns", recording)
     assert run(capsys, "analyze", "4", "3", "127", "--verify")[0] == 1
     assert forms == [ClassLabel.SL2R]
     assert run(capsys, "analyze", "4", "3", "125", "--verify")[0] == 0
     assert forms == [ClassLabel.SL2R, ClassLabel.SL2R, ClassLabel.SU2]
+
+
+def test_verify_builds_no_unitary_view(capsys, monkeypatch):
+    # the unitary classes are certified from their integer rows, with no CharacterTriple view
+    def refuse(self):
+        raise AssertionError("UnitaryClasses.triples was read")
+
+    monkeypatch.setattr(UnitaryClasses, "triples", property(refuse))
+    code, out, _ = run(capsys, "analyze", "7", "11", "13", "--verify")
+    assert code == 0
+    assert "su2 classes:" in out and "verification: " in out
+    assert not hasattr(brieskorn.realize, "_solve")
+
+
+def test_parser_built_once_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "analyze", "7", "11", "13", "--verify")
+    assert code == 0 and "verification: " in out
+    code, out, _ = run(capsys, "analyze", "7", "11", "13")
+    assert code == 0 and "verification" not in out
+    # a usage error exits 2 with what a freshly built parser writes, every time
+    errors = []
+    for parse in (main, build_parser().parse_args, build_parser.__wrapped__().parse_args, main):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(["analyze", "7", "11"])
+        assert exit_info.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == [errors[0]] * 4
+    assert errors[0].startswith("usage: brieskorn analyze ")
+    assert errors[0].endswith("error: the following arguments are required: a3\n")
 
 
 def test_numpy_loads_only_to_certify():
@@ -547,6 +578,7 @@ def test_numpy_loads_only_to_certify():
         [
             "import sys",
             "import brieskorn",
+            "assert 'fractions' not in sys.modules",
             "from brieskorn.cli import main",
             "assert 'numpy' not in sys.modules",
             "main(['census', '100'])",

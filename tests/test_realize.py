@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,9 @@ from brieskorn.character import (
     kappa,
     phi_map,
 )
-from brieskorn.cli import parse_seifert_override
-from brieskorn.errors import NotRealizable
+import brieskorn.realize
+from brieskorn.cli import census_params, parse_seifert_override, sphere_summary
+from brieskorn.errors import BrieskornError, NotRealizable
 from brieskorn.realize import (
     certify_classes,
     frobenius,
@@ -297,6 +299,91 @@ def test_stack_matches_numpy_reference(multiplicities, override):
             assert cert.gaps[k] == abs(complex(commutator.trace()) - 2.0)
 
 
+def reference_certificate(triples, sigma, real_form):
+    """Residuals and gaps as complex128 stacks built class by class, the construction of earlier versions.
+
+    Each class is solved in math; X, Y and XY are complex stacks with one X
+    per class, each raised to its power by np.linalg.matrix_power.
+    """
+    columns = []
+    for c in triples:
+        tx, ty, tz = c.tx, c.ty, c.tz
+        s1, s2 = math.sin(math.pi * (tx.n / tx.q)), math.sin(math.pi * (ty.n / ty.q))
+        c1, c2 = tx.value / 2.0, ty.value / 2.0
+        u = (2.0 * c1 * c2 - tz.value) / (s1 * s2)
+        if real_form is ClassLabel.SU2:
+            h = u / 2.0
+            columns.append((c1, s1, c2, s2, h, math.sqrt(1.0 - h * h)))
+        else:
+            size = abs(u)
+            d = math.sqrt((size + math.sqrt(size * size - 4.0)) / 2.0)
+            columns.append((c1, s1, c2, s2, math.copysign(d * d, u), 0.0))
+    c1, s1, c2, s2, lam_re, lam_im = np.array(columns, dtype=float).reshape(-1, 6).T
+
+    def rotations(co, si):
+        r = np.empty((len(co), 2, 2), dtype=complex)
+        r[:, 0, 0], r[:, 0, 1], r[:, 1, 0], r[:, 1, 1] = co, -si, si, co
+        return r
+
+    def inverse(m):
+        inv = np.empty_like(m)
+        inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 0], inv[:, 1, 1] = (
+            m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]
+        )
+        return inv
+
+    X, Y = rotations(c1, s1), rotations(c2, s2)
+    lam_sq = lam_re + 1j * lam_im
+    Y[:, 0, 1] *= lam_sq
+    Y[:, 1, 0] *= 1.0 / lam_sq
+    XY = X @ Y
+    identity = np.eye(2, dtype=complex)
+    odd_sign = np.array([c.epsilon == -1 for c in triples], dtype=bool)
+    residuals = []
+    for stack, (ai, bi) in zip((X, Y, inverse(XY)), sigma.pairs):
+        center = np.where((odd_sign & (bi % 2 == 1))[:, None, None], -identity, identity)
+        residuals.append(frobenius(np.linalg.matrix_power(stack, ai) - center))
+    commutator = XY @ inverse(X) @ inverse(Y)
+    offset = commutator[:, 0, 0] + commutator[:, 1, 1] - 2.0
+    return np.stack(residuals, axis=1), np.hypot(offset.real, offset.imag)
+
+
+# two spheres past a = 1524 whose first SL(2,R) class fails tol 1e-9; the scale
+# test runs them after every sphere with a <= 1000
+FAILING_AT_SCALE = [(2, 3, 6007), (7, 11, 2003)]
+
+
+def test_certificates_keep_the_complex_reference_bits_at_scale(monkeypatch):
+    certify = brieskorn.realize.certify_columns
+    made = []
+
+    def recording(*args):
+        made.append(certify(*args))
+        return made[-1]
+
+    monkeypatch.setattr(brieskorn.realize, "certify_columns", recording)
+    for multiplicities in [p.triple for p in census_params(1000)] + FAILING_AT_SCALE:
+        params = canonicalize_params(*multiplicities)
+        sigma = solve_seifert(params)
+        made.clear()
+        try:
+            sphere_summary(params, sigma, verify=True)
+        except BrieskornError:
+            assert multiplicities in FAILING_AT_SCALE
+        # the command line's certificates, from the memo's tables and integer columns
+        from_columns = list(made)
+        assert len(from_columns) == (1 if multiplicities in FAILING_AT_SCALE else 2)
+        families = [
+            (ClassLabel.SL2R, [c for _, c in phi_map(params, sigma)]),
+            (ClassLabel.SU2, enumerate_su2(params, sigma)),
+        ]
+        for k, (real_form, triples) in enumerate(families):
+            residuals, gaps = reference_certificate(triples, sigma, real_form)
+            for cert in [certify_classes(triples, sigma, real_form)] + from_columns[k : k + 1]:
+                assert cert.residuals.tobytes() == residuals.tobytes()
+                assert cert.gaps.tobytes() == gaps.tobytes()
+
+
 def test_frobenius_is_numpy_norm_bit_for_bit():
     rng = np.random.default_rng(7)
     stack = rng.standard_normal((2000, 2, 2)) + 1j * rng.standard_normal((2000, 2, 2))
@@ -311,6 +398,33 @@ def test_stack_raises_on_an_unrealizable_class():
     assert cert.passed.tolist() == [True]
     with pytest.raises(NotRealizable):
         certify_classes([real, unitary], OVERRIDE_237, ClassLabel.SL2R)
+
+
+def test_stack_error_names_the_first_class_without_a_pair():
+    real = triple(F(1, 2), F(2, 3), F(1, 7))
+    unitary = triple(F(1, 2), F(2, 3), F(3, 7))
+    other_real = triple(F(1, 2), F(4, 5), F(2, 7))
+    other_unitary = triple(F(1, 3), F(1, 3), F(1, 2))
+    degenerate = CharacterTriple(TraceValue(0, 1), TraceValue(2, 3), TraceValue(1, 7), epsilon=-1)
+
+    def product_trace(c):
+        (s1, s2), (c1, c2) = (math.sin(math.pi * tv.n / tv.q) for tv in (c.tx, c.ty)), c.values[:2]
+        return abs((2.0 * (c1 / 2.0) * (c2 / 2.0) - c.tz.value) / (s1 * s2))
+
+    cases = [
+        (ClassLabel.SU2, [unitary, real, other_real],
+         f"target trace {real.tz.value} lies outside the open unitary interval"),
+        (ClassLabel.SL2R, [real, unitary, other_unitary],
+         f"required d^2 + d^-2 = {product_trace(unitary)} is not above 2"),
+        (ClassLabel.SL2R, [real, degenerate, unitary], "degenerate rotation angle, traces are +-2"),
+        (ClassLabel.SU2, [unitary, real, degenerate], "target trace"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a degenerate class divides by no zero
+        for real_form, triples, message in cases:
+            with pytest.raises(NotRealizable) as info:
+                certify_classes(triples, OVERRIDE_237, real_form)
+            assert str(info.value).startswith(message)
 
 
 def test_stack_checks_its_inputs():

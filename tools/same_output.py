@@ -10,6 +10,9 @@ differ, and exits 1 if any differ. The command set:
 
 - census 3000 and census 1000 --verify, each in text, csv and json;
 - analyze 4 3 127 --verify and analyze 2 3 7 --verify --tol 1e-16;
+- analyze 2 3 6007 --verify and analyze 7 11 2003 --verify, which exit 1
+  on the known float64 certificate failures and print the failing
+  residual's repr, so their stderr pins the certificate's bits at scale;
 - every PINNED_STDOUT command, read from tests/test_cli.py;
 - analyze 7 11 13 with three --seifert overrides (every coefficient
   negated, so convention sign -1; b2 odd; and b = 1, normalized to the
@@ -20,6 +23,8 @@ differ, and exits 1 if any differ. The command set:
   analyze --condition-b --format json on 60 spheres: the middle sphere of
   each of 60 equal slices of census_params(6000), the spheres the
   benchmark samples.
+
+337 commands in all.
 """
 
 from __future__ import annotations
@@ -83,6 +88,8 @@ def commands(census_params) -> list[list[str]]:
     out += [
         ["analyze", "4", "3", "127", "--verify"],
         ["analyze", "2", "3", "7", "--verify", "--tol", "1e-16"],
+        ["analyze", "2", "3", "6007", "--verify"],
+        ["analyze", "7", "11", "2003", "--verify"],
     ]
     out += pinned_commands()
     for data in ("0,-5,-4,14", "0,12,-7,-14", "1,12,-18,-14"):
