@@ -47,7 +47,6 @@ from .seifert import (
     BrieskornParams,
     SeifertInvariant,
     canonicalize_params,
-    euler_number,
     h1_order,
     solve_seifert,
     sphere_convention_sign,
@@ -98,7 +97,6 @@ __all__ = [
     "enumerate_X0",
     "enumerate_condition_b",
     "enumerate_su2",
-    "euler_number",
     "h1_order",
     "kappa",
     "phi_map",

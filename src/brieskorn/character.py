@@ -3,18 +3,22 @@
 Traces of the three cone generators are numbers 2cos(pi*n/q) with integer
 n and q, so every fold and comparison here is integer arithmetic on cleared
 denominators; floating point only appears as a cross-check discriminant.
+A class names its traces by memo key: trace i is the TraceValue(r_i, a_i)
+held under key r_i in [0, a_i] of its generator's table in the sphere's
+TraceMemo.
 The module enumerates the unitary classes directly and produces the real
 (non-unitary) classes by pulling back rotations through the coverings that
 the euler classes select.
 
 Each sphere's lattices are walked once, through one TraceMemo. Both kinds
 of class are integer rows on that memo: PulledBackClasses holds the
-beta = -1 classes as (k, l, m, order) rows and folds each triple, and its
-memo keys, from the cover order, and UnitaryClasses holds the unitary
-classes as (l1, l2, l3, epsilon) rows. The command line writes every output
-from the rows and certifies from the memo keys; a unitary CharacterTriple
-view or an EulerClass view is built only to name a class that fails. phi_map and
-enumerate_su2 build those views over a fresh memo.
+beta = -1 classes as (k, l, m, order) rows and folds each row's memo keys
+from the cover order, and UnitaryClasses holds the unitary classes as
+(l1, l2, l3, epsilon) rows, which are their memo keys. Either table's
+CharacterTriple views come from its keys through TraceMemo._triples. The
+command line writes every output from the rows and keys and certifies from
+the keys; an EulerClass view is built only to name a class that fails.
+phi_map and enumerate_su2 build the views over a fresh memo.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .errors import (
     CountMismatch,
@@ -42,9 +45,6 @@ from .seifert import (
     h1_order,
     solve_seifert,
 )
-
-if TYPE_CHECKING:  # fractions loads only where a Fraction is made
-    from fractions import Fraction
 
 # |kappa| below this is treated as "indistinguishable from reducible" and
 # any irreducible label must clear it with the right sign
@@ -78,12 +78,6 @@ class TraceValue:
         object.__setattr__(
             self, "__dict__", {"n": n, "q": q, "value": 2.0 * math.cos(math.pi * (n / q))}
         )
-
-    @property
-    def t(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.n, self.q)
 
     def __str__(self) -> str:
         return f"2cos({self.n}π/{self.q})"
@@ -123,10 +117,6 @@ class CharacterTriple:
         triple = object.__new__(cls)
         object.__setattr__(triple, "__dict__", {"tx": tx, "ty": ty, "tz": tz, "epsilon": epsilon})
         return triple
-
-    @property
-    def angles(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.tx.t, self.ty.t, self.tz.t)
 
     @property
     def values(self) -> tuple[float, float, float]:
@@ -242,7 +232,7 @@ class TraceMemo:
         """
         if eu.params is not self.params and eu.params != self.params:
             raise ValueError("euler class belongs to another sphere")
-        return self._triples_for_orders([abs(eu.cover_euler_number())])[1][0]
+        return self._triples([self._keys_for_order(abs(eu.cover_euler_number()))])[0]
 
     def _keys_for_order(self, order):
         """The three memo keys and epsilon of a class whose cover has homology of this order.
@@ -250,22 +240,17 @@ class TraceMemo:
         Each -order*b_i is reduced mod 2a_i to r, and r is mirrored into
         [0, a_i] as a_i - |a_i - r|, which is the memo's key for
         TraceValue(-order*b_i, a_i); epsilon is -1 exactly when the order is
-        odd.
+        odd. This is the one trace fold.
         """
         a1, a2, a3, b1, b2, b3 = self._fold
         r1, r2, r3 = -order * b1 % (2 * a1), -order * b2 % (2 * a2), -order * b3 % (2 * a3)
         return a1 - abs(a1 - r1), a2 - abs(a2 - r2), a3 - abs(a3 - r3), 1 - order % 2 * 2
 
-    def _triples_for_orders(self, orders) -> tuple[list, list[CharacterTriple]]:
-        """The keys and epsilon, then the triple, of each class whose cover has an order in orders.
-
-        This is the one trace fold: triple_of says how a triple follows from
-        its cover order.
-        """
-        keys = list(map(self._keys_for_order, orders))
+    def _triples(self, keys) -> list[CharacterTriple]:
+        """The CharacterTriple view of each (r1, r2, r3, epsilon) row of memo keys."""
         traces1, traces2, traces3 = self.generators
         make = CharacterTriple._signed
-        return keys, [make(traces1[r1], traces2[r2], traces3[r3], eps) for r1, r2, r3, eps in keys]
+        return [make(traces1[r1], traces2[r2], traces3[r3], eps) for r1, r2, r3, eps in keys]
 
 
 def _window(big1: int, big2: int, whole: int) -> tuple[int, int]:
@@ -327,10 +312,11 @@ class PulledBackClasses:
     class (-1; k, l, m) and order = a - k*c1 - l*c2 - m*c3 (c_i = a/a_i),
     the homology order of the cover the class selects. The fold that
     TraceMemo.triple_of describes gives each row its memo keys and epsilon,
-    kept in .keys as (r1, r2, r3, epsilon) for certification, and its trace
-    triple. The triples are checked pairwise distinct here, on their keys:
-    distinct keys of one generator are distinct trace values. The EulerClass
-    views are built on first read of .classes.
+    kept in .keys as (r1, r2, r3, epsilon): the writers and certification
+    read them. The triples are checked pairwise distinct here, on their
+    keys: distinct keys of one generator are distinct trace values. The
+    CharacterTriple views of .triples and the EulerClass views of .classes
+    are built on first read.
     """
 
     def __init__(self, memo: TraceMemo) -> None:
@@ -342,11 +328,16 @@ class PulledBackClasses:
         self.rows = rows = [
             (k, l, m, a - k * c1 - l * c2 - m * c3) for k, l, m in enumerate_X0(params)
         ]
-        self.keys, self.triples = memo._triples_for_orders([row[3] for row in rows])
+        self.keys = [memo._keys_for_order(row[3]) for row in rows]
         if len({key[:3] for key in self.keys}) != len(self.keys):
             raise InjectivityViolation(
                 f"distinct euler classes of {params.triple} share a trace triple"
             )
+
+    @cached_property
+    def triples(self) -> list[CharacterTriple]:
+        """The keys as CharacterTriple views through the memo, built on first read."""
+        return self.memo._triples(self.keys)
 
     @cached_property
     def classes(self) -> list[EulerClass]:
@@ -411,9 +402,7 @@ class UnitaryClasses:
     @cached_property
     def triples(self) -> list[CharacterTriple]:
         """The rows as CharacterTriple views through the memo, built on first read."""
-        traces1, traces2, traces3 = self.memo.generators
-        make = CharacterTriple._signed
-        return [make(traces1[l1], traces2[l2], traces3[l3], eps) for l1, l2, l3, eps in self.rows]
+        return self.memo._triples(self.rows)
 
 
 def enumerate_su2(params: BrieskornParams, sigma: SeifertInvariant) -> list[CharacterTriple]:

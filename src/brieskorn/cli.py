@@ -7,8 +7,9 @@ Every output is written from the sphere's integer class rows, with no dict
 or EulerClass per class: build_record checks a sphere and returns a
 SphereRecord, and the text, JSON and census JSON writers fill one `%`
 template per class from its row and from the texts of its three trace
-values, made once per distinct value. render_json writes exactly what
-json.dumps writes for the record's dict form, which README.md lays out.
+values, looked up by the class's memo keys and made once per key.
+render_json writes exactly what json.dumps writes for the record's dict
+form, which README.md lays out.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .seifert import (
     BrieskornParams,
     SeifertInvariant,
     canonicalize_params,
-    euler_number,
+    cleared_euler_number,
     h1_order,
     solve_seifert,
     sphere_convention_sign,
@@ -192,7 +193,8 @@ class SphereRecord(NamedTuple):
     without verify). With condition b, partners holds the coefficients
     (a1-k, a2-l, a3-m) of the reversed partner of each pulled-back class, in
     the condition-b list's order, so the pulled-back rows taken backwards.
-    leaves maps id() of each of the sphere's TraceValues to its texts (_leaf).
+    leaves holds one dict per generator, mapping each memo key of the
+    sphere's TraceMemo to the texts (_leaf) of its trace value.
     """
 
     summary: dict
@@ -200,7 +202,7 @@ class SphereRecord(NamedTuple):
     unitary: UnitaryClasses
     certificates: list
     partners: list | None
-    leaves: dict
+    leaves: tuple[dict, dict, dict]
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -208,6 +210,8 @@ _json_str = json.encoder.encode_basestring_ascii
 
 def _leaf(tv: TraceValue) -> tuple[str, str, str, str, str]:
     """A trace value's texts: trace and "%.12f" for text, then angle, trace and float in JSON.
+
+    Each is made once per memo key, and every class that holds the key reads it.
 
     Every value a record holds lies strictly inside (-2, 2), so its angle n/q
     has q > 1 and prints as "n/q", and its float is finite and prints as its repr.
@@ -236,7 +240,9 @@ def build_record(
         "b": sigma.b,
         "coefficients": list(sigma.coefficients),
         "source": source,
-        "euler_number": str(euler_number(sigma)),
+        # a*e is +-1, as solve_seifert's assert, sphere_convention_sign and the
+        # memo's h1 order check all hold, so e = a*e/a is in lowest terms
+        "euler_number": "%d/%d" % (cleared_euler_number(sigma), sigma.a),
         "h1_order": h1_order(sigma),
         "convention_sign": sphere_convention_sign(sigma),
     }
@@ -253,24 +259,22 @@ def build_record(
             raise BrieskornError(
                 f"orientation reversal is not a bijection on {params.triple}"
             )
-    # the memo holds every trace value the two tables read, each once
-    leaves = {id(tv): _leaf(tv) for traces in pulled.memo.generators for tv in traces.values()}
+    # the memo holds every trace value the two tables read, each once: the unitary
+    # kappa check and the classify check of every pulled-back triple filled it
+    leaves = tuple({r: _leaf(tv) for r, tv in traces.items()} for traces in pulled.memo.generators)
     return SphereRecord(summary, pulled, unitary, certificates, partners, leaves)
 
 
 def _pulled_fields(record: SphereRecord):
     """(k, l, m, cover order, epsilon, three trace leaves) of each pulled-back class."""
-    leaves = record.leaves
-    for (k, l, m, order), t in zip(record.pulled.rows, record.pulled.triples):
-        yield k, l, m, order, t.epsilon, leaves[id(t.tx)], leaves[id(t.ty)], leaves[id(t.tz)]
+    g1, g2, g3 = record.leaves
+    for (k, l, m, order), (r1, r2, r3, eps) in zip(record.pulled.rows, record.pulled.keys):
+        yield k, l, m, order, eps, g1[r1], g2[r2], g3[r3]
 
 
 def _unitary_fields(record: SphereRecord):
     """(epsilon, three trace leaves) of each unitary class; each l_i is its generator's memo key."""
-    leaves = record.leaves
-    g1, g2, g3 = (
-        {r: leaves[id(tv)] for r, tv in traces.items()} for traces in record.unitary.memo.generators
-    )
+    g1, g2, g3 = record.leaves
     for l1, l2, l3, eps in record.unitary.rows:
         yield eps, g1[l1], g2[l2], g3[l3]
 

@@ -78,20 +78,21 @@ def frobenius(m: np.ndarray) -> np.ndarray:
 
 
 def _check_form(stack: np.ndarray, real_form: ClassLabel) -> None:
-    """Raise ValueError unless every matrix of the stack has determinant 1 and lies in real_form."""
-    if real_form is ClassLabel.SL2R:
-        form_bad = np.abs(stack.imag).max(axis=(1, 2)) > FORM_TOLERANCE
-        message = "real-form matrix has nonreal entries"
-    elif real_form is ClassLabel.SU2:
+    """Raise ValueError unless every matrix of the stack has determinant 1 and lies in real_form.
+
+    An SL(2,R) stack is float64, so real by construction; verify_relations
+    checks a caller's complex pair for nonreal entries itself.
+    """
+    unitary = real_form is ClassLabel.SU2
+    if unitary:
         gram = stack @ stack.conj().transpose(0, 2, 1)
         form_bad = frobenius(gram - _I2) > FORM_TOLERANCE
-        message = "unitary-form matrix is not unitary"
-    else:
+    elif real_form is not ClassLabel.SL2R:
         raise ValueError("real_form must be SU2 or SL2R")
     if (np.abs(np.linalg.det(stack) - 1.0) > FORM_TOLERANCE).any():
         raise ValueError("determinant must be 1")
-    if form_bad.any():
-        raise ValueError(message)
+    if unitary and form_bad.any():
+        raise ValueError("unitary-form matrix is not unitary")
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,5 +288,8 @@ def verify_relations(
     if pair.shape != (2, 2, 2):
         raise ValueError("expected a pair of 2x2 matrices")
     _check_form(pair, real_form)
-    x, y = np.split(np.ascontiguousarray(pair.real) if real_form is ClassLabel.SL2R else pair, 2)
+    real = real_form is ClassLabel.SL2R
+    if real and np.abs(pair.imag).max() > FORM_TOLERANCE:
+        raise ValueError("real-form matrix has nonreal entries")
+    x, y = np.split(np.ascontiguousarray(pair.real) if real else pair, 2)
     return _certificate(x, np.zeros(1, dtype=np.intp), y, x @ y, [epsilon], sigma, real_form, tol)

@@ -1,6 +1,6 @@
 """Exact arithmetic for Seifert data of Brieskorn homology spheres.
 
-Everything here is integer or rational; no floating point enters. The
+Everything here is integer arithmetic; no floating point enters. The
 sphere Sigma(a1, a2, a3) is described by data {0; (1,b), (a1,b1), (a2,b2),
 (a3,b3)} over the 2-sphere, and the same container also carries the data of
 the auxiliary fibered spaces that euler classes select later.
@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .errors import (
     InvalidSeifertData,
     NotPairwiseCoprime,
     ValueTooSmall,
 )
-
-if TYPE_CHECKING:  # fractions loads only where a Fraction is made
-    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -124,13 +120,6 @@ def solve_seifert(params: BrieskornParams) -> SeifertInvariant:
     assert a2 * a3 * b1 + a1 * a3 * b2 + a1 * a2 * b3 == 1
     assert b2 % 2 == 0 and b3 % 2 == 0
     return SeifertInvariant(0, ((a1, b1), (a2, b2), (a3, b3)))
-
-
-def euler_number(s: SeifertInvariant) -> Fraction:
-    """The rational euler number -(b + sum b_i/a_i) of the fibration."""
-    from fractions import Fraction
-
-    return Fraction(cleared_euler_number(s), s.a)
 
 
 def cleared_euler_number(s: SeifertInvariant) -> int:

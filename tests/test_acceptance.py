@@ -29,6 +29,11 @@ from brieskorn.seifert import SeifertInvariant, canonicalize_params, h1_order
 F = Fraction
 
 
+def angle(tv) -> Fraction:
+    """The folded angle n/q of a trace value 2cos(pi*n/q)."""
+    return F(tv.n, tv.q)
+
+
 def family_sigma(n: int) -> SeifertInvariant:
     """b = 0 form of the published data for (2, 3, 6n+1)."""
     return SeifertInvariant(0, ((2, 1), (3, -2), (6 * n + 1, n)))
@@ -63,10 +68,10 @@ def test_criterion_3_family_trace_table(n):
     pairs = phi_map(params, family_sigma(n))
     assert [eu.betas for eu, _ in pairs] == [(1, 1, k) for k in range(1, n + 1)]
     for k, (eu, tri) in enumerate(pairs, start=1):
-        assert tri.tx.t == F(1, 2)  # trace 0
-        assert tri.ty.t == F(2, 3)  # trace -1
+        assert angle(tri.tx) == F(1, 2)  # trace 0
+        assert angle(tri.ty) == F(2, 3)  # trace -1
         expected = F(k, m) if (n - k) % 2 == 0 else 1 - F(k, m)
-        assert tri.tz.t == expected
+        assert angle(tri.tz) == expected
         assert tri.epsilon == -1
         cover = seifert_from_euler(eu, params)
         assert h1_order(cover) == 6 * (n - k) + 1
@@ -77,12 +82,12 @@ def test_criterion_4_family_unitary_traces(n):
     params = canonicalize_params(2, 3, 6 * n + 1)
     m = 6 * n + 1
     triples = enumerate_su2(params, family_sigma(n))
-    assert [tri.tz.t for tri in triples] == [
+    assert [angle(tri.tz) for tri in triples] == [
         F(l, m) for l in range(n + 2, 5 * n + 1, 2)
     ]
     for tri in triples:
-        assert (tri.tx.t, tri.ty.t) == (F(1, 2), F(2, 3))
-        assert F(1, 6) < tri.tz.t < F(5, 6)
+        assert (angle(tri.tx), angle(tri.ty)) == (F(1, 2), F(2, 3))
+        assert F(1, 6) < angle(tri.tz) < F(5, 6)
 
 
 def test_criterion_5_357_euler_classes_and_covers():

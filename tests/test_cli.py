@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from brieskorn.euler import EulerClass, enumerate_condition_b, reverse_orientati
 from brieskorn.realize import certify_classes, realize_sl2r, verify_relations
 from brieskorn.seifert import (
     canonicalize_params,
-    euler_number,
+    cleared_euler_number,
     h1_order,
     solve_seifert,
     sphere_convention_sign,
@@ -147,7 +148,7 @@ def reference_record(params, sigma, source, verify=False, tol=1e-9, condition_b=
         return {
             "label": label,
             "epsilon": triple.epsilon,
-            "angles": [str(t) for t in triple.angles],
+            "angles": [str(Fraction(tv.n, tv.q)) for tv in traces],
             "traces": [str(tv) for tv in traces],
             "values": list(triple.values),
         }
@@ -164,7 +165,7 @@ def reference_record(params, sigma, source, verify=False, tol=1e-9, condition_b=
             "b": sigma.b,
             "coefficients": list(sigma.coefficients),
             "source": source,
-            "euler_number": str(euler_number(sigma)),
+            "euler_number": str(Fraction(cleared_euler_number(sigma), sigma.a)),
             "h1_order": h1_order(sigma),
             "convention_sign": sphere_convention_sign(sigma),
         },
@@ -582,10 +583,13 @@ def test_numpy_loads_only_to_certify():
             "from brieskorn.cli import main",
             "assert 'numpy' not in sys.modules",
             "main(['census', '100'])",
+            "assert 'fractions' not in sys.modules",
             "main(['analyze', '4', '3', '125', '--condition-b', '--format', 'json'])",
             "assert 'numpy' not in sys.modules",
+            "assert 'fractions' not in sys.modules",
             "main(['analyze', '2', '3', '7', '--verify'])",
             "assert 'numpy' in sys.modules",
+            "assert 'fractions' not in sys.modules",
             "assert all(hasattr(brieskorn, name) for name in brieskorn.__all__)",
         ]
     )

@@ -17,7 +17,7 @@ from brieskorn.seifert import (
     BrieskornParams,
     SeifertInvariant,
     canonicalize_params,
-    euler_number,
+    cleared_euler_number,
     h1_order,
     solve_seifert,
     sphere_convention_sign,
@@ -102,20 +102,20 @@ def test_solver_identity_and_parities(xyz):
 
 def test_euler_number_canonical_237():
     sigma = solve_seifert(canonicalize_params(2, 3, 7))
-    assert euler_number(sigma) == Fraction(-1, 42)
-    assert -42 * euler_number(sigma) == 1
+    assert Fraction(cleared_euler_number(sigma), sigma.a) == Fraction(-1, 42)
+    assert cleared_euler_number(sigma) == -1
 
 
 def test_euler_number_b_minus_one_variant_237():
     sigma = SeifertInvariant(-1, ((2, 1), (3, 1), (7, 1)))
-    assert euler_number(sigma) == Fraction(1, 42)
+    assert Fraction(cleared_euler_number(sigma), sigma.a) == Fraction(1, 42)
     assert h1_order(sigma) == 1
     assert sphere_convention_sign(sigma) == -1
 
 
 def test_euler_number_degenerate_data_is_zero():
     sigma = SeifertInvariant(0, ((1, 0), (1, 0), (1, 0)))
-    assert euler_number(sigma) == 0
+    assert cleared_euler_number(sigma) == 0
     assert h1_order(sigma) == 0
     with pytest.raises(InvalidSeifertData):
         sphere_convention_sign(sigma)
