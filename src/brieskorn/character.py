@@ -16,9 +16,10 @@ beta = -1 classes as (k, l, m, order) rows and folds each row's memo keys
 from the cover order, and UnitaryClasses holds the unitary classes as
 (l1, l2, l3, epsilon) rows, which are their memo keys. Either table's
 CharacterTriple views come from its keys through TraceMemo._triples. The
-command line writes every output from the rows and keys and certifies from
-the keys; an EulerClass view is built only to name a class that fails.
-phi_map and enumerate_su2 build the views over a fresh memo.
+command line writes every output from the rows and keys, certifies from
+the keys, and builds no EulerClass: a pulled-back row names its class.
+phi_map and enumerate_su2 build the views over a fresh memo, phi_map its
+EulerClass views from the rows.
 """
 
 from __future__ import annotations
@@ -315,8 +316,8 @@ class PulledBackClasses:
     kept in .keys as (r1, r2, r3, epsilon): the writers and certification
     read them. The triples are checked pairwise distinct here, on their
     keys: distinct keys of one generator are distinct trace values. The
-    CharacterTriple views of .triples and the EulerClass views of .classes
-    are built on first read.
+    CharacterTriple views of .triples are built on first read; a row names
+    its class (-1; k, l, m) itself.
     """
 
     def __init__(self, memo: TraceMemo) -> None:
@@ -338,14 +339,6 @@ class PulledBackClasses:
     def triples(self) -> list[CharacterTriple]:
         """The keys as CharacterTriple views through the memo, built on first read."""
         return self.memo._triples(self.keys)
-
-    @cached_property
-    def classes(self) -> list[EulerClass]:
-        """The rows as EulerClass views (-1; k, l, m), built on first read."""
-        params = self.memo.params
-        a = params.a
-        make = EulerClass._in_range
-        return [make(params, -1, k, l, m, a - order) for k, l, m, order in self.rows]
 
 
 class UnitaryClasses:
@@ -437,7 +430,8 @@ def phi_map(
     the triple follows from that order. The CLI reads the table itself.
     """
     table = PulledBackClasses(TraceMemo(params, sigma))
-    return list(zip(table.classes, table.triples))
+    classes = [EulerClass(params, -1, k, l, m) for k, l, m, _ in table.rows]
+    return list(zip(classes, table.triples))
 
 
 def reversed_trace_check(

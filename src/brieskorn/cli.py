@@ -3,13 +3,15 @@
 Output is deterministic: identical arguments produce byte-identical stdout.
 Nothing is colorized, so NO_COLOR is honored trivially.
 
-Every output is written from the sphere's integer class rows, with no dict
-or EulerClass per class: build_record checks a sphere and returns a
-SphereRecord, and the text, JSON and census JSON writers fill one `%`
-template per class from its row and from the texts of its three trace
-values, looked up by the class's memo keys and made once per key.
+build_record is the one pass per sphere, on every command and format: it
+checks a sphere and returns a SphereRecord, which every writer reads. Every
+output is written from the sphere's integer class rows, with no dict or
+EulerClass per class. The text and JSON writers fill one `%` template per
+class from its row and from the texts of its three trace values, looked up
+by the class's memo keys; each writer makes only the texts it prints, once
+per key. The census text and CSV lines print the summary alone.
 render_json writes exactly what json.dumps writes for the record's dict
-form, which README.md lays out.
+form, which README.md lays out, and with compact the census JSON line.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .seifert import (
     SeifertInvariant,
     canonicalize_params,
     cleared_euler_number,
-    h1_order,
     solve_seifert,
     sphere_convention_sign,
 )
@@ -105,12 +106,39 @@ def parse_seifert_override(text: str, params: BrieskornParams) -> tuple[SeifertI
     return sigma, source
 
 
-def sphere_summary(
+class SphereRecord(NamedTuple):
+    """One sphere's analysis as build_record hands it to the writers.
+
+    summary holds the small blocks: params, seifert, counts and, with verify,
+    verification. The classes stay the integer rows of the two tables, on the
+    sphere's one TraceMemo, pulled.memo; each writer makes the texts it
+    prints once per memo key from that memo's generators. The certificates
+    hold the pulled-back stack, then the unitary one (none without verify).
+    With condition b, partners holds the coefficients (a1-k, a2-l, a3-m) of
+    the reversed partner of each pulled-back class, in the condition-b list's
+    order, so the pulled-back rows taken backwards.
+    """
+
+    summary: dict
+    pulled: PulledBackClasses
+    unitary: UnitaryClasses
+    certificates: list
+    partners: list | None
+
+
+_json_str = json.encoder.encode_basestring_ascii
+# the euler class of a pulled-back row (k, l, m, order), as str(EulerClass) prints it
+_SL2R_NAME = "(-1; %d,%d,%d)"
+
+
+def build_record(
     params: BrieskornParams,
     sigma: SeifertInvariant,
+    source: str,
     verify: bool = False,
     tol: float = 1e-9,
-):
+    condition_b: bool = False,
+) -> SphereRecord:
     """One pass over a sphere: enumerate, classify, count and (with verify) certify every class.
 
     One TraceMemo serves the sphere, so its data is checked once, and both
@@ -120,24 +148,27 @@ def sphere_summary(
     CountReport.of against the closed-form total: with sl2r = |X0|,
     total = su2 + sl2r is the check su2 = total - |X0|. classify checks
     every pulled-back triple independently. With verify, both tables are
-    certified from their memo keys, and a unitary CharacterTriple view or an
-    EulerClass view is built only to name a class that fails.
+    certified from their memo keys, and a unitary CharacterTriple view is
+    built only to name a class that fails; a pulled-back class is named by
+    its row.
 
-    Returns the summary record (params, counts, and with verify the
-    verification block), the PulledBackClasses, the UnitaryClasses, and the
-    certificates of the pulled-back stack then the unitary one (empty without
-    verify). Every assertion runs before anything is returned.
+    With condition_b, orientation reversal must map the pulled-back classes
+    onto the brute-force condition-b classes, checked on the integer rows.
+    The partners' trace triples are not folded again: reversed_trace_check
+    says why they agree by construction.
+
+    Every assertion runs before the record is returned.
     """
     memo = TraceMemo(params, sigma)
     pulled = PulledBackClasses(memo)
     unitary = UnitaryClasses(memo)
     counts = CountReport.of(params, su2=len(unitary.rows), sl2r=len(pulled.rows))
     sl2r = ClassLabel.SL2R
-    for i, triple in enumerate(pulled.triples):
+    for row, triple in zip(pulled.rows, pulled.triples):
         label = classify(triple)
         if label is not sl2r:
             raise InconsistentClassification(
-                f"pulled-back class {pulled.classes[i]} classified as {label.value}"
+                f"pulled-back class {_SL2R_NAME % row[:3]} classified as {label.value}"
             )
     certificates = []
     if verify:
@@ -150,7 +181,7 @@ def sphere_summary(
             if not passed.all():
                 k = int(passed.argmin())
                 # an SL(2,R) class is named by its euler class, a unitary one by its traces
-                name = pulled.classes[k] if table is pulled else unitary.triples[k]
+                name = _SL2R_NAME % pulled.rows[k][:3] if table is pulled else unitary.triples[k]
                 j = int(cert.residuals[k].argmax())
                 if cert.residuals[k, j] < tol:  # every relation held, so the gap failed
                     raise BrieskornError(
@@ -163,6 +194,9 @@ def sphere_summary(
                     f"gap {float(cert.gaps[k])!r}, tol {tol:g}"
                 )
             certificates.append(cert)
+    # a*e is +-1, as solve_seifert's assert, sphere_convention_sign and the
+    # memo's h1 order check all hold, so e = a*e/a is in lowest terms
+    ae = cleared_euler_number(sigma)
     summary = {
         "params": {
             "a1": params.a1,
@@ -170,6 +204,14 @@ def sphere_summary(
             "a3": params.a3,
             "a": params.a,
             "input_permutation": list(params.permutation),
+        },
+        "seifert": {
+            "b": sigma.b,
+            "coefficients": list(sigma.coefficients),
+            "source": source,
+            "euler_number": "%d/%d" % (ae, params.a),
+            "h1_order": abs(ae),
+            "convention_sign": -ae,
         },
         "counts": {name: getattr(counts, name) for name in CSV_COLUMNS[4:]},
     }
@@ -181,100 +223,41 @@ def sphere_summary(
             "min_gap": min(cert.min_gap for cert in certificates),
             "passed": True,
         }
-    return summary, pulled, unitary, certificates
-
-
-class SphereRecord(NamedTuple):
-    """One sphere's analysis as build_record hands it to the writers.
-
-    summary holds the small blocks: params, counts, seifert and, with verify,
-    verification. The classes stay the integer rows of the two tables; the
-    certificates hold the pulled-back stack, then the unitary one (none
-    without verify). With condition b, partners holds the coefficients
-    (a1-k, a2-l, a3-m) of the reversed partner of each pulled-back class, in
-    the condition-b list's order, so the pulled-back rows taken backwards.
-    leaves holds one dict per generator, mapping each memo key of the
-    sphere's TraceMemo to the texts (_leaf) of its trace value.
-    """
-
-    summary: dict
-    pulled: PulledBackClasses
-    unitary: UnitaryClasses
-    certificates: list
-    partners: list | None
-    leaves: tuple[dict, dict, dict]
-
-
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _leaf(tv: TraceValue) -> tuple[str, str, str, str, str]:
-    """A trace value's texts: trace and "%.12f" for text, then angle, trace and float in JSON.
-
-    Each is made once per memo key, and every class that holds the key reads it.
-
-    Every value a record holds lies strictly inside (-2, 2), so its angle n/q
-    has q > 1 and prints as "n/q", and its float is finite and prints as its repr.
-    """
-    trace = str(tv)
-    return trace, "%.12f" % tv.value, '"%d/%d"' % (tv.n, tv.q), _json_str(trace), repr(tv.value)
-
-
-def build_record(
-    params: BrieskornParams,
-    sigma: SeifertInvariant,
-    source: str,
-    verify: bool = False,
-    tol: float = 1e-9,
-    condition_b: bool = False,
-) -> SphereRecord:
-    """Assemble the full analysis for one sphere; every assertion runs before emission.
-
-    With condition_b, orientation reversal must map the pulled-back classes
-    onto the brute-force condition-b classes, checked on the integer rows. The
-    partners' trace triples are not folded again: reversed_trace_check says
-    why they agree by construction.
-    """
-    summary, pulled, unitary, certificates = sphere_summary(params, sigma, verify, tol)
-    summary["seifert"] = {
-        "b": sigma.b,
-        "coefficients": list(sigma.coefficients),
-        "source": source,
-        # a*e is +-1, as solve_seifert's assert, sphere_convention_sign and the
-        # memo's h1 order check all hold, so e = a*e/a is in lowest terms
-        "euler_number": "%d/%d" % (cleared_euler_number(sigma), sigma.a),
-        "h1_order": h1_order(sigma),
-        "convention_sign": sphere_convention_sign(sigma),
-    }
     partners = None
     if condition_b:
         # Order condition: enumerate_X0 lists (k, l, m) ascending, beta_i -> a_i - beta_i
         # reverses that order, and enumerate_condition_b lists ascending. So the reversal
         # is a bijection exactly when it maps the pulled-back classes (-1; k, l, m), taken
-        # backwards, onto the brute-force list entry by entry, each partner with beta = -2;
-        # any gap, extra or duplicate breaks that.
+        # backwards, onto the brute-force list of beta = -2 classes entry by entry; any
+        # gap, extra or duplicate breaks that.
         partners = reversed_coefficients(params, reversed(pulled.rows))
-        listed = enumerate_condition_b(params)
-        if [(eu.beta1, eu.beta2, eu.beta3) for eu in listed if eu.beta == -2] != partners:
+        if enumerate_condition_b(params) != partners:
             raise BrieskornError(
                 f"orientation reversal is not a bijection on {params.triple}"
             )
-    # the memo holds every trace value the two tables read, each once: the unitary
-    # kappa check and the classify check of every pulled-back triple filled it
-    leaves = tuple({r: _leaf(tv) for r, tv in traces.items()} for traces in pulled.memo.generators)
-    return SphereRecord(summary, pulled, unitary, certificates, partners, leaves)
+    return SphereRecord(summary, pulled, unitary, certificates, partners)
 
 
-def _pulled_fields(record: SphereRecord):
+def _generator_leaves(record: SphereRecord, leaf) -> list[dict]:
+    """One dict per generator, mapping each memo key to leaf(its trace value).
+
+    The memo holds every trace value the two tables read, each once: the
+    unitary kappa check and the classify check of every pulled-back triple
+    filled it. Every such value lies strictly inside (-2, 2).
+    """
+    return [{r: leaf(tv) for r, tv in traces.items()} for traces in record.pulled.memo.generators]
+
+
+def _pulled_fields(record: SphereRecord, leaves: list[dict]):
     """(k, l, m, cover order, epsilon, three trace leaves) of each pulled-back class."""
-    g1, g2, g3 = record.leaves
+    g1, g2, g3 = leaves
     for (k, l, m, order), (r1, r2, r3, eps) in zip(record.pulled.rows, record.pulled.keys):
         yield k, l, m, order, eps, g1[r1], g2[r2], g3[r3]
 
 
-def _unitary_fields(record: SphereRecord):
+def _unitary_fields(record: SphereRecord, leaves: list[dict]):
     """(epsilon, three trace leaves) of each unitary class; each l_i is its generator's memo key."""
-    g1, g2, g3 = record.leaves
+    g1, g2, g3 = leaves
     for l1, l2, l3, eps in record.unitary.rows:
         yield eps, g1[l1], g2[l2], g3[l3]
 
@@ -317,6 +300,8 @@ def render_text(record: SphereRecord) -> str:
     ]
     suffix = _VERIFY_SUFFIX if record.certificates else ""
     pulled_checks, unitary_checks = _verify_columns(record, text=True)
+    # each trace value's two texts: the trace and its value to 12 places
+    leaves = _generator_leaves(record, lambda tv: (str(tv), "%.12f" % tv.value))
     line = _SL2R_LINE + suffix
     lines.append(
         "sl2r classes:"
@@ -325,13 +310,13 @@ def render_text(record: SphereRecord) -> str:
     )
     lines += [
         line % (k, l, m, order, eps, x[0], y[0], z[0], x[1], y[1], z[1], *v)
-        for (k, l, m, order, eps, x, y, z), v in zip(_pulled_fields(record), pulled_checks)
+        for (k, l, m, order, eps, x, y, z), v in zip(_pulled_fields(record, leaves), pulled_checks)
     ]
     line = _SU2_LINE + suffix
     lines.append("su2 classes:" if record.unitary.rows else "su2 classes: none")
     lines += [
         line % (eps, x[0], y[0], z[0], x[1], y[1], z[1], *v)
-        for (eps, x, y, z), v in zip(_unitary_fields(record), unitary_checks)
+        for (eps, x, y, z), v in zip(_unitary_fields(record, leaves), unitary_checks)
     ]
 
     if record.partners is not None:
@@ -393,22 +378,31 @@ def _entry_templates(compact: bool) -> dict:
 _TEMPLATES = (_entry_templates(False), _entry_templates(True))
 
 
+def _json_leaf(tv: TraceValue) -> tuple[str, str, str]:
+    """A trace value's three JSON texts: its angle, its trace and its float.
+
+    A value strictly inside (-2, 2) has an angle n/q with q > 1, which
+    prints as "n/q", and a finite float, which prints as its repr.
+    """
+    return '"%d/%d"' % (tv.n, tv.q), _json_str(str(tv)), repr(tv.value)
+
+
 def _class_lists(record: SphereRecord, compact: bool) -> dict[str, list[str]]:
     """Each class list of the record as its JSON entries."""
     templates = _TEMPLATES[compact]
     verified = bool(record.certificates)
     pulled_checks, unitary_checks = _verify_columns(record, text=False)
+    leaves = _generator_leaves(record, _json_leaf)
+    lists = {}
     entry = templates["sl2r_classes"][verified]
-    lists = {
-        "sl2r_classes": [
-            entry % (x[2], y[2], z[2], order, eps, k, l, m, x[3], y[3], z[3], x[4], y[4], z[4], *v)
-            for (k, l, m, order, eps, x, y, z), v in zip(_pulled_fields(record), pulled_checks)
-        ]
-    }
+    lists["sl2r_classes"] = [
+        entry % (x[0], y[0], z[0], order, eps, k, l, m, x[1], y[1], z[1], x[2], y[2], z[2], *v)
+        for (k, l, m, order, eps, x, y, z), v in zip(_pulled_fields(record, leaves), pulled_checks)
+    ]
     entry = templates["su2_classes"][verified]
     lists["su2_classes"] = [
-        entry % (x[2], y[2], z[2], eps, x[3], y[3], z[3], x[4], y[4], z[4], *v)
-        for (eps, x, y, z), v in zip(_unitary_fields(record), unitary_checks)
+        entry % (x[0], y[0], z[0], eps, x[1], y[1], z[1], x[2], y[2], z[2], *v)
+        for (eps, x, y, z), v in zip(_unitary_fields(record, leaves), unitary_checks)
     ]
     if record.partners is not None:
         entry = templates["condition_b_classes"]
@@ -419,18 +413,30 @@ def _class_lists(record: SphereRecord, compact: bool) -> dict[str, list[str]]:
     return lists
 
 
-def render_json(record: SphereRecord) -> str:
+def render_json(record: SphereRecord, compact: bool = False) -> str:
     """The record as json.dumps(..., sort_keys=True, indent=2) + "\\n" writes its dict form.
 
+    With compact, the census line: the dict form as
+    json.dumps(..., sort_keys=True, separators=(",", ":")) + "\\n" writes it.
     The dict form holds the summary blocks and, as lists of entries, the
     classes; README.md gives its layout. The class lists, nearly all of the
     bytes, are written one entry per template; the small blocks go through
-    json.dumps and are indented one level more, which is safe because
-    indented json.dumps never puts a raw newline inside a string.
+    json.dumps, and in the indented layout are indented one level more,
+    which is safe because indented json.dumps never puts a raw newline inside
+    a string.
     """
-    lists = _class_lists(record, compact=False)
+    lists = _class_lists(record, compact)
+    items = sorted({**record.summary, **lists}.items())
+    if compact:
+        return "{%s}\n" % ",".join(
+            _json_str(key) + ":" + (
+                "[%s]" % ",".join(value) if key in lists
+                else json.dumps(value, sort_keys=True, separators=(",", ":"))
+            )
+            for key, value in items
+        )
     blocks = []
-    for key, value in sorted({**record.summary, **lists}.items()):
+    for key, value in items:
         if key not in lists:
             text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
         elif value:
@@ -439,19 +445,6 @@ def render_json(record: SphereRecord) -> str:
             text = "[]"
         blocks.append("  %s: %s" % (_json_str(key), text))
     return "{\n" + ",\n".join(blocks) + "\n}\n"
-
-
-def _census_json_row(record: SphereRecord) -> str:
-    """The census line of a record: its dict form as json.dumps(..., separators=(",", ":"))."""
-    lists = _class_lists(record, compact=True)
-    blocks = []
-    for key, value in sorted({**record.summary, **lists}.items()):
-        if key in lists:
-            text = "[%s]" % ",".join(value)
-        else:
-            text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        blocks.append(_json_str(key) + ":" + text)
-    return "{%s}" % ",".join(blocks)
 
 
 def _csv_row(record: dict, verify: bool) -> list:
@@ -470,11 +463,10 @@ def _csv_writer(out, verify: bool):
     return writer
 
 
-def render_csv(records: list[dict], verify: bool) -> str:
+def render_csv(summary: dict, verify: bool) -> str:
+    """The header row and the one row of a record's summary."""
     buffer = io.StringIO()
-    writer = _csv_writer(buffer, verify)
-    for record in records:
-        writer.writerow(_csv_row(record, verify))
+    _csv_writer(buffer, verify).writerow(_csv_row(summary, verify))
     return buffer.getvalue()
 
 
@@ -561,7 +553,7 @@ def _run_analyze(args) -> int:
     if args.format == "json":
         text = render_json(record)
     elif args.format == "csv":
-        text = render_csv([record.summary], args.verify)
+        text = render_csv(record.summary, args.verify)
     else:
         text = render_text(record)
     return _emit(text, args.output)
@@ -577,13 +569,7 @@ def _run_census(args) -> int:
     rows = sum_sl2r = 0
     for params in census_params(args.max_a):
         try:
-            sigma = solve_seifert(params)
-            # only JSON prints the classes; text and CSV print the counts
-            if args.format == "json":
-                record = build_record(params, sigma, "canonical", args.verify, args.tol)
-                summary = record.summary
-            else:
-                summary = sphere_summary(params, sigma, args.verify, args.tol)[0]
+            record = build_record(params, solve_seifert(params), "canonical", args.verify, args.tol)
         except BrieskornError as exc:
             print(
                 f"census aborted at ({params.a1},{params.a2},{params.a3}): {exc}",
@@ -591,9 +577,10 @@ def _run_census(args) -> int:
             )
             return 1
         rows += 1
+        summary = record.summary
         sum_sl2r += summary["counts"]["sl2r"]
         if args.format == "json":
-            out.write(_census_json_row(record) + "\n")
+            out.write(render_json(record, compact=True))
         elif args.format == "csv":
             writer.writerow(_csv_row(summary, args.verify))
         else:

@@ -41,22 +41,6 @@ class EulerClass:
         # held once: the cover order and both conditions read it
         object.__setattr__(self, "_cleared_sum", cleared)
 
-    @classmethod
-    def _in_range(
-        cls, params: BrieskornParams, beta: int, beta1: int, beta2: int, beta3: int, cleared: int
-    ) -> "EulerClass":
-        """A class from this module's lattice makers, with the cleared sum they already hold.
-
-        No range check: the makers take each beta_i from range(1, a_i), or as a_i - beta_i
-        of a valid beta_i.
-        """
-        eu = object.__new__(cls)
-        object.__setattr__(eu, "__dict__", {
-            "params": params, "beta": beta, "beta1": beta1, "beta2": beta2, "beta3": beta3,
-            "_cleared_sum": cleared,
-        })
-        return eu
-
     @property
     def betas(self) -> tuple[int, int, int]:
         return (self.beta1, self.beta2, self.beta3)
@@ -101,16 +85,11 @@ def enumerate_X0(params: BrieskornParams) -> list[X0Triple]:
 
 def enumerate_E(params: BrieskornParams) -> list[EulerClass]:
     """Classes -x0 + k*x1 + l*x2 + m*x3 for (k,l,m) in X0, in the same order."""
-    a1, a2, a3 = params.triple
-    c1, c2, c3 = a2 * a3, a1 * a3, a1 * a2
-    make = EulerClass._in_range
-    return [
-        make(params, -1, k, l, m, k * c1 + l * c2 + m * c3) for k, l, m in enumerate_X0(params)
-    ]
+    return [EulerClass(params, -1, k, l, m) for k, l, m in enumerate_X0(params)]
 
 
-def enumerate_condition_b(params: BrieskornParams) -> list[EulerClass]:
-    """The beta = -2 classes, lexicographic order, read from their own inequality.
+def enumerate_condition_b(params: BrieskornParams) -> list[tuple[int, int, int]]:
+    """The beta = -2 classes as rows (b1, b2, b3), lexicographic, read from their own inequality.
 
     Condition b asks b1*c1 + b2*c2 + b3*c3 > 2a on cleared denominators. For
     each (b1, b2) the b3 that meet it are one range, from the first b3 above
@@ -121,13 +100,11 @@ def enumerate_condition_b(params: BrieskornParams) -> list[EulerClass]:
     a1, a2, a3 = params.triple
     a = params.a
     c1, c2, c3 = a2 * a3, a1 * a3, a1 * a2
-    make = EulerClass._in_range
-    out: list[EulerClass] = []
+    out: list[tuple[int, int, int]] = []
     for b1 in range(1, a1):
         for b2 in range(1, a2):
-            partial = b1 * c1 + b2 * c2
-            first = max(1, (2 * a - partial) // c3 + 1)
-            out += [make(params, -2, b1, b2, b3, partial + b3 * c3) for b3 in range(first, a3)]
+            first = max(1, (2 * a - b1 * c1 - b2 * c2) // c3 + 1)
+            out += [(b1, b2, b3) for b3 in range(first, a3)]
     return out
 
 
@@ -153,12 +130,8 @@ def reverse_orientation(eu: EulerClass) -> EulerClass:
         new_beta = -1
     else:
         raise NotRealizable(f"{eu} satisfies neither realizability condition")
-    params = eu.params
-    [(beta1, beta2, beta3)] = reversed_coefficients(params, [eu.betas])
-    # sum (a_i - beta_i) * a/a_i = 3a - S
-    return EulerClass._in_range(
-        params, new_beta, beta1, beta2, beta3, 3 * params.a - eu.cleared_sum()
-    )
+    [betas] = reversed_coefficients(eu.params, [eu.betas])
+    return EulerClass(eu.params, new_beta, *betas)
 
 
 def seifert_from_euler(eu: EulerClass, params: BrieskornParams) -> SeifertInvariant:

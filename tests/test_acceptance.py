@@ -19,6 +19,7 @@ from brieskorn.character import (
 )
 from brieskorn.errors import InconsistentClassification
 from brieskorn.euler import (
+    EulerClass,
     enumerate_E,
     enumerate_condition_b,
     reverse_orientation,
@@ -120,9 +121,9 @@ def test_criterion_6_partition_sweep(partition_sweep):
 def test_criterion_7_reversal_sweep(partition_sweep):
     rows, _ = partition_sweep
     for params, sigma, _, pairs in rows:
-        reversed_classes = enumerate_condition_b(params)
+        reversed_classes = {EulerClass(params, -2, *row) for row in enumerate_condition_b(params)}
         image = {reverse_orientation(eu) for eu, _ in pairs}
-        assert image == set(reversed_classes)
+        assert image == reversed_classes
         assert len(image) == len(pairs)
         for eu, triple in pairs:
             assert reverse_orientation(reverse_orientation(eu)) == eu

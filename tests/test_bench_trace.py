@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 import brieskorn
 from brieskorn.cli import main
 
@@ -43,3 +45,17 @@ def test_traced_analyze_reaches_the_wrapped_layers(capsys):
     for layer in ("euler.enumerate_X0", "character.classify", "cli.build_record"):
         assert tracer.layer(layer).calls > 0
     assert not hasattr(brieskorn.character.phi_map, "__wrapped__")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_traced_census_reaches_build_record_once_per_sphere(capsys, fmt):
+    # every format of a census makes its spheres through the one traced pass
+    run = load_bench_run()
+    tracer = run.Tracer()
+    with tracer.patch(run.trace_targets(brieskorn)):
+        code = main(["census", "100", "--format", fmt])
+    capsys.readouterr()
+    assert code == 0
+    spheres = len(brieskorn.cli.census_params(100))
+    assert spheres > 1
+    assert tracer.layer("cli.build_record").calls == spheres

@@ -19,7 +19,6 @@ import brieskorn.realize
 from brieskorn.character import (
     ClassLabel,
     CountReport,
-    PulledBackClasses,
     UnitaryClasses,
     enumerate_su2,
     phi_map,
@@ -200,9 +199,9 @@ def reference_record(params, sigma, source, verify=False, tol=1e-9, condition_b=
             "passed": all(cert.passed.all() for cert in certificates),
         }
     if condition_b:
+        listed = [EulerClass(params, -2, *row) for row in enumerate_condition_b(params)]
         record["condition_b_classes"] = [
-            {"euler_class": euler(eu), "reverse_of": euler(reverse_orientation(eu))}
-            for eu in enumerate_condition_b(params)
+            {"euler_class": euler(eu), "reverse_of": euler(reverse_orientation(eu))} for eu in listed
         ]
     return record
 
@@ -379,49 +378,58 @@ def test_build_record_checks_the_sphere_data_per_sphere_not_per_class(monkeypatc
 
 
 def test_build_record_checks_no_coefficient_range_per_class(monkeypatch):
-    # enumerate_E, enumerate_condition_b and reverse_orientation take each
-    # coefficient from a range that keeps it in (0, a_i), so they skip the
-    # check the public EulerClass constructor makes
+    # the pulled-back rows, the condition-b scan and the reversal all take each
+    # coefficient from a range that keeps it in (0, a_i), so no class goes
+    # through the check the public EulerClass constructor makes
     calls = []
     post_init = EulerClass.__post_init__
     monkeypatch.setattr(EulerClass, "__post_init__", lambda eu: calls.append(eu) or post_init(eu))
     params = canonicalize_params(7, 11, 13)
     record = build_record(params, solve_seifert(params), "canonical", condition_b=True)
     assert len(record.partners) == len(record.pulled.rows) == 100
-    # 0 today; each of the three makers checking its classes adds 100
-    assert len(calls) < len(record.partners)
+    assert calls == []
 
 
 def test_condition_b_json_makes_no_euler_class_past_the_condition_b_scan(monkeypatch, capsys):
-    # the reversal is checked and every class is written from integer rows, so
-    # the only EulerClass objects are those the condition-b scan lists
-    made = []
-    in_range = EulerClass._in_range.__func__
+    # the condition-b scan lists integer rows, the reversal is checked on them
+    # and every class is written from them, so no EulerClass is made at all
     monkeypatch.setattr(
-        EulerClass,
-        "_in_range",
-        classmethod(lambda cls, *args: made.append(args) or in_range(cls, *args)),
-    )
-    monkeypatch.setattr(
-        PulledBackClasses, "classes", property(lambda table: pytest.fail("read .classes"))
+        EulerClass, "__post_init__", lambda eu: pytest.fail(f"built EulerClass {eu.betas}")
     )
     code, out, _ = run(capsys, "analyze", "7", "11", "13", "--condition-b", "--format", "json")
     assert code == 0
-    assert len(json.loads(out)["condition_b_classes"]) == len(made) == 100
+    assert len(json.loads(out)["condition_b_classes"]) == 100
+    rows = enumerate_condition_b(canonicalize_params(7, 11, 13))
+    assert len(rows) == 100
+    assert all(type(row) is tuple and list(map(type, row)) == [int] * 3 for row in rows)
 
 
-@pytest.mark.parametrize("change", ["drop", "swap", "duplicate", "beta"])
+def test_cli_builds_no_euler_class(monkeypatch, capsys):
+    # every class is a row from the lattice scan to the output bytes: the
+    # pulled-back rows name their classes and the certificates are solved from
+    # integer columns
+    monkeypatch.setattr(
+        EulerClass, "__post_init__", lambda eu: pytest.fail(f"built EulerClass {eu.betas}")
+    )
+    for argv in (
+        ["analyze", "7", "11", "13", "--verify"],
+        ["census", "400", "--format", "json"],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert out
+
+
+@pytest.mark.parametrize("change", ["drop", "swap", "duplicate"])
 def test_reversal_check_refuses_a_condition_b_list_it_does_not_match(monkeypatch, capsys, change):
     params = canonicalize_params(7, 11, 13)
     listed = enumerate_condition_b(params)
     if change == "drop":
         listed = listed[:50] + listed[51:]
-    elif change == "swap":  # a beta = -2 class whose coefficient sum is not above 2
-        listed = listed[:50] + [EulerClass(params, -2, 1, 1, 1)] + listed[51:]
-    elif change == "duplicate":  # a beta = -2 class of the list, twice
+    elif change == "swap":  # coefficients whose sum is not above 2
+        listed = listed[:50] + [(1, 1, 1)] + listed[51:]
+    else:  # a row of the list, twice
         listed = listed[:50] + [listed[51]] + listed[51:]
-    else:  # the right coefficients under beta = -1
-        listed = listed[:50] + [EulerClass(params, -1, *listed[50].betas)] + listed[51:]
     assert len(listed) in (99, 100)
     monkeypatch.setattr(brieskorn.cli, "enumerate_condition_b", lambda p: list(listed))
     message = "orientation reversal is not a bijection on (7, 11, 13)"

@@ -64,23 +64,21 @@ def test_x0_matches_brute_force(triple):
 @pytest.mark.parametrize("triple", [(2, 3, 7), (4, 5, 9), (3, 5, 7)])
 def test_condition_b_matches_brute_force(triple):
     params = canonicalize_params(*triple)
-    got = [eu.betas for eu in enumerate_condition_b(params)]
-    assert got == brute_condition_b(params)
+    assert enumerate_condition_b(params) == brute_condition_b(params)
 
 
 def test_condition_b_matches_brute_force_over_census():
     # every sphere with a <= 1000, so each edge of the computed b3 range is met
     for params in census_params(1000):
-        got = [eu.betas for eu in enumerate_condition_b(params)]
-        assert got == brute_condition_b(params), params.triple
+        assert enumerate_condition_b(params) == brute_condition_b(params), params.triple
 
 
 def test_condition_b_237_single_class():
     params = canonicalize_params(2, 3, 7)
-    classes = enumerate_condition_b(params)
-    assert [(eu.beta, eu.betas) for eu in classes] == [(-2, (1, 2, 6))]
-    assert classes[0].satisfies_condition_b()
-    assert Fraction(classes[0].cleared_sum(), params.a) > 2
+    assert enumerate_condition_b(params) == [(1, 2, 6)]
+    eu = EulerClass(params, -2, 1, 2, 6)
+    assert eu.satisfies_condition_b()
+    assert Fraction(eu.cleared_sum(), params.a) > 2
 
 
 def test_euler_class_str():
@@ -119,7 +117,9 @@ def test_reversal_is_a_bijection_between_the_regimes(triple):
     forward = enumerate_E(params)
     backward = enumerate_condition_b(params)
     assert len(forward) == len(backward)
-    assert {reverse_orientation(eu) for eu in forward} == set(backward)
+    assert {reverse_orientation(eu) for eu in forward} == {
+        EulerClass(params, -2, *row) for row in backward
+    }
 
 
 def test_seifert_from_euler_shape_and_homology_237():

@@ -17,7 +17,7 @@ from brieskorn.character import (
     phi_map,
 )
 import brieskorn.realize
-from brieskorn.cli import census_params, parse_seifert_override, sphere_summary
+from brieskorn.cli import build_record, census_params, parse_seifert_override
 from brieskorn.errors import BrieskornError, NotRealizable
 from brieskorn.realize import (
     certify_classes,
@@ -367,7 +367,7 @@ def test_certificates_keep_the_complex_reference_bits_at_scale(monkeypatch):
         sigma = solve_seifert(params)
         made.clear()
         try:
-            sphere_summary(params, sigma, verify=True)
+            build_record(params, sigma, "canonical", verify=True)
         except BrieskornError:
             assert multiplicities in FAILING_AT_SCALE
         # the command line's certificates, from the memo's tables and integer columns
