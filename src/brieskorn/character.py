@@ -14,12 +14,12 @@ Each sphere's lattices are walked once, through one TraceMemo. Both kinds
 of class are integer rows on that memo: PulledBackClasses holds the
 beta = -1 classes as (k, l, m, order) rows and folds each row's memo keys
 from the cover order, and UnitaryClasses holds the unitary classes as
-(l1, l2, l3, epsilon) rows, which are their memo keys. Either table's
-CharacterTriple views come from its keys through TraceMemo._triples. The
-command line writes every output from the rows and keys, certifies from
-the keys, and builds no EulerClass: a pulled-back row names its class.
-phi_map and enumerate_su2 build the views over a fresh memo, phi_map its
-EulerClass views from the rows.
+(l1, l2, l3, epsilon) rows, which are their memo keys. TraceMemo.triples
+is the one maker of CharacterTriple views from memo keys; each caller asks
+it for the keys it needs. The command line writes every output from the
+rows and keys, certifies from the keys, and builds no EulerClass: a
+pulled-back row names its class. phi_map and enumerate_su2 build the views
+over a fresh memo, phi_map its EulerClass views from the rows.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from .errors import (
     CountMismatch,
@@ -178,12 +177,23 @@ def _check_sphere_data(params: BrieskornParams, sigma: SeifertInvariant) -> None
 
 
 def trace_triple_of(eu: EulerClass, sigma: SeifertInvariant) -> CharacterTriple:
-    """Trace triple of the class attached to eu, through a fresh TraceMemo of its sphere.
+    """Trace triple of the class attached to eu, computed from the covering order.
 
-    Building the memo checks that sigma describes eu's sphere; TraceMemo.triple_of
-    says how the triple follows from the covering order.
+    Building a fresh TraceMemo of eu's sphere checks that sigma describes
+    it. The covering space eu selects has first homology of order a*|e|; the
+    central generator goes to a lift of rotation by that order times pi, so
+    epsilon is -1 exactly when the order is odd. Trace i is
+    TraceValue(-order * b_i, a_i), looked up in the memo through the fold of
+    TraceMemo._keys_for_order.
+
+    Each trace lies strictly inside (-2, 2) and sits on the angle beta_i/a_i
+    or its mirror 1 - beta_i/a_i. EulerClass guarantees 0 < beta_i < a_i.
+    Modulo a_i, the cover order is +-beta_i*a/a_i, hence at least 1, and
+    b_i*a/a_i is +-1 because the memo checked h1 order 1; so -order*b_i is
+    +-beta_i modulo a_i, never 0.
     """
-    return TraceMemo(eu.params, sigma).triple_of(eu)
+    memo = TraceMemo(eu.params, sigma)
+    return memo.triples([memo._keys_for_order(abs(eu.cover_euler_number()))])[0]
 
 
 class _GeneratorTraces(dict):
@@ -217,24 +227,6 @@ class TraceMemo:
         # a_i and b_i, unpacked at once per class
         self._fold = (*params.triple, *sigma.coefficients)
 
-    def triple_of(self, eu: EulerClass) -> CharacterTriple:
-        """Trace triple of the class attached to eu, computed from the covering order.
-
-        The covering space eu selects has first homology of order a*|e|; the
-        central generator goes to a lift of rotation by that order times pi, so
-        epsilon is -1 exactly when the order is odd. Trace i is
-        TraceValue(-order * b_i, a_i), looked up in the memo.
-
-        Each trace lies strictly inside (-2, 2) and sits on the angle beta_i/a_i
-        or its mirror 1 - beta_i/a_i. EulerClass guarantees 0 < beta_i < a_i.
-        Modulo a_i, the cover order is +-beta_i*a/a_i, hence at least 1, and
-        b_i*a/a_i is +-1 because the memo checked h1 order 1; so -order*b_i is
-        +-beta_i modulo a_i, never 0.
-        """
-        if eu.params is not self.params and eu.params != self.params:
-            raise ValueError("euler class belongs to another sphere")
-        return self._triples([self._keys_for_order(abs(eu.cover_euler_number()))])[0]
-
     def _keys_for_order(self, order):
         """The three memo keys and epsilon of a class whose cover has homology of this order.
 
@@ -247,8 +239,13 @@ class TraceMemo:
         r1, r2, r3 = -order * b1 % (2 * a1), -order * b2 % (2 * a2), -order * b3 % (2 * a3)
         return a1 - abs(a1 - r1), a2 - abs(a2 - r2), a3 - abs(a3 - r3), 1 - order % 2 * 2
 
-    def _triples(self, keys) -> list[CharacterTriple]:
-        """The CharacterTriple view of each (r1, r2, r3, epsilon) row of memo keys."""
+    def triples(self, keys) -> list[CharacterTriple]:
+        """The CharacterTriple view of each (r1, r2, r3, epsilon) row of memo keys.
+
+        This is the one maker of CharacterTriple views from memo keys. A
+        lookup fills the memo with a key it lacks, so afterwards every key of
+        keys is in the memo's tables.
+        """
         traces1, traces2, traces3 = self.generators
         make = CharacterTriple._signed
         return [make(traces1[r1], traces2[r2], traces3[r3], eps) for r1, r2, r3, eps in keys]
@@ -312,12 +309,12 @@ class PulledBackClasses:
     There is one row per X0 lattice point, in enumerate_X0's order: the
     class (-1; k, l, m) and order = a - k*c1 - l*c2 - m*c3 (c_i = a/a_i),
     the homology order of the cover the class selects. The fold that
-    TraceMemo.triple_of describes gives each row its memo keys and epsilon,
+    trace_triple_of describes gives each row its memo keys and epsilon,
     kept in .keys as (r1, r2, r3, epsilon): the writers and certification
     read them. The triples are checked pairwise distinct here, on their
     keys: distinct keys of one generator are distinct trace values. The
-    CharacterTriple views of .triples are built on first read; a row names
-    its class (-1; k, l, m) itself.
+    table builds no CharacterTriple; memo.triples(keys) makes the views a
+    caller needs, and a row names its class (-1; k, l, m) itself.
     """
 
     def __init__(self, memo: TraceMemo) -> None:
@@ -335,11 +332,6 @@ class PulledBackClasses:
                 f"distinct euler classes of {params.triple} share a trace triple"
             )
 
-    @cached_property
-    def triples(self) -> list[CharacterTriple]:
-        """The keys as CharacterTriple views through the memo, built on first read."""
-        return self.memo._triples(self.keys)
-
 
 class UnitaryClasses:
     """The irreducible unitary classes of one sphere, as (l1, l2, l3, epsilon) rows.
@@ -354,7 +346,8 @@ class UnitaryClasses:
     end is at most a, so l3 stays below a3. Each row must also pass
     classify's float cross-check, kappa < -KAPPA_TOLERANCE, on the memo's
     trace values. The rows are in rotation-number order, and .keys is the
-    same list: a row holds its class's memo keys and epsilon.
+    same list: a row holds its class's memo keys and epsilon, so
+    memo.triples(keys) makes its CharacterTriple views.
 
     The keys are distinct by construction: distinct 0 < l_i < a_i fold to
     distinct reduced pairs, and since sum b_i*a/a_i = +-1 the b_i are never
@@ -392,19 +385,16 @@ class UnitaryClasses:
         # each row is its class's memo keys and epsilon, the columns certification reads
         self.rows = self.keys = rows
 
-    @cached_property
-    def triples(self) -> list[CharacterTriple]:
-        """The rows as CharacterTriple views through the memo, built on first read."""
-        return self.memo._triples(self.rows)
-
 
 def enumerate_su2(params: BrieskornParams, sigma: SeifertInvariant) -> list[CharacterTriple]:
     """Trace triples of all irreducible unitary classes, in rotation-number order.
 
-    The views of UnitaryClasses over a fresh TraceMemo, whose count must
-    match the closed form (a1-1)(a2-1)(a3-1)/4 - |X0| from a fresh X0 scan.
+    The memo's views of the keys of UnitaryClasses over a fresh TraceMemo,
+    whose count must match the closed form (a1-1)(a2-1)(a3-1)/4 - |X0| from
+    a fresh X0 scan.
     """
-    triples = UnitaryClasses(TraceMemo(params, sigma)).triples
+    memo = TraceMemo(params, sigma)
+    triples = memo.triples(UnitaryClasses(memo).keys)
     expected = _total_count(params) - len(enumerate_X0(params))
     if len(triples) != expected:
         raise CountMismatch(
@@ -424,14 +414,16 @@ def phi_map(
 ) -> list[tuple[EulerClass, CharacterTriple]]:
     """The class-to-triple map on the beta = -1 classes, with injectivity asserted.
 
-    The (euler class, trace triple) pairs of PulledBackClasses over a fresh
-    TraceMemo, in enumerate_E's order: a class (-1; k, l, m) selects a cover
-    of order a - S, with S its cleared sum, and TraceMemo.triple_of says how
+    The rows of PulledBackClasses over a fresh TraceMemo, in enumerate_E's
+    order, each as an EulerClass view paired with the memo's
+    CharacterTriple view of its keys: a class (-1; k, l, m) selects a cover
+    of order a - S, with S its cleared sum, and trace_triple_of says how
     the triple follows from that order. The CLI reads the table itself.
     """
-    table = PulledBackClasses(TraceMemo(params, sigma))
+    memo = TraceMemo(params, sigma)
+    table = PulledBackClasses(memo)
     classes = [EulerClass(params, -1, k, l, m) for k, l, m, _ in table.rows]
-    return list(zip(classes, table.triples))
+    return list(zip(classes, memo.triples(table.keys)))
 
 
 def reversed_trace_check(

@@ -9,9 +9,11 @@ output is written from the sphere's integer class rows, with no dict or
 EulerClass per class. The text and JSON writers fill one `%` template per
 class from its row and from the texts of its three trace values, looked up
 by the class's memo keys; each writer makes only the texts it prints, once
-per key. The census text and CSV lines print the summary alone.
-render_json writes exactly what json.dumps writes for the record's dict
-form, which README.md lays out, and with compact the census JSON line.
+per key. The seifert block is built by _seifert, only in the text and
+JSON writers that print it; the census text and CSV lines print the
+summary alone. render_json writes exactly what json.dumps writes for the
+record's dict form, which README.md lays out, and with compact the census
+JSON line.
 """
 
 from __future__ import annotations
@@ -109,10 +111,12 @@ def parse_seifert_override(text: str, params: BrieskornParams) -> tuple[SeifertI
 class SphereRecord(NamedTuple):
     """One sphere's analysis as build_record hands it to the writers.
 
-    summary holds the small blocks: params, seifert, counts and, with verify,
-    verification. The classes stay the integer rows of the two tables, on the
-    sphere's one TraceMemo, pulled.memo; each writer makes the texts it
-    prints once per memo key from that memo's generators. The certificates
+    summary holds the small blocks: params, counts and, with verify,
+    verification. sigma is the sphere's Seifert data and source says where
+    it came from; _seifert builds the seifert block from them, only for the
+    writers that print it. The classes stay the integer rows of the two
+    tables, on the sphere's one TraceMemo, pulled.memo; each writer makes
+    the texts it prints once per memo key from that memo's generators. The certificates
     hold the pulled-back stack, then the unitary one (none without verify).
     With condition b, partners holds the coefficients (a1-k, a2-l, a3-m) of
     the reversed partner of each pulled-back class, in the condition-b list's
@@ -120,6 +124,8 @@ class SphereRecord(NamedTuple):
     """
 
     summary: dict
+    sigma: SeifertInvariant
+    source: str
     pulled: PulledBackClasses
     unitary: UnitaryClasses
     certificates: list
@@ -147,10 +153,11 @@ def build_record(
     the classes stay integer rows. The unitary count is checked once, by
     CountReport.of against the closed-form total: with sl2r = |X0|,
     total = su2 + sl2r is the check su2 = total - |X0|. classify checks
-    every pulled-back triple independently. With verify, both tables are
-    certified from their memo keys, and a unitary CharacterTriple view is
-    built only to name a class that fails; a pulled-back class is named by
-    its row.
+    every pulled-back triple independently, on the views memo.triples makes
+    from the pulled-back keys. With verify, both tables are certified from
+    their memo keys, and a unitary CharacterTriple view is built only to
+    name a class that fails; a pulled-back class is named by its row. The
+    seifert block is left to the writers that print it.
 
     With condition_b, orientation reversal must map the pulled-back classes
     onto the brute-force condition-b classes, checked on the integer rows.
@@ -164,7 +171,7 @@ def build_record(
     unitary = UnitaryClasses(memo)
     counts = CountReport.of(params, su2=len(unitary.rows), sl2r=len(pulled.rows))
     sl2r = ClassLabel.SL2R
-    for row, triple in zip(pulled.rows, pulled.triples):
+    for row, triple in zip(pulled.rows, memo.triples(pulled.keys)):
         label = classify(triple)
         if label is not sl2r:
             raise InconsistentClassification(
@@ -181,7 +188,8 @@ def build_record(
             if not passed.all():
                 k = int(passed.argmin())
                 # an SL(2,R) class is named by its euler class, a unitary one by its traces
-                name = _SL2R_NAME % pulled.rows[k][:3] if table is pulled else unitary.triples[k]
+                name = (_SL2R_NAME % pulled.rows[k][:3] if table is pulled
+                        else memo.triples(unitary.keys[k : k + 1])[0])
                 j = int(cert.residuals[k].argmax())
                 if cert.residuals[k, j] < tol:  # every relation held, so the gap failed
                     raise BrieskornError(
@@ -194,9 +202,6 @@ def build_record(
                     f"gap {float(cert.gaps[k])!r}, tol {tol:g}"
                 )
             certificates.append(cert)
-    # a*e is +-1, as solve_seifert's assert, sphere_convention_sign and the
-    # memo's h1 order check all hold, so e = a*e/a is in lowest terms
-    ae = cleared_euler_number(sigma)
     summary = {
         "params": {
             "a1": params.a1,
@@ -204,14 +209,6 @@ def build_record(
             "a3": params.a3,
             "a": params.a,
             "input_permutation": list(params.permutation),
-        },
-        "seifert": {
-            "b": sigma.b,
-            "coefficients": list(sigma.coefficients),
-            "source": source,
-            "euler_number": "%d/%d" % (ae, params.a),
-            "h1_order": abs(ae),
-            "convention_sign": -ae,
         },
         "counts": {name: getattr(counts, name) for name in CSV_COLUMNS[4:]},
     }
@@ -235,7 +232,21 @@ def build_record(
             raise BrieskornError(
                 f"orientation reversal is not a bijection on {params.triple}"
             )
-    return SphereRecord(summary, pulled, unitary, certificates, partners)
+    return SphereRecord(summary, sigma, source, pulled, unitary, certificates, partners)
+
+
+def _seifert(record: SphereRecord) -> dict:
+    """The seifert block of the record: its data, their source, and a*e read three ways.
+
+    a*e is +-1, as solve_seifert's assert, sphere_convention_sign and the
+    memo's h1 order check all hold, so e = a*e/a is in lowest terms.
+    """
+    sigma = record.sigma
+    ae = cleared_euler_number(sigma)
+    return {
+        "b": sigma.b, "coefficients": list(sigma.coefficients), "source": record.source,
+        "euler_number": "%d/%d" % (ae, sigma.a), "h1_order": abs(ae), "convention_sign": -ae,
+    }
 
 
 def _generator_leaves(record: SphereRecord, leaf) -> list[dict]:
@@ -288,7 +299,7 @@ _REVERSAL_LINE = "  (-2; %d,%d,%d) <- reverse of (-1; %d,%d,%d)"
 
 def render_text(record: SphereRecord) -> str:
     """The text report: the sphere, its data and counts, then one line per class."""
-    p, s = record.summary["params"], record.summary["seifert"]
+    p, s = record.summary["params"], _seifert(record)
     c = s["coefficients"]
     lines = [
         f"Brieskorn sphere Sigma({p['a1']}, {p['a2']}, {p['a3']})   a = {p['a']}",
@@ -426,7 +437,7 @@ def render_json(record: SphereRecord, compact: bool = False) -> str:
     a string.
     """
     lists = _class_lists(record, compact)
-    items = sorted({**record.summary, **lists}.items())
+    items = sorted({**record.summary, "seifert": _seifert(record), **lists}.items())
     if compact:
         return "{%s}\n" % ",".join(
             _json_str(key) + ":" + (
@@ -507,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--seifert",
         metavar="b,b1,b2,b3",
-        help="override the canonical Seifert data (must satisfy a*(b + sum b_i/a_i) = +-1)",
+        help="override the canonical Seifert data, b_i paired with a_i as the seifert data line "
+        "prints them (even first, rest ascending); must satisfy a*(b + sum b_i/a_i) = +-1",
     )
     analyze.add_argument("--condition-b", action="store_true", dest="condition_b")
     analyze.add_argument("--output", "-o", help="write to this file instead of stdout")

@@ -34,11 +34,11 @@ ones; tests/test_realize.py checks this at scale against the complex128
 construction. Each stacked operation is the one a single class would get,
 so a stack gives the same bits as its classes taken one at a time.
 
-`certify_classes` takes CharacterTriples, and `realize_su2` and
-`realize_sl2r` one triple; `_columns` turns them into tables and columns,
-numbering the distinct trace values of each generator. `verify_relations`
-checks a given pair as a stack of one, after the determinant and real-form
-checks on the caller's complex input.
+`certify_columns` on memo keys is the one stacked entry. `realize_su2` and
+`realize_sl2r` realize one CharacterTriple through one-entry tables and
+the row (0, 0, 0, epsilon). `verify_relations`, the one per-pair entry,
+checks a given pair as a stack of one, after the determinant and
+real-form checks on the caller's complex input.
 """
 
 from __future__ import annotations
@@ -136,7 +136,9 @@ def stretch_for_product_trace(u):
 def _table(traces: Mapping[int, TraceValue]) -> tuple:
     """Each key's position, then the cos, sin and trace of each entry, of one generator's table."""
     keys = np.fromiter(traces, dtype=np.intp, count=len(traces))
-    position = np.zeros(keys.max(initial=-1) + 1, dtype=np.intp)
+    # a key the table lacks sits one past its entries, so a class that names
+    # it raises IndexError instead of reading another key's entry
+    position = np.full(keys.max(initial=-1) + 1, len(keys), dtype=np.intp)
     position[keys] = np.arange(len(keys))
     # value is 2.0 * math.cos(angle), so halving gives the cos exactly, and
     # n / q rounds exactly as float(Fraction(n, q)) does
@@ -235,36 +237,28 @@ def certify_columns(tables: Sequence[Mapping[int, TraceValue]], classes, sigma: 
     check raises for the whole stack: NotRealizable when a class has no pair
     in real_form (the first such class names the error), AssertionError
     when a pair misses its traces, ValueError when X, Y or Z fails its
-    determinant or real-form check.
+    determinant or real-form check, and IndexError when a class names a key
+    its table lacks.
     """
     _check_relation_inputs(sigma, tol)
     return _certificate(*_realize_columns(tables, classes, real_form), sigma, real_form, tol)
 
 
-def _columns(triples: Sequence[CharacterTriple]) -> tuple:
-    """The tables and class rows of the triples, each table keyed in order of first appearance."""
-    keys = ({}, {}, {})
-    rows = [[*(k.setdefault(tv, len(k)) for k, tv in zip(keys, (c.tx, c.ty, c.tz))), c.epsilon]
-            for c in triples]
-    return [dict(zip(k.values(), k)) for k in keys], rows
-
-
-def certify_classes(triples: Sequence[CharacterTriple], sigma: SeifertInvariant,
-                    real_form: ClassLabel, tol: float = RELATION_TOLERANCE) -> Certificate:
-    """certify_columns on the triples, whose rows the certificate follows."""
-    return certify_columns(*_columns(triples), sigma, real_form, tol)
+def _realize_one(c: CharacterTriple, real_form: ClassLabel) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of one triple, realized through one-entry tables and the row (0, 0, 0, epsilon)."""
+    tables = ({0: c.tx}, {0: c.ty}, {0: c.tz})
+    X, _, Y, *_ = _realize_columns(tables, [(0, 0, 0, c.epsilon)], real_form)
+    return X[0], Y[0]
 
 
 def realize_su2(c: CharacterTriple) -> tuple[np.ndarray, np.ndarray]:
     """Unitary pair (X, Y): the rotation by th1, and a rotation conjugated by a unit-circle lambda^2."""
-    X, _, Y, *_ = _realize_columns(*_columns([c]), ClassLabel.SU2)
-    return X[0], Y[0]
+    return _realize_one(c, ClassLabel.SU2)
 
 
 def realize_sl2r(c: CharacterTriple) -> tuple[np.ndarray, np.ndarray]:
     """Real float64 pair (X, Y): the rotation by th1, and a rotation conjugated by a real +-d^2."""
-    X, _, Y, *_ = _realize_columns(*_columns([c]), ClassLabel.SL2R)
-    return X[0], Y[0]
+    return _realize_one(c, ClassLabel.SL2R)
 
 
 def verify_relations(

@@ -7,9 +7,16 @@ import time
 
 import pytest
 
-from brieskorn.character import ClassLabel, enumerate_su2, phi_map
+from brieskorn.character import (
+    ClassLabel,
+    PulledBackClasses,
+    TraceMemo,
+    UnitaryClasses,
+    enumerate_su2,
+    phi_map,
+)
 from brieskorn.cli import census_params
-from brieskorn.realize import certify_classes
+from brieskorn.realize import certify_columns
 from brieskorn.seifert import solve_seifert
 
 
@@ -26,19 +33,28 @@ def partition_sweep():
 
 @pytest.fixture(scope="session")
 def realization_sweep(partition_sweep):
-    """Realize and relation-check every class with a <= 1000 at tol 1e-9: (triples, certificate) per real form."""
+    """Realize and relation-check every class with a <= 1000 at tol 1e-9: (triples, certificate) per real form.
+
+    Each sphere's classes are certified from their memo keys on the sphere's
+    one TraceMemo. The memo's views of the keys, which fill its tables with
+    every key certified, must equal partition_sweep's triples.
+    """
     rows, _ = partition_sweep
     start = time.perf_counter()
     out = []
     for params, sigma, su2_triples, pairs in rows:
         if params.a > 1000:
             continue
+        memo = TraceMemo(params, sigma)
         stacks = []
-        for triples, real_form in (
-            ([tri for _, tri in pairs], ClassLabel.SL2R),
-            (su2_triples, ClassLabel.SU2),
+        for fresh, table, real_form in (
+            ([tri for _, tri in pairs], PulledBackClasses(memo), ClassLabel.SL2R),
+            (su2_triples, UnitaryClasses(memo), ClassLabel.SU2),
         ):
-            stacks.append((triples, certify_classes(triples, sigma, real_form, 1e-9)))
+            triples = memo.triples(table.keys)
+            assert triples == fresh
+            cert = certify_columns(memo.generators, table.keys, sigma, real_form, 1e-9)
+            stacks.append((triples, cert))
         out.append((params, stacks))
     return out, time.perf_counter() - start
 

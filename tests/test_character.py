@@ -329,13 +329,15 @@ def test_trace_memo_holds_each_folded_trace_once():
     params = canonicalize_params(7, 11, 13)
     sigma = solve_seifert(params)
     memo = TraceMemo(params, sigma)
-    pairs = [(eu, memo.triple_of(eu)) for eu in enumerate_E(params)]
+    classes = enumerate_E(params)
+    keys = [memo._keys_for_order(abs(eu.cover_euler_number())) for eu in classes]
+    pairs = list(zip(classes, memo.triples(keys)))
     for generator, ai in zip(memo.generators, params.triple):
         assert 0 < len(generator) <= ai + 1
         assert all(0 <= r <= ai and tv == TraceValue(r, ai) for r, tv in generator.items())
     # the memo's fold against fresh TraceValues, over residues of both signs
     for order in range(-300, 300):
-        [tri] = memo._triples([memo._keys_for_order(order)])
+        [tri] = memo.triples([memo._keys_for_order(order)])
         fresh = [TraceValue(-order * bi, ai) for bi, ai in zip(sigma.coefficients, params.triple)]
         assert [tri.tx, tri.ty, tri.tz] == fresh
         assert tri.epsilon == (-1 if order % 2 else 1)
@@ -348,9 +350,9 @@ def test_trace_memo_holds_each_folded_trace_once():
 def test_trace_memo_refuses_another_sphere():
     params, other = canonicalize_params(3, 5, 7), canonicalize_params(2, 3, 7)
     sigma = solve_seifert(params)
-    memo = TraceMemo(params, sigma)
-    with pytest.raises(ValueError):
-        memo.triple_of(enumerate_E(other)[0])
+    # trace_triple_of builds the memo of the class's own sphere, which refuses sigma
+    with pytest.raises(ValueError, match="multiplicities disagree"):
+        trace_triple_of(enumerate_E(other)[0], sigma)
     with pytest.raises(ValueError, match="h1 order"):
         TraceMemo(params, SeifertInvariant(0, ((3, 1), (5, 1), (7, 1))))
 

@@ -19,6 +19,8 @@ import brieskorn.realize
 from brieskorn.character import (
     ClassLabel,
     CountReport,
+    PulledBackClasses,
+    TraceMemo,
     UnitaryClasses,
     enumerate_su2,
     phi_map,
@@ -34,7 +36,7 @@ from brieskorn.cli import (
 )
 from brieskorn.errors import BrieskornError, InvalidSeifertData
 from brieskorn.euler import EulerClass, enumerate_condition_b, reverse_orientation
-from brieskorn.realize import certify_classes, realize_sl2r, verify_relations
+from brieskorn.realize import realize_sl2r, realize_su2, verify_relations
 from brieskorn.seifert import (
     canonicalize_params,
     cleared_euler_number,
@@ -92,6 +94,34 @@ def test_analyze_rejects_malformed_override(capsys):
     code, _, err = run(capsys, "analyze", "2", "3", "7", "--seifert", "0,1,1")
     assert code == 2
     assert "four integers" in err
+
+
+@pytest.mark.parametrize(
+    "data, code, message",
+    [("0,1,2,-8", 0, ""), ("0,2,1,-8", 2, "error: a*(b + sum b_i/a_i) = 8, expected +1 or -1\n")],
+    ids=["canonical-order", "typed-order"],
+)
+def test_seifert_override_pairs_with_the_canonical_multiplicities(capsys, data, code, message):
+    # (3, 2, 7) canonicalizes to (2, 3, 7); b1, b2, b3 pair with 2, 3, 7 as the
+    # seifert data line prints them, not with 3, 2, 7 as typed
+    got, out, err = run(capsys, "analyze", "3", "2", "7", f"--seifert={data}")
+    assert (got, err) == (code, message)
+    if code == 0:
+        assert "seifert data: {0; (1,0), (2,1), (3,2), (7,-8)}   [override]\n" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_census_text_and_csv_build_no_seifert_block(capsys, monkeypatch, fmt):
+    # neither format prints the seifert block, so neither computes a*e
+    assert "euler number -1/42   h1 order 1" in run(capsys, "analyze", "2", "3", "7")[1]
+
+    def refuse(sigma):
+        raise AssertionError("the seifert block was built")
+
+    monkeypatch.setattr(brieskorn.cli, "cleared_euler_number", refuse)
+    code, out, _ = run(capsys, "census", "100", "--format", fmt)
+    assert code == 0
+    assert len(out.splitlines()) == 8 + (fmt == "csv")
 
 
 def test_analyze_json_round_trip_and_counts(capsys):
@@ -183,20 +213,26 @@ def reference_record(params, sigma, source, verify=False, tol=1e-9, condition_b=
         "su2_classes": [entry(triple, "SU2") for triple in unitary],
     }
     if verify:
-        certificates = [
-            certify_classes([triple for _, triple in pairs], sigma, ClassLabel.SL2R, tol),
-            certify_classes(unitary, sigma, ClassLabel.SU2, tol),
-        ]
-        for entries, cert in zip((record["sl2r_classes"], record["su2_classes"]), certificates):
-            rows = zip(cert.residuals.tolist(), cert.gaps.tolist(), cert.passed.tolist())
-            for e, (residuals, gap, passed) in zip(entries, rows):
-                e["verify"] = {"max_residual": max(residuals), "gap": gap, "passed": passed}
+        # each class on its own, through the one-class wrappers, off the CLI's stacked route
+        blocks = []
+        for entries, triples, realize, real_form in (
+            (record["sl2r_classes"], [triple for _, triple in pairs], realize_sl2r, ClassLabel.SL2R),
+            (record["su2_classes"], unitary, realize_su2, ClassLabel.SU2),
+        ):
+            for e, triple in zip(entries, triples):
+                cert = verify_relations(*realize(triple), sigma, real_form, triple.epsilon, tol)
+                e["verify"] = {
+                    "max_residual": cert.max_residual,
+                    "gap": cert.gaps[0].item(),
+                    "passed": cert.passed[0].item(),
+                }
+                blocks.append(e["verify"])
         record["verification"] = {
             "tol": tol,
-            "classes": sum(map(len, certificates)),
-            "max_residual": max(cert.max_residual for cert in certificates),
-            "min_gap": min(cert.min_gap for cert in certificates),
-            "passed": all(cert.passed.all() for cert in certificates),
+            "classes": len(blocks),
+            "max_residual": max(b["max_residual"] for b in blocks),
+            "min_gap": min(b["gap"] for b in blocks),
+            "passed": all(b["passed"] for b in blocks),
         }
     if condition_b:
         listed = [EulerClass(params, -2, *row) for row in enumerate_condition_b(params)]
@@ -553,14 +589,23 @@ def test_unitary_stack_not_certified_after_a_real_class_fails(capsys, monkeypatc
 
 
 def test_verify_builds_no_unitary_view(capsys, monkeypatch):
-    # the unitary classes are certified from their integer rows, with no CharacterTriple view
-    def refuse(self):
-        raise AssertionError("UnitaryClasses.triples was read")
+    # the unitary classes are certified from their integer rows, with no
+    # CharacterTriple view: a passing run asks the memo for views of the
+    # pulled-back keys only, which classify reads
+    params = canonicalize_params(7, 11, 13)
+    pulled_keys = PulledBackClasses(TraceMemo(params, solve_seifert(params))).keys
+    views = TraceMemo.triples
+    requested = []
 
-    monkeypatch.setattr(UnitaryClasses, "triples", property(refuse))
+    def recording(self, keys):
+        requested.append(list(keys))
+        return views(self, keys)
+
+    monkeypatch.setattr(TraceMemo, "triples", recording)
     code, out, _ = run(capsys, "analyze", "7", "11", "13", "--verify")
     assert code == 0
     assert "su2 classes:" in out and "verification: " in out
+    assert requested == [pulled_keys]
     assert not hasattr(brieskorn.realize, "_solve")
 
 

@@ -112,7 +112,7 @@ def test_cover_euler_number_matches_seifert_route(params):
 
 def test_trace_angles_reduce_to_euler_coefficients(partition_sweep):
     # each canonical angle lands on beta_i/a_i or its mirror 1 - beta_i/a_i,
-    # the residue check TraceMemo.triple_of leaves out
+    # the residue check trace_triple_of leaves out
     rows, _ = partition_sweep
     for params, _, _, pairs in rows:
         for eu, tri in pairs:
@@ -290,22 +290,24 @@ def fresh_triple(eu, sigma):
 
 
 def check_against_fresh_folds(params, sigma):
-    """phi_map, build_record's class tables and their views against folds made afresh."""
+    """phi_map, build_record's class tables and the memo's views of their keys against fresh folds."""
     pairs = phi_map(params, sigma)
     for eu, tri in pairs:
         assert tri == fresh_triple(eu, sigma)
     # build_record builds both tables on one TraceMemo
     record = build_record(params, sigma, "canonical")
     pulled, unitary = record.pulled, record.unitary
-    assert unitary.memo is pulled.memo
+    memo = pulled.memo
+    assert unitary.memo is memo
+    pulled_triples, unitary_triples = memo.triples(pulled.keys), memo.triples(unitary.keys)
     classes = [EulerClass(params, -1, k, l, m) for k, l, m, _ in pulled.rows]
-    assert list(zip(classes, pulled.triples)) == pairs
+    assert list(zip(classes, pulled_triples)) == pairs
     assert [row[3] for row in pulled.rows] == [abs(eu.cover_euler_number()) for eu in classes]
     fresh = fresh_su2_rows(params, sigma)
     assert unitary.rows == [(*ls, eps) for ls, eps, _ in fresh]
-    assert unitary.triples == [tri for _, _, tri in fresh]
+    assert unitary_triples == [tri for _, _, tri in fresh]
     assert len(unitary.rows) + len(pairs) == (params.a1 - 1) * (params.a2 - 1) * (params.a3 - 1) // 4
-    for triples in (unitary.triples + pulled.triples, [tri for _, tri in pairs]):
+    for triples in (unitary_triples + pulled_triples, [tri for _, tri in pairs]):
         traces = [tv for tri in triples for tv in (tri.tx, tri.ty, tri.tz)]
         for tv in traces:
             expected = fresh_value(tv)

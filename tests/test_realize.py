@@ -11,7 +11,10 @@ import pytest
 from brieskorn.character import (
     CharacterTriple,
     ClassLabel,
+    PulledBackClasses,
+    TraceMemo,
     TraceValue,
+    UnitaryClasses,
     enumerate_su2,
     kappa,
     phi_map,
@@ -20,7 +23,7 @@ import brieskorn.realize
 from brieskorn.cli import build_record, census_params, parse_seifert_override
 from brieskorn.errors import BrieskornError, NotRealizable
 from brieskorn.realize import (
-    certify_classes,
+    certify_columns,
     frobenius,
     realize_sl2r,
     realize_su2,
@@ -219,15 +222,38 @@ STACK_SPHERES = [
 ]
 
 
+def memo_stacks(params, sigma):
+    """(real form, memo keys, triples) of both families on one TraceMemo, pulled-back first.
+
+    The triples are the memo's views of the keys, which also fills the
+    memo's tables with every key the stacks read; they must equal the views
+    phi_map and enumerate_su2 make over fresh memos.
+    """
+    memo = TraceMemo(params, sigma)
+    out = []
+    for real_form, table, fresh in (
+        (ClassLabel.SL2R, PulledBackClasses(memo), [c for _, c in phi_map(params, sigma)]),
+        (ClassLabel.SU2, UnitaryClasses(memo), enumerate_su2(params, sigma)),
+    ):
+        triples = memo.triples(table.keys)
+        assert triples == fresh
+        out.append((real_form, table.keys, triples))
+    return memo, out
+
+
 def sphere_classes(multiplicities, override):
-    """sigma and the (one-class realizer, real form, triples) of both families."""
+    """sigma and the (one-class realizer, real form, memo-key certificate, triples) of both families.
+
+    Each family is certified from its memo keys on the sphere's one memo, as
+    the command line certifies it.
+    """
     params = canonicalize_params(*multiplicities)
     sigma = parse_seifert_override(override, params)[0] if override else solve_seifert(params)
-    families = [
-        (realize_sl2r, ClassLabel.SL2R, [c for _, c in phi_map(params, sigma)]),
-        (realize_su2, ClassLabel.SU2, enumerate_su2(params, sigma)),
+    memo, stacks = memo_stacks(params, sigma)
+    return sigma, [
+        (realizer, real_form, certify_columns(memo.generators, keys, sigma, real_form), triples)
+        for realizer, (real_form, keys, triples) in zip((realize_sl2r, realize_su2), stacks)
     ]
-    return sigma, families
 
 
 def outcome(cert, k):
@@ -239,8 +265,7 @@ def outcome(cert, k):
 @pytest.mark.parametrize("multiplicities, override", STACK_SPHERES, ids=str)
 def test_stack_matches_one_class_wrappers(multiplicities, override):
     sigma, families = sphere_classes(multiplicities, override)
-    for realizer, real_form, triples in families:
-        cert = certify_classes(triples, sigma, real_form)
+    for realizer, real_form, cert, triples in families:
         assert len(cert) == len(triples)
         assert cert.residuals.shape == (len(triples), 3)
         # every failed class and a spread of the rest: (61,67,71) has 69,300 classes
@@ -283,8 +308,7 @@ def reference_pair(c, real_form):
 @pytest.mark.parametrize("multiplicities, override", STACK_SPHERES[:5], ids=str)
 def test_stack_matches_numpy_reference(multiplicities, override):
     sigma, families = sphere_classes(multiplicities, override)
-    for realizer, real_form, triples in families:
-        cert = certify_classes(triples, sigma, real_form)
+    for realizer, real_form, cert, triples in families:
         assert len(cert) == len(triples)
         for k, c in enumerate(triples):
             X, Y = reference_pair(c, real_form)
@@ -373,13 +397,13 @@ def test_certificates_keep_the_complex_reference_bits_at_scale(monkeypatch):
         # the command line's certificates, from the memo's tables and integer columns
         from_columns = list(made)
         assert len(from_columns) == (1 if multiplicities in FAILING_AT_SCALE else 2)
-        families = [
-            (ClassLabel.SL2R, [c for _, c in phi_map(params, sigma)]),
-            (ClassLabel.SU2, enumerate_su2(params, sigma)),
-        ]
-        for k, (real_form, triples) in enumerate(families):
+        memo, stacks = memo_stacks(params, sigma)
+        for k, (real_form, keys, triples) in enumerate(stacks):
             residuals, gaps = reference_certificate(triples, sigma, real_form)
-            for cert in [certify_classes(triples, sigma, real_form)] + from_columns[k : k + 1]:
+            # certified afresh as well: the command line never reaches the
+            # unitary stack of a sphere whose real stack fails
+            whole = certify(memo.generators, keys, sigma, real_form)
+            for cert in [whole] + from_columns[k : k + 1]:
                 assert cert.residuals.tobytes() == residuals.tobytes()
                 assert cert.gaps.tobytes() == gaps.tobytes()
 
@@ -391,55 +415,73 @@ def test_frobenius_is_numpy_norm_bit_for_bit():
     assert frobenius(stack).tolist() == [np.linalg.norm(m) for m in stack]
 
 
+# hand-built tables for the stack tests: key -> TraceValue per generator
+HAND_TABLES = (
+    {0: TraceValue(1, 2), 1: TraceValue(1, 3), 2: TraceValue(0, 1)},
+    {0: TraceValue(2, 3), 1: TraceValue(4, 5), 2: TraceValue(1, 3)},
+    {0: TraceValue(1, 7), 1: TraceValue(3, 7), 2: TraceValue(2, 7), 3: TraceValue(1, 2)},
+)
+# their class rows: keys in the three tables, then epsilon
+REAL = (0, 0, 0, -1)  # angles (1/2, 2/3, 1/7)
+UNITARY = (0, 0, 1, -1)  # (1/2, 2/3, 3/7), which has no SL(2,R) pair
+OTHER_REAL = (0, 1, 2, -1)  # (1/2, 4/5, 2/7)
+OTHER_UNITARY = (1, 2, 3, -1)  # (1/3, 1/3, 1/2)
+DEGENERATE = (2, 0, 0, -1)  # (0, 2/3, 1/7): trace x is 2
+
+
+def hand_triple(row):
+    return CharacterTriple(*(t[k] for t, k in zip(HAND_TABLES, row[:3])), epsilon=row[3])
+
+
 def test_stack_raises_on_an_unrealizable_class():
-    real = triple(F(1, 2), F(2, 3), F(1, 7))
-    unitary = triple(F(1, 2), F(2, 3), F(3, 7))  # has no SL(2,R) pair
-    cert = certify_classes([real], OVERRIDE_237, ClassLabel.SL2R)
+    cert = certify_columns(HAND_TABLES, [REAL], OVERRIDE_237, ClassLabel.SL2R)
     assert cert.passed.tolist() == [True]
     with pytest.raises(NotRealizable):
-        certify_classes([real, unitary], OVERRIDE_237, ClassLabel.SL2R)
+        certify_columns(HAND_TABLES, [REAL, UNITARY], OVERRIDE_237, ClassLabel.SL2R)
 
 
 def test_stack_error_names_the_first_class_without_a_pair():
-    real = triple(F(1, 2), F(2, 3), F(1, 7))
-    unitary = triple(F(1, 2), F(2, 3), F(3, 7))
-    other_real = triple(F(1, 2), F(4, 5), F(2, 7))
-    other_unitary = triple(F(1, 3), F(1, 3), F(1, 2))
-    degenerate = CharacterTriple(TraceValue(0, 1), TraceValue(2, 3), TraceValue(1, 7), epsilon=-1)
-
     def product_trace(c):
         (s1, s2), (c1, c2) = (math.sin(math.pi * tv.n / tv.q) for tv in (c.tx, c.ty)), c.values[:2]
         return abs((2.0 * (c1 / 2.0) * (c2 / 2.0) - c.tz.value) / (s1 * s2))
 
     cases = [
-        (ClassLabel.SU2, [unitary, real, other_real],
-         f"target trace {real.tz.value} lies outside the open unitary interval"),
-        (ClassLabel.SL2R, [real, unitary, other_unitary],
-         f"required d^2 + d^-2 = {product_trace(unitary)} is not above 2"),
-        (ClassLabel.SL2R, [real, degenerate, unitary], "degenerate rotation angle, traces are +-2"),
-        (ClassLabel.SU2, [unitary, real, degenerate], "target trace"),
+        (ClassLabel.SU2, [UNITARY, REAL, OTHER_REAL],
+         f"target trace {hand_triple(REAL).tz.value} lies outside the open unitary interval"),
+        (ClassLabel.SL2R, [REAL, UNITARY, OTHER_UNITARY],
+         f"required d^2 + d^-2 = {product_trace(hand_triple(UNITARY))} is not above 2"),
+        (ClassLabel.SL2R, [REAL, DEGENERATE, UNITARY], "degenerate rotation angle, traces are +-2"),
+        (ClassLabel.SU2, [UNITARY, REAL, DEGENERATE], "target trace"),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a degenerate class divides by no zero
-        for real_form, triples, message in cases:
+        for real_form, rows, message in cases:
             with pytest.raises(NotRealizable) as info:
-                certify_classes(triples, OVERRIDE_237, real_form)
+                certify_columns(HAND_TABLES, rows, OVERRIDE_237, real_form)
             assert str(info.value).startswith(message)
 
 
+def test_stack_refuses_a_key_its_table_lacks():
+    # key 1 of the third table lies between its keys 0 and 3, and key 4 past them
+    for row in ((0, 0, 1, -1), (0, 0, 4, -1), (3, 0, 0, -1)):
+        with pytest.raises(IndexError):
+            certify_columns(HAND_TABLES[:2] + ({0: TraceValue(1, 7), 3: TraceValue(1, 2)},),
+                            [REAL, row], OVERRIDE_237, ClassLabel.SL2R)
+
+
 def test_stack_checks_its_inputs():
-    c = triple(F(1, 2), F(2, 3), F(1, 7))
+    c = hand_triple(REAL)
     shifted = SeifertInvariant(-1, ((2, 1), (3, 1), (7, 1)))
     with pytest.raises(ValueError, match="b = 0"):
-        certify_classes([c], shifted, ClassLabel.SL2R)
+        certify_columns(HAND_TABLES, [REAL], shifted, ClassLabel.SL2R)
     X, Y = realize_sl2r(c)
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
-            certify_classes([c], OVERRIDE_237, ClassLabel.SL2R, tol=tol)
+            certify_columns(HAND_TABLES, [REAL], OVERRIDE_237, ClassLabel.SL2R, tol=tol)
         with pytest.raises(ValueError, match="finite and positive"):
             verify_relations(X, Y, OVERRIDE_237, ClassLabel.SL2R, c.epsilon, tol=tol)
     with pytest.raises(ValueError, match="SU2 or SL2R"):
-        certify_classes([c], OVERRIDE_237, ClassLabel.REDUCIBLE)
-    empty = certify_classes([], OVERRIDE_237, ClassLabel.SU2)
+        certify_columns(HAND_TABLES, [REAL], OVERRIDE_237, ClassLabel.REDUCIBLE)
+    empty = certify_columns(HAND_TABLES, [], OVERRIDE_237, ClassLabel.SU2)
     assert len(empty) == 0 and empty.residuals.shape == (0, 3)
     assert empty.max_residual == 0.0 and empty.min_gap == math.inf

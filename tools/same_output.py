@@ -19,12 +19,15 @@ differ, and exits 1 if any differ. The command set:
   odd-b2 data), each in text, --format json, --verify and --condition-b;
 - analyze 3 5 211 --seifert=0,-5,-2,436 in text and with --verify, which
   exits 1 on the known float64 certificate failure;
+- analyze 3 2 7 --seifert=0,1,2,-8 in text and --format json, whose
+  coefficients pair with the canonical multiplicities (2, 3, 7), and
+  --seifert=0,2,1,-8, which pairs them as typed and exits 2;
 - analyze --verify in text, csv and json, analyze --condition-b and
   analyze --condition-b --format json on 60 spheres: the middle sphere of
   each of 60 equal slices of census_params(6000), the spheres the
   benchmark samples.
 
-337 commands in all.
+340 commands in all.
 """
 
 from __future__ import annotations
@@ -97,6 +100,12 @@ def commands(census_params) -> list[list[str]]:
         out += [base, base + ["--format", "json"], base + ["--verify"], base + ["--condition-b"]]
     base = ["analyze", "3", "5", "211", "--seifert=0,-5,-2,436"]
     out += [base, base + ["--verify"]]
+    base = ["analyze", "3", "2", "7"]
+    out += [
+        base + ["--seifert=0,1,2,-8"],
+        base + ["--seifert=0,1,2,-8", "--format", "json"],
+        base + ["--seifert=0,2,1,-8"],
+    ]
     for triple in sampled_spheres(census_params):
         given = list(map(str, triple))
         out += [
