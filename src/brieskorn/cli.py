@@ -550,7 +550,7 @@ def _emit(text: str, path: str | None) -> int:
 
 def _run_analyze(args) -> int:
     params = canonicalize_params(args.a1, args.a2, args.a3)
-    if args.seifert:
+    if args.seifert is not None:
         sigma, source = parse_seifert_override(args.seifert, params)
     else:
         sigma, source = solve_seifert(params), "canonical"

@@ -96,6 +96,13 @@ def test_analyze_rejects_malformed_override(capsys):
     assert "four integers" in err
 
 
+def test_analyze_rejects_an_empty_override(capsys):
+    # an empty override is parsed and refused, not taken as no override
+    code, out, err = run(capsys, "analyze", "2", "3", "5", "--seifert=")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse override '':")
+
+
 @pytest.mark.parametrize(
     "data, code, message",
     [("0,1,2,-8", 0, ""), ("0,2,1,-8", 2, "error: a*(b + sum b_i/a_i) = 8, expected +1 or -1\n")],
@@ -797,7 +804,8 @@ def test_parse_seifert_override_rejects_garbage():
 # next two from before certificates became arrays, the next from before
 # each trace value was folded once per sphere, and the last from before the
 # checks that restate other checks were dropped. The six commands with
-# --verify date from before both real forms came from one construction.
+# --verify date from the SU(2) stacks' products on their entry arrays, which
+# moved the last bits of SU(2) residuals and gaps.
 PINNED_STDOUT = {
     ("census", "1000"): "1119ad93483e3995215ace91f56781803534538ad7351bbc8be4d1fc62f8c529",
     ("census", "1000", "--format", "csv"): (
@@ -815,11 +823,11 @@ PINNED_STDOUT = {
     ),
     # convention sign -1 and odd coefficients
     ("analyze", "2", "3", "7", "--seifert=0,-1,-2,8", "--condition-b", "--verify"): (
-        "3a170e36a23c4e129d9b3c435f6c688ace973ee402ee36ef4ccf9a3ef1ee48c9"
+        "46eb4ae30597490f4b5bf217487f38681d8663e57911c2161da8e103962a40a3"
     ),
     # every class's residual and gap, printed with repr
     ("analyze", "3", "5", "7", "--verify", "--format", "json"): (
-        "9e0f9d6c15251a6f5799663074d3da66a16598ffd6821070b81649aa218b5d95"
+        "06f008c31939c9de062d015cab2617a7be6c24019c2d9b24874d18898f9a5d00"
     ),
     # no SL(2,R) classes: an empty class list
     ("analyze", "2", "3", "5", "--format", "json"): (
@@ -827,19 +835,19 @@ PINNED_STDOUT = {
     ),
     # both class templates with their verify blocks, and the condition-b template
     ("analyze", "2", "3", "7", "--verify", "--condition-b", "--format", "json"): (
-        "571d372144633c193aaddd4c6a15918bf1f7dd05b40e3111ca8ddc5017d8760d"
+        "55c5f028433ab761ec4a08e9ef1a4cf98c5c0901258cff53e5eb935c0c7b5c1b"
     ),
     # each sphere's max_residual and min_gap, printed with repr
     ("census", "300", "--verify", "--format", "csv"): (
-        "4abbda026e35e0b8021aa5b377233ce15c92e22d871244c1fe3364606a253330"
+        "4fa6e79b6f041346ff476d357a86f5fd0101fb0bd06601f7beacbfc5d0433872"
     ),
     # an empty SL(2,R) stack under --verify
     ("analyze", "2", "3", "5", "--verify", "--format", "json"): (
-        "7eac91e1ee77880f3ec25b04a392820af6587d10aa4c96cff3f57f4a0a4bdc7a"
+        "a8e54e64416105b7efbb22918b4ed570998e8f22fd8ccd54f1507093f9f70184"
     ),
     # classes sharing each trace value many times over: every float, residual and reversal entry
     ("analyze", "7", "11", "13", "--verify", "--condition-b", "--format", "json"): (
-        "dd3eedb5d39601a79c64838db19c0d0958673e6b6fdd04f42500a5aa483ed947"
+        "9826a220475e740ab9aa7aef207f338419fb85fe3d619da922349bd6409f4148"
     ),
     # the reversal listing and every shared trace value as text
     ("analyze", "7", "11", "13", "--condition-b"): (
