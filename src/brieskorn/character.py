@@ -18,8 +18,13 @@ from the cover order, and UnitaryClasses holds the unitary classes as
 is the one maker of CharacterTriple views from memo keys; each caller asks
 it for the keys it needs. The command line writes every output from the
 rows and keys, certifies from the keys, and builds no EulerClass: a
-pulled-back row names its class. phi_map and enumerate_su2 build the views
-over a fresh memo, phi_map its EulerClass views from the rows.
+pulled-back row names its class. It checks the pulled-back rows with
+hardest_real_row, classify's tests in one pass over the keys, and hands
+classify the one view of the row that pass returns, so a sphere makes at
+most one CharacterTriple and one classify call. phi_map and enumerate_su2
+build the views over a fresh memo, phi_map its EulerClass views from the
+rows. casson_invariant is the Fintushel-Stern lambda in integers, which
+CountReport.of checks the SU(2) count against.
 """
 
 from __future__ import annotations
@@ -135,9 +140,11 @@ class CharacterTriple:
 class CountReport:
     """Class counts and the Casson-type invariants derived from them.
 
-    Two identities are checked: total = su2 + sl2r, and su2 is even. The
+    Two identities are checked here: total = su2 + sl2r, and su2 is even. The
     Casson fields are derived, |casson| = su2/2 and the SL(2,C) Casson count
-    = total, so sl2c - 2|casson| = sl2r holds by construction.
+    = total, so sl2c - 2|casson| = sl2r holds by construction. CountReport.of
+    also ties su2 to the Casson invariant itself: su2 = 2|lambda|, with
+    lambda from casson_invariant, so |casson| is |lambda|.
     """
 
     total: int
@@ -158,8 +165,12 @@ class CountReport:
 
     @classmethod
     def of(cls, params: BrieskornParams, su2: int, sl2r: int) -> "CountReport":
-        """Counts of enumerated classes against the closed-form total (a1-1)(a2-1)(a3-1)/4."""
-        return cls(total=_total_count(params), su2=su2, sl2r=sl2r)
+        """Counts of enumerated classes, checked against (a1-1)(a2-1)(a3-1)/4 and su2 = 2|lambda|."""
+        report = cls(total=_total_count(params), su2=su2, sl2r=sl2r)
+        twice = 2 * abs(casson_invariant(params))
+        if su2 != twice:
+            raise CountMismatch(f"su2 count {su2} on {params.triple} is not 2|casson| = {twice}")
+        return report
 
 
 def _total_count(params: BrieskornParams) -> int:
@@ -167,6 +178,47 @@ def _total_count(params: BrieskornParams) -> int:
     product = (a1 - 1) * (a2 - 1) * (a3 - 1)
     assert product % 4 == 0  # a2, a3 odd
     return product // 4
+
+
+def _dedekind_sum(h: int, k: int) -> tuple[int, int]:
+    """The Dedekind sum s(h, k), for coprime h and k >= 1, as a (numerator, denominator) pair.
+
+    s(h, k) = s(h mod k, k), and reciprocity (Rademacher-Grosswald 1972),
+    s(h, k) + s(k, h) = (h^2 + k^2 + 1)/(12hk) - 1/4, runs Euclid's
+    algorithm down to s(0, 1) = 0: an alternating sum of one term per step.
+    """
+    num, den, sign = 0, 1, 1
+    h %= k
+    while h:
+        term, size = h * h + k * k + 1 - 3 * h * k, 12 * h * k
+        num, den = num * size + sign * term * den, den * size
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        h, k, sign = k % h, h, -sign
+    return num, den
+
+
+def casson_invariant(params: BrieskornParams) -> int:
+    """The Casson invariant lambda(Sigma(a1, a2, a3)), in integers only.
+
+    Fintushel-Stern 1990: 8*lambda = 1 - N/(3a) + 4*sum_i s(a/a_i, a_i),
+    with N = 1 - a^2 + sum_{i<j} (a_i*a_j)^2 and s the Dedekind sum. The sign
+    is the one that gives Sigma(2, 3, 5) +1; Casson's own gives -1. This
+    reads only the multiplicities, never the classes, so it checks the
+    enumerated counts independently. A lambda that is not an integer raises
+    CountMismatch.
+    """
+    a1, a2, a3 = params.triple
+    a = params.a
+    # 1 - N/(3a) over the denominator 3a
+    num, den = 3 * a - 1 + a * a - (a1 * a2) ** 2 - (a1 * a3) ** 2 - (a2 * a3) ** 2, 3 * a
+    for ai in params.triple:
+        n, d = _dedekind_sum(a // ai, ai)
+        num, den = num * d + 4 * n * den, den * d
+    lam, rest = divmod(num, 8 * den)
+    if rest:
+        raise CountMismatch(f"casson invariant of {params.triple} is not an integer")
+    return lam
 
 
 def _check_sphere_data(params: BrieskornParams, sigma: SeifertInvariant) -> None:
@@ -262,7 +314,7 @@ def _window(big1: int, big2: int, whole: int) -> tuple[int, int]:
 
 
 def _kappa(t1: float, t2: float, t3: float) -> float:
-    """t1^2 + t2^2 + t3^2 - t1*t2*t3 - 4, the one place the discriminant is written."""
+    """t1^2 + t2^2 + t3^2 - t1*t2*t3 - 4; hardest_real_row writes it inline, in this order."""
     return t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 4.0
 
 
@@ -301,6 +353,46 @@ def classify(c: CharacterTriple) -> ClassLabel:
     if not k > KAPPA_TOLERANCE:
         raise InconsistentClassification(f"real-form triple with kappa = {k}")
     return _SL2R
+
+
+def hardest_real_row(memo: TraceMemo, keys) -> int:
+    """Check every (r1, r2, r3, epsilon) row of memo keys as a real class, in one pass.
+
+    Each row gets classify's three tests: every 0 < r_i < a_i; the angle
+    r3/a3 strictly outside the _window of r1/a1 and r2/a2, compared over the
+    common denominator a as big_i = r_i*(a/a_i), so the row is neither
+    unitary nor on a reducible wall; and the float cross check
+    kappa > KAPPA_TOLERANCE, on the memo's TraceValue floats, the bits
+    classify reads. The window and _kappa are written out inline, kappa in
+    _kappa's operation order, so its bits are _kappa's. The test reads only
+    the keys, the a_i and the memo, never the cover order that made the keys.
+
+    Returns the index of the row classify should read: the first row that
+    fails or, if every row passes, the row of least kappa, the one nearest a
+    reducible wall. keys must not be empty. Every key of a passing row is in
+    the memo afterwards.
+    """
+    a1, a2, a3 = memo.params.triple
+    a = memo.params.a
+    f1, f2, f3 = a // a1, a // a2, a // a3
+    two_a = 2 * a
+    traces1, traces2, traces3 = memo.generators
+    tol = KAPPA_TOLERANCE
+    least, hardest = math.inf, 0
+    index = 0
+    for r1, r2, r3, _ in keys:
+        if not (0 < r1 < a1 and 0 < r2 < a2 and 0 < r3 < a3):
+            return index
+        big1, big2, big3 = r1 * f1, r2 * f2, r3 * f3
+        t1, t2, t3 = traces1[r1].value, traces2[r2].value, traces3[r3].value
+        k = t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 4.0
+        # inside the closed window, or a kappa that does not confirm a real class
+        if abs(big1 - big2) <= big3 <= big1 + big2 and big3 <= two_a - big1 - big2 or not k > tol:
+            return index
+        if k < least:
+            least, hardest = k, index
+        index += 1
+    return hardest
 
 
 class PulledBackClasses:

@@ -4,9 +4,11 @@ Output is deterministic: identical arguments produce byte-identical stdout.
 Nothing is colorized, so NO_COLOR is honored trivially.
 
 build_record is the one pass per sphere, on every command and format: it
-checks a sphere and returns a SphereRecord, which every writer reads. Every
-output is written from the sphere's integer class rows, with no dict or
-EulerClass per class. The text and JSON writers fill one `%` template per
+checks a sphere and returns a SphereRecord, which every writer reads. It
+checks the pulled-back classes in one pass over their memo keys and calls
+classify once per sphere, on one view. Every output is written from the
+sphere's integer class rows, with no dict, EulerClass or CharacterTriple
+per class. The text and JSON writers fill one `%` template per
 class from its row and from the texts of its three trace values, looked up
 by the class's memo keys; each writer makes only the texts it prints, once
 per key. The seifert block is built by _seifert, only in the text and
@@ -36,6 +38,7 @@ from .character import (
     TraceValue,
     UnitaryClasses,
     classify,
+    hardest_real_row,
 )
 from .errors import (
     BrieskornError,
@@ -152,12 +155,18 @@ def build_record(
     UnitaryClasses for the unitary ones. Each lattice is walked once, and
     the classes stay integer rows. The unitary count is checked once, by
     CountReport.of against the closed-form total: with sl2r = |X0|,
-    total = su2 + sl2r is the check su2 = total - |X0|. classify checks
-    every pulled-back triple independently, on the views memo.triples makes
-    from the pulled-back keys. With verify, both tables are certified from
-    their memo keys, and a unitary CharacterTriple view is built only to
-    name a class that fails; a pulled-back class is named by its row. The
-    seifert block is left to the writers that print it.
+    total = su2 + sl2r is the check su2 = total - |X0|; CountReport.of also
+    checks su2 = 2|lambda| against the Casson invariant. hardest_real_row
+    checks every pulled-back key row in one pass, reading only the keys,
+    the a_i and the memo, never the cover order that made the keys. It
+    hands back the first row that fails, or else the row nearest a
+    reducible wall; memo.triples makes the one view of that row, and
+    classify labels it by its own route. So a failing row raises classify's
+    own error, or the pulled-back error naming the row, and a sphere with
+    no pulled-back class calls no classify. With verify, both tables are
+    certified from their memo keys, and a unitary CharacterTriple view is
+    built only to name a class that fails; a pulled-back class is named by
+    its row. The seifert block is left to the writers that print it.
 
     With condition_b, orientation reversal must map the pulled-back classes
     onto the brute-force condition-b classes, checked on the integer rows.
@@ -171,11 +180,13 @@ def build_record(
     unitary = UnitaryClasses(memo)
     counts = CountReport.of(params, su2=len(unitary.rows), sl2r=len(pulled.rows))
     sl2r = ClassLabel.SL2R
-    for row, triple in zip(pulled.rows, memo.triples(pulled.keys)):
-        label = classify(triple)
+    if pulled.keys:
+        # one pass checks every pulled-back row; classify labels the one it hands back
+        k = hardest_real_row(memo, pulled.keys)
+        label = classify(memo.triples(pulled.keys[k : k + 1])[0])
         if label is not sl2r:
             raise InconsistentClassification(
-                f"pulled-back class {_SL2R_NAME % row[:3]} classified as {label.value}"
+                f"pulled-back class {_SL2R_NAME % pulled.rows[k][:3]} classified as {label.value}"
             )
     certificates = []
     if verify:
@@ -253,8 +264,9 @@ def _generator_leaves(record: SphereRecord, leaf) -> list[dict]:
     """One dict per generator, mapping each memo key to leaf(its trace value).
 
     The memo holds every trace value the two tables read, each once: the
-    unitary kappa check and the classify check of every pulled-back triple
-    filled it. Every such value lies strictly inside (-2, 2).
+    unitary kappa check and the one-pass check of the pulled-back keys,
+    hardest_real_row, filled it. Every such value lies strictly inside
+    (-2, 2).
     """
     return [{r: leaf(tv) for r, tv in traces.items()} for traces in record.pulled.memo.generators]
 

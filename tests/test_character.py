@@ -1,27 +1,37 @@
 """Trace values, exact classification, and the two class enumerations."""
 
+import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brieskorn import character
 from brieskorn.character import (
+    KAPPA_TOLERANCE,
     CharacterTriple,
     ClassLabel,
     CountReport,
+    PulledBackClasses,
     TraceMemo,
     TraceValue,
+    UnitaryClasses,
+    _GeneratorTraces,
+    casson_invariant,
     classify,
     count_report,
     enumerate_su2,
+    hardest_real_row,
     kappa,
     phi_map,
     reversed_trace_check,
     trace_triple_of,
 )
+from brieskorn.cli import census_params
 from brieskorn.errors import (
     CountMismatch,
     DegenerateAngle,
@@ -198,6 +208,62 @@ def test_classify_refuses_margin_below_float_resolution():
         classify(triple(F(1, 3), F(1, 3), wall))
 
 
+def key_memo(multiplicities):
+    """A memo-shaped object for hardest_real_row, over any multiplicities, sphere or not."""
+    return SimpleNamespace(
+        params=SimpleNamespace(triple=multiplicities, a=math.prod(multiplicities)),
+        generators=tuple(_GeneratorTraces(ai) for ai in multiplicities),
+    )
+
+
+@pytest.mark.parametrize("tolerance", [KAPPA_TOLERANCE, -math.inf], ids=["kappa", "no kappa"])
+@pytest.mark.parametrize("multiplicities", [(2, 3, 7), (4, 3, 5), (3, 5, 7), (6, 6, 6), (4, 4, 6)])
+def test_hardest_real_row_refuses_exactly_what_classify_does_not_label_real(
+    monkeypatch, multiplicities, tolerance
+):
+    # with tolerance -inf the kappa cross-check passes every row, so the
+    # integer tests decide alone; (6,6,6) and (4,4,6) share factors, so
+    # their rows reach the reducible walls that no sphere's key rows reach
+    monkeypatch.setattr(character, "KAPPA_TOLERANCE", tolerance)
+    memo = key_memo(multiplicities)
+    # refused by any check, so index 0 comes back exactly when the row before it is refused
+    degenerate = (0, 0, 0, 1)
+    labels = set()
+    for r1, r2, r3 in itertools.product(*(range(ai + 1) for ai in multiplicities)):
+        traces = (TraceValue(r, ai) for r, ai in zip((r1, r2, r3), multiplicities))
+        try:
+            label = classify(CharacterTriple(*traces, epsilon=1))
+        except (DegenerateAngle, InconsistentClassification) as exc:
+            label = type(exc)
+        labels.add(label)
+        refused = hardest_real_row(memo, [(r1, r2, r3, 1), degenerate]) == 0
+        assert refused == (label is not ClassLabel.SL2R), (r1, r2, r3, label)
+    assert {ClassLabel.SL2R, ClassLabel.SU2, DegenerateAngle} <= labels
+    assert (ClassLabel.REDUCIBLE in labels) == (multiplicities in ((6, 6, 6), (4, 4, 6)))
+
+
+def test_hardest_real_row_hands_back_the_row_nearest_a_wall_or_the_first_refused():
+    seen = 0
+    for params in census_params(300):
+        memo = TraceMemo(params, solve_seifert(params))
+        keys = PulledBackClasses(memo).keys
+        if len(keys) < 3:
+            continue
+        seen += 1
+        index = hardest_real_row(memo, keys)
+        # every key of the passing rows is in the memo, for the writers
+        assert all(r in traces for key in keys for r, traces in zip(key, memo.generators))
+        kappas = [kappa(tri) for tri in memo.triples(keys)]
+        assert index == kappas.index(min(kappas))
+        # a unitary row, then a degenerate one: the first refused row comes back
+        refused = list(keys)
+        refused[1] = UnitaryClasses(memo).keys[0]
+        refused[-1] = (0, *keys[-1][1:])
+        assert hardest_real_row(memo, refused) == 1
+        assert hardest_real_row(memo, refused[2:]) == len(refused) - 3
+    assert seen > 10
+
+
 def test_enumerate_su2_235_frozen():
     params = canonicalize_params(2, 3, 5)
     triples = enumerate_su2(params, solve_seifert(params))
@@ -257,6 +323,15 @@ def test_count_report_rejects_broken_identities():
         CountReport(total=3, su2=2, sl2r=2)
     with pytest.raises(CountMismatch):
         CountReport(total=3, su2=3, sl2r=0)
+
+
+def test_count_report_of_ties_su2_to_the_casson_invariant():
+    params = canonicalize_params(3, 5, 7)
+    assert casson_invariant(params) == 4
+    assert CountReport.of(params, su2=8, sl2r=4).casson_abs == 4
+    # total = su2 + sl2r and su2 even both hold, but su2 is not 2|lambda|
+    with pytest.raises(CountMismatch, match=r"su2 count 6 on \(3, 5, 7\) is not 2\|casson\| = 8"):
+        CountReport.of(params, su2=6, sl2r=6)
 
 
 def test_count_report_derives_the_casson_fields():

@@ -21,6 +21,7 @@ from brieskorn.character import (
     CountReport,
     PulledBackClasses,
     TraceMemo,
+    TraceValue,
     UnitaryClasses,
     enumerate_su2,
     phi_map,
@@ -34,7 +35,12 @@ from brieskorn.cli import (
     render_json,
     render_text,
 )
-from brieskorn.errors import BrieskornError, InvalidSeifertData
+from brieskorn.errors import (
+    BrieskornError,
+    DegenerateAngle,
+    InconsistentClassification,
+    InvalidSeifertData,
+)
 from brieskorn.euler import EulerClass, enumerate_condition_b, reverse_orientation
 from brieskorn.realize import realize_sl2r, realize_su2, verify_relations
 from brieskorn.seifert import (
@@ -597,22 +603,27 @@ def test_unitary_stack_not_certified_after_a_real_class_fails(capsys, monkeypatc
 
 def test_verify_builds_no_unitary_view(capsys, monkeypatch):
     # the unitary classes are certified from their integer rows, with no
-    # CharacterTriple view: a passing run asks the memo for views of the
-    # pulled-back keys only, which classify reads
+    # CharacterTriple view, and the pulled-back rows are checked in one pass
+    # over their keys: a passing run asks the memo for at most one view, of a
+    # pulled-back key, for the one classify call
     params = canonicalize_params(7, 11, 13)
-    pulled_keys = PulledBackClasses(TraceMemo(params, solve_seifert(params))).keys
+    memo = TraceMemo(params, solve_seifert(params))
+    pulled_keys, unitary_keys = PulledBackClasses(memo).keys, UnitaryClasses(memo).keys
     views = TraceMemo.triples
     requested = []
 
     def recording(self, keys):
-        requested.append(list(keys))
+        keys = list(keys)
+        requested.extend(keys)
         return views(self, keys)
 
     monkeypatch.setattr(TraceMemo, "triples", recording)
     code, out, _ = run(capsys, "analyze", "7", "11", "13", "--verify")
     assert code == 0
     assert "su2 classes:" in out and "verification: " in out
-    assert requested == [pulled_keys]
+    assert len(pulled_keys) > 1 and len(requested) <= 1
+    assert set(requested) <= set(pulled_keys)
+    assert not set(requested) & set(unitary_keys)
     assert not hasattr(brieskorn.realize, "_solve")
 
 
@@ -731,19 +742,103 @@ def test_census_deterministic(capsys):
     assert first == second
 
 
+def corrupt_pulled_back_row(monkeypatch, triple, corrupt):
+    """Hand build_record the sphere triple's pulled-back table with its last row changed by corrupt.
+
+    corrupt(memo, keys) edits the keys, or the trace values the memo holds
+    for them, after both class tables are built, so that the table's own
+    injectivity check and the unitary table's kappa check have passed.
+    """
+
+    class Corrupted(UnitaryClasses):
+        def __init__(self, memo):
+            super().__init__(memo)
+            if memo.params.triple == triple:
+                corrupt(memo, pulled[-1].keys)
+
+    class Recorded(PulledBackClasses):
+        def __init__(self, memo):
+            super().__init__(memo)
+            pulled.append(self)
+
+    pulled = []
+    monkeypatch.setattr(brieskorn.cli, "PulledBackClasses", Recorded)
+    monkeypatch.setattr(brieskorn.cli, "UnitaryClasses", Corrupted)
+
+
+def assert_refused(capsys, triple, max_a, kind, message):
+    """build_record, analyze and census each refuse the sphere triple with the same error.
+
+    census max_a ends at the sphere, so it prints the lines of the spheres
+    before it, and aborts on it.
+    """
+    params = canonicalize_params(*triple)
+    with pytest.raises(kind) as refused:
+        build_record(params, solve_seifert(params), "canonical")
+    assert str(refused.value) == message
+    assert run(capsys, "analyze", *map(str, triple)) == (1, "", f"assertion failure: {message}\n")
+    code, out, err = run(capsys, "census", str(max_a))
+    spheres = census_params(max_a)
+    assert spheres[-1].triple == triple
+    assert (code, len(out.splitlines())) == (1, len(spheres) - 1)
+    assert err == "census aborted at (%d,%d,%d): %s\n" % (*triple, message)
+
+
 def test_census_fails_when_a_pulled_back_class_is_classified_unitary(monkeypatch, capsys):
-    # classify is the exact check on every pulled-back class of the census path
-    classify = brieskorn.cli.classify
-    monkeypatch.setattr(
-        brieskorn.cli,
-        "classify",
-        lambda tri: ClassLabel.SU2 if tri.key == (1, 2, 2, 3, 6, 7) else classify(tri),
+    # the last of (3,5,7)'s four pulled-back rows, (-1; 1,2,1), made the key
+    # row of a unitary class: the one-pass check finds it, and classify labels it
+    def unitary(memo, keys):
+        keys[-1] = UnitaryClasses(memo).keys[0]
+
+    corrupt_pulled_back_row(monkeypatch, (3, 5, 7), unitary)
+    assert_refused(
+        capsys, (3, 5, 7), 105, InconsistentClassification,
+        "pulled-back class (-1; 1,2,1) classified as SU2",
     )
-    assert run(capsys, "census", "1000") == (
-        1,
-        "(2,3,5) a=30 total=2 su2=2 sl2r=0 |casson|=1 sl2c=2\n",
-        "census aborted at (2,3,7): pulled-back class (-1; 1,1,1) classified as SU2\n",
-    )
+
+
+def _wall_value(memo, keys):
+    # no key row of a sphere lies on a reducible wall: its a_i are pairwise
+    # coprime, so r3/a3 is never a folded sum or difference of r1/a1 and
+    # r2/a2. So the row (1, 2, 6) keeps its keys, and the memo's trace under
+    # its second key becomes 2cos(11pi/21), with 1/3 + 11/21 = 6/7 on the
+    # upper wall; no other pulled-back row of (3,5,7) reads that key
+    memo.generators[1][2] = TraceValue(11, 21)
+
+
+def _raise_kappa_tolerance(monkeypatch):
+    # kappa of (2,3,13)'s second pulled-back row is 0.136; every row and
+    # unitary class before it clears 0.15
+    monkeypatch.setattr(brieskorn.character, "KAPPA_TOLERANCE", 0.15)
+
+
+@pytest.mark.parametrize(
+    "way, triple, max_a, kind, message",
+    [
+        ("zero key", (3, 5, 7), 105, DegenerateAngle,
+         "classification needs all traces strictly inside (-2, 2)"),
+        ("a_i key", (3, 5, 7), 105, DegenerateAngle,
+         "classification needs all traces strictly inside (-2, 2)"),
+        ("reducible wall", (3, 5, 7), 105, InconsistentClassification,
+         "pulled-back class (-1; 1,2,1) classified as Reducible"),
+        ("kappa", (2, 3, 13), 78, InconsistentClassification,
+         "real-form triple with kappa = 0.1361294934623114"),
+    ],
+    ids=["zero key", "a_i key", "reducible wall", "kappa"],
+)
+def test_pulled_back_check_refuses_a_corrupted_row(
+    monkeypatch, capsys, way, triple, max_a, kind, message
+):
+    if way == "kappa":
+        _raise_kappa_tolerance(monkeypatch)
+    else:
+        corrupt = {
+            "zero key": lambda memo, keys: keys.__setitem__(-1, (0, *keys[-1][1:])),
+            "a_i key": lambda memo, keys: keys.__setitem__(-1, (keys[-1][0], 5, *keys[-1][2:])),
+            "reducible wall": _wall_value,
+        }[way]
+        corrupt_pulled_back_row(monkeypatch, triple, corrupt)
+    assert_refused(capsys, triple, max_a, kind, message)
 
 
 def test_census_fails_when_a_unitary_row_is_missing(monkeypatch, capsys):
@@ -759,6 +854,19 @@ def test_census_fails_when_a_unitary_row_is_missing(monkeypatch, capsys):
     assert code == 1
     assert len(out.splitlines()) == 9  # the spheres before (3,5,7)
     assert err == "census aborted at (3,5,7): total 12 != su2 7 + sl2r 4\n"
+
+
+def test_census_fails_when_su2_is_not_twice_the_casson_invariant(monkeypatch, capsys):
+    # CountReport.of ties every sphere's su2 count to the Fintushel-Stern lambda
+    casson = brieskorn.character.casson_invariant
+    monkeypatch.setattr(
+        brieskorn.character,
+        "casson_invariant",
+        lambda params: casson(params) + (params.triple == (3, 5, 7)),
+    )
+    code, out, err = run(capsys, "census", "1000")
+    assert (code, len(out.splitlines())) == (1, 9)  # the spheres before (3,5,7)
+    assert err == "census aborted at (3,5,7): su2 count 8 on (3, 5, 7) is not 2|casson| = 10\n"
 
 
 def test_census_fails_when_two_pulled_back_triples_collide(monkeypatch, capsys):

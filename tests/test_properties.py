@@ -19,6 +19,7 @@ from brieskorn.character import (
     kappa,
     phi_map,
 )
+from brieskorn.character import casson_invariant as package_casson_invariant
 from brieskorn.errors import InconsistentClassification
 from brieskorn.cli import build_record, census_params
 from brieskorn.euler import (
@@ -165,6 +166,15 @@ def test_su2_count_is_twice_the_fintushel_stern_casson_invariant(partition_sweep
         report = CountReport.of(params, su2=len(su2), sl2r=len(pairs))
         assert abs(lam) == report.casson_abs, params.triple
         assert len(su2) == 2 * abs(lam), params.triple
+        assert package_casson_invariant(params) == lam, params.triple
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 6007), (61, 67, 71), (2, 5, 100003), (2, 3, 1000001)])
+def test_package_casson_invariant_matches_the_fraction_reference_at_scale(triple):
+    # spheres past the partition sweep, which the command line accepts
+    lam = package_casson_invariant(canonicalize_params(*triple))
+    assert lam == casson_invariant(*triple)
+    assert lam != 0
 
 
 def test_half_angle_coordinate_forces_trace_zero():
