@@ -36,7 +36,6 @@ from .errors import (
 )
 from .euler import (
     EulerClass,
-    X0Triple,
     enumerate_E,
     enumerate_X0,
     enumerate_condition_b,
@@ -89,7 +88,6 @@ __all__ = [
     "TraceMemo",
     "TraceValue",
     "ValueTooSmall",
-    "X0Triple",
     "canonicalize_params",
     "classify",
     "count_report",

@@ -12,19 +12,35 @@ the euler classes select.
 
 Each sphere's lattices are walked once, through one TraceMemo. Both kinds
 of class are integer rows on that memo: PulledBackClasses holds the
-beta = -1 classes as (k, l, m, order) rows and folds each row's memo keys
-from the cover order, and UnitaryClasses holds the unitary classes as
-(l1, l2, l3, epsilon) rows, which are their memo keys. TraceMemo.triples
-is the one maker of CharacterTriple views from memo keys; each caller asks
-it for the keys it needs. The command line writes every output from the
-rows and keys, certifies from the keys, and builds no EulerClass: a
-pulled-back row names its class. It checks the pulled-back rows with
-hardest_real_row, classify's tests in one pass over the keys, and hands
-classify the one view of the row that pass returns, so a sphere makes at
-most one CharacterTriple and one classify call. phi_map and enumerate_su2
-build the views over a fresh memo, phi_map its EulerClass views from the
-rows. casson_invariant is the Fintushel-Stern lambda in integers, which
-CountReport.of checks the SU(2) count against.
+beta = -1 classes as enumerate_X0's (k, l, m, order) rows and folds each
+row's memo keys from the cover order, and UnitaryClasses holds the unitary
+classes as (l1, l2, l3, epsilon) rows, which are their memo keys.
+TraceMemo.triples makes CharacterTriple views from memo keys, with the
+class's one constructor; each caller asks it for the keys it needs. The
+command line writes every output from the rows and keys, certifies from
+the keys, and builds no EulerClass: a pulled-back row names its class. It
+checks the pulled-back rows with hardest_real_row, in one pass over the
+keys, and hands classify the one view of the row that pass returns, so a
+sphere makes at most one CharacterTriple and one classify call. phi_map
+and enumerate_su2 build the views over a fresh memo, phi_map its
+EulerClass views from the rows. casson_invariant is the Fintushel-Stern
+lambda in integers, which CountReport.of checks the SU(2) count against.
+
+Why the two tables are the whole character set. For data with b = 0, the
+irreducible SL(2,C) classes are the admissible rows (r1, r2, r3, epsilon):
+0 < r_i < a_i; (-1)**r_i = epsilon**b_i for each i, since
+X_i**a_i = (-1)**r_i * I must be rho(h)**(-b_i); and r3*a/a3 on neither
+end of the _window of r1*a/a1 and r2*a/a2, so that kappa != 0. A trace
+triple with kappa != 0 is the character of an irreducible pair (Fricke;
+Culler-Shalen 1983), and the sign of kappa is the SU(2)/SL(2,R) split. The
+b_i are never all even, so the r_i fix epsilon, and distinct rows are
+distinct classes. UnitaryClasses lists admissible rows inside the window
+by construction, and hardest_real_row checks every pulled-back row to be
+admissible and outside it, so the tables are disjoint; the pulled-back
+keys are checked distinct, and CountReport.of checks that the two tables
+hold (a1-1)(a2-1)(a3-1)/4 rows. That is the number of admissible rows,
+the SL(2,C) count of Boden-Curtis 2006, which the tests also reach by
+brute force. So the tables are the whole set, not only a set of its size.
 """
 
 from __future__ import annotations
@@ -94,11 +110,7 @@ class ClassLabel(Enum):
     SL2R = "SL2R"
 
 
-# read once here, not through the enum's descriptors on every classify
-_REDUCIBLE, _SU2, _SL2R = ClassLabel.REDUCIBLE, ClassLabel.SU2, ClassLabel.SL2R
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CharacterTriple:
     """Generator traces (tr X, tr Y, tr Z) plus the central sign rho(h) = epsilon*I."""
 
@@ -107,21 +119,12 @@ class CharacterTriple:
     tz: TraceValue
     epsilon: int
 
-    def __post_init__(self) -> None:
-        if self.epsilon not in (1, -1):
+    def __init__(self, tx: TraceValue, ty: TraceValue, tz: TraceValue, epsilon: int) -> None:
+        if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
-
-    @classmethod
-    def _signed(
-        cls, tx: TraceValue, ty: TraceValue, tz: TraceValue, epsilon: int
-    ) -> "CharacterTriple":
-        """A triple from this module's makers, whose epsilon is -1 or +1 by construction.
-
-        No sign check: the makers take epsilon from the parity of the cover order or from (-1, 1).
-        """
-        triple = object.__new__(cls)
-        object.__setattr__(triple, "__dict__", {"tx": tx, "ty": ty, "tz": tz, "epsilon": epsilon})
-        return triple
+        # the four fields as one dict, as TraceValue does: the frozen dataclass
+        # __init__ would set them one by one, at about 1.7 times the cost
+        object.__setattr__(self, "__dict__", {"tx": tx, "ty": ty, "tz": tz, "epsilon": epsilon})
 
     @property
     def values(self) -> tuple[float, float, float]:
@@ -299,8 +302,9 @@ class TraceMemo:
         keys is in the memo's tables.
         """
         traces1, traces2, traces3 = self.generators
-        make = CharacterTriple._signed
-        return [make(traces1[r1], traces2[r2], traces3[r3], eps) for r1, r2, r3, eps in keys]
+        return [
+            CharacterTriple(traces1[r1], traces2[r2], traces3[r3], eps) for r1, r2, r3, eps in keys
+        ]
 
 
 def _window(big1: int, big2: int, whole: int) -> tuple[int, int]:
@@ -344,15 +348,15 @@ def classify(c: CharacterTriple) -> ClassLabel:
     lower, upper = _window(tx.n * (lcm // tx.q), ty.n * (lcm // ty.q), lcm)
     big3 = tz.n * (lcm // tz.q)
     if big3 == lower or big3 == upper:
-        return _REDUCIBLE
+        return ClassLabel.REDUCIBLE
     k = _kappa(tx.value, ty.value, tz.value)
     if lower < big3 < upper:
         if not k < -KAPPA_TOLERANCE:
             raise InconsistentClassification(f"unitary triple with kappa = {k}")
-        return _SU2
+        return ClassLabel.SU2
     if not k > KAPPA_TOLERANCE:
         raise InconsistentClassification(f"real-form triple with kappa = {k}")
-    return _SL2R
+    return ClassLabel.SL2R
 
 
 def hardest_real_row(memo: TraceMemo, keys) -> int:
@@ -364,13 +368,19 @@ def hardest_real_row(memo: TraceMemo, keys) -> int:
     unitary nor on a reducible wall; and the float cross check
     kappa > KAPPA_TOLERANCE, on the memo's TraceValue floats, the bits
     classify reads. The window and _kappa are written out inline, kappa in
-    _kappa's operation order, so its bits are _kappa's. The test reads only
-    the keys, the a_i and the memo, never the cover order that made the keys.
+    _kappa's operation order, so its bits are _kappa's. Each row also gets
+    the parity test classify does not make: (-1)**r_i = epsilon**b_i for
+    each i, with the b_i of memo.sigma, since X_i**a_i = (-1)**r_i * I must
+    be rho(h)**(-b_i). In integers: the parities r_i & 1, packed into three
+    bits, must be 0 for epsilon = +1 and the packed b_i & 1 for
+    epsilon = -1. The test reads only the keys, the a_i, the b_i and the
+    memo, never the cover order that made the keys.
 
     Returns the index of the row classify should read: the first row that
     fails or, if every row passes, the row of least kappa, the one nearest a
-    reducible wall. keys must not be empty. Every key of a passing row is in
-    the memo afterwards.
+    reducible wall. classify cannot refuse a row that fails the parity test
+    alone, so the caller tests the row it gets back again. keys must not be
+    empty. Every key of a passing row is in the memo afterwards.
     """
     a1, a2, a3 = memo.params.triple
     a = memo.params.a
@@ -378,10 +388,15 @@ def hardest_real_row(memo: TraceMemo, keys) -> int:
     two_a = 2 * a
     traces1, traces2, traces3 = memo.generators
     tol = KAPPA_TOLERANCE
+    b1, b2, b3 = memo.sigma.coefficients
+    # the packed parities a row must have, indexed by epsilon: [1] for +1, [-1] for -1
+    parities = (None, 0, b1 & 1 | (b2 & 1) << 1 | (b3 & 1) << 2)
     least, hardest = math.inf, 0
     index = 0
-    for r1, r2, r3, _ in keys:
-        if not (0 < r1 < a1 and 0 < r2 < a2 and 0 < r3 < a3):
+    for r1, r2, r3, eps in keys:
+        if not (0 < r1 < a1 and 0 < r2 < a2 and 0 < r3 < a3) or (
+            r1 & 1 | (r2 & 1) << 1 | (r3 & 1) << 2 != parities[eps]
+        ):
             return index
         big1, big2, big3 = r1 * f1, r2 * f2, r3 * f3
         t1, t2, t3 = traces1[r1].value, traces2[r2].value, traces3[r3].value
@@ -398,9 +413,10 @@ def hardest_real_row(memo: TraceMemo, keys) -> int:
 class PulledBackClasses:
     """The beta = -1 classes of one sphere, as (k, l, m, order) rows on one TraceMemo.
 
-    There is one row per X0 lattice point, in enumerate_X0's order: the
-    class (-1; k, l, m) and order = a - k*c1 - l*c2 - m*c3 (c_i = a/a_i),
-    the homology order of the cover the class selects. The fold that
+    .rows is enumerate_X0's list as it comes, one row per X0 lattice
+    point: the class (-1; k, l, m) and order = a - k*c1 - l*c2 - m*c3
+    (c_i = a/a_i), the homology order of the cover the class selects, which
+    the scan reads off its own comparison. The fold that
     trace_triple_of describes gives each row its memo keys and epsilon,
     kept in .keys as (r1, r2, r3, epsilon): the writers and certification
     read them. The triples are checked pairwise distinct here, on their
@@ -412,13 +428,8 @@ class PulledBackClasses:
     def __init__(self, memo: TraceMemo) -> None:
         self.memo = memo
         params = memo.params
-        a1, a2, a3 = params.triple
-        a = params.a
-        c1, c2, c3 = a2 * a3, a1 * a3, a1 * a2
-        self.rows = rows = [
-            (k, l, m, a - k * c1 - l * c2 - m * c3) for k, l, m in enumerate_X0(params)
-        ]
-        self.keys = [memo._keys_for_order(row[3]) for row in rows]
+        self.rows = enumerate_X0(params)
+        self.keys = [memo._keys_for_order(row[3]) for row in self.rows]
         if len({key[:3] for key in self.keys}) != len(self.keys):
             raise InjectivityViolation(
                 f"distinct euler classes of {params.triple} share a trace triple"

@@ -5,15 +5,18 @@ Nothing is colorized, so NO_COLOR is honored trivially.
 
 build_record is the one pass per sphere, on every command and format: it
 checks a sphere and returns a SphereRecord, which every writer reads. It
-checks the pulled-back classes in one pass over their memo keys and calls
-classify once per sphere, on one view. Every output is written from the
-sphere's integer class rows, with no dict, EulerClass or CharacterTriple
-per class. The text and JSON writers fill one `%` template per
-class from its row and from the texts of its three trace values, looked up
-by the class's memo keys; each writer makes only the texts it prints, once
-per key. The seifert block is built by _seifert, only in the text and
-JSON writers that print it; the census text and CSV lines print the
-summary alone. render_json writes exactly what json.dumps writes for the
+checks the pulled-back classes in one pass over their memo keys, the
+parity of each key row against its epsilon included, and calls classify
+once per sphere, on one view. Every output is written from the sphere's
+integer class rows: the pulled-back rows are enumerate_X0's
+(k, l, m, order), which print the euler class and cover_h1 as they are,
+with no dict, EulerClass or CharacterTriple per class. The text and JSON
+writers fill one `%` template per class from its row and from the texts of
+its three trace values, looked up by the class's memo keys; each writer
+makes only the texts it prints, once per key. The seifert block is built
+by _seifert, only in the text and JSON writers that print it; the census
+text and CSV lines print the summary alone, and the CSV verify columns
+come with its verification block. render_json writes exactly what json.dumps writes for the
 record's dict form, which README.md lays out, and with compact the census
 JSON line.
 """
@@ -158,15 +161,17 @@ def build_record(
     total = su2 + sl2r is the check su2 = total - |X0|; CountReport.of also
     checks su2 = 2|lambda| against the Casson invariant. hardest_real_row
     checks every pulled-back key row in one pass, reading only the keys,
-    the a_i and the memo, never the cover order that made the keys. It
-    hands back the first row that fails, or else the row nearest a
+    the a_i, the b_i and the memo, never the cover order that made the
+    keys. It hands back the first row that fails, or else the row nearest a
     reducible wall; memo.triples makes the one view of that row, and
-    classify labels it by its own route. So a failing row raises classify's
-    own error, or the pulled-back error naming the row, and a sphere with
-    no pulled-back class calls no classify. With verify, both tables are
-    certified from their memo keys, and a unitary CharacterTriple view is
-    built only to name a class that fails; a pulled-back class is named by
-    its row. The seifert block is left to the writers that print it.
+    classify labels it by its own route. classify reads no b_i, so the
+    row's parity, (-1)**r_i = epsilon**b_i, is tested again here. So a
+    failing row raises classify's own error, or a pulled-back error naming
+    the row, and a sphere with no pulled-back class calls no classify. With
+    verify, both tables are certified from their memo keys, and a unitary
+    CharacterTriple view is built only to name a class that fails; a
+    pulled-back class is named by its row. The seifert block is left to the
+    writers that print it.
 
     With condition_b, orientation reversal must map the pulled-back classes
     onto the brute-force condition-b classes, checked on the integer rows.
@@ -183,10 +188,17 @@ def build_record(
     if pulled.keys:
         # one pass checks every pulled-back row; classify labels the one it hands back
         k = hardest_real_row(memo, pulled.keys)
-        label = classify(memo.triples(pulled.keys[k : k + 1])[0])
+        key = pulled.keys[k]
+        label = classify(memo.triples([key])[0])
+        name = _SL2R_NAME % pulled.rows[k][:3]
         if label is not sl2r:
-            raise InconsistentClassification(
-                f"pulled-back class {_SL2R_NAME % pulled.rows[k][:3]} classified as {label.value}"
+            raise InconsistentClassification(f"pulled-back class {name} classified as {label.value}")
+        # classify reads no b_i: a row refused for its parity alone is labelled SL2R
+        eps = key[3]
+        if any((-1) ** r != eps ** (b % 2) for r, b in zip(key, sigma.coefficients)):
+            raise BrieskornError(
+                f"pulled-back class {name} breaks (-1)**r_i = eps**b_i: "
+                f"keys {key[:3]}, eps {eps:+d}"
             )
     certificates = []
     if verify:
@@ -470,10 +482,11 @@ def render_json(record: SphereRecord, compact: bool = False) -> str:
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
-def _csv_row(record: dict, verify: bool) -> list:
+def _csv_row(record: dict) -> list:
+    """The CSV row of a record's summary; the verify columns come with its verification block."""
     p, counts = record["params"], record["counts"]
     row = [p["a1"], p["a2"], p["a3"], p["a"]] + [counts[name] for name in CSV_COLUMNS[4:]]
-    if verify:
+    if "verification" in record:
         v = record["verification"]
         row += [repr(v["max_residual"]), repr(v["min_gap"])]
     return row
@@ -486,16 +499,16 @@ def _csv_writer(out, verify: bool):
     return writer
 
 
-def render_csv(summary: dict, verify: bool) -> str:
+def render_csv(summary: dict) -> str:
     """The header row and the one row of a record's summary."""
     buffer = io.StringIO()
-    _csv_writer(buffer, verify).writerow(_csv_row(summary, verify))
+    _csv_writer(buffer, "verification" in summary).writerow(_csv_row(summary))
     return buffer.getvalue()
 
 
 def _census_text_row(record: dict) -> str:
     text = "(%d,%d,%d) a=%d total=%d su2=%d sl2r=%d |casson|=%d sl2c=%d" % tuple(
-        _csv_row(record, False)
+        _csv_row(record)[:9]
     )
     if "verification" in record:
         v = record["verification"]
@@ -577,7 +590,7 @@ def _run_analyze(args) -> int:
     if args.format == "json":
         text = render_json(record)
     elif args.format == "csv":
-        text = render_csv(record.summary, args.verify)
+        text = render_csv(record.summary)
     else:
         text = render_text(record)
     return _emit(text, args.output)
@@ -606,7 +619,7 @@ def _run_census(args) -> int:
         if args.format == "json":
             out.write(render_json(record, compact=True))
         elif args.format == "csv":
-            writer.writerow(_csv_row(summary, args.verify))
+            writer.writerow(_csv_row(summary))
         else:
             out.write(_census_text_row(summary) + "\n")
     print(

@@ -3,22 +3,17 @@
 A normalized class beta*x0 + beta1*x1 + beta2*x2 + beta3*x3 (0 < beta_i < a_i)
 is realizable by an elliptic geometric structure in exactly two regimes:
 beta = -1 with sum beta_i/a_i < 1, or beta = -2 with sum beta_i/a_i > 2.
-Reversing orientation swaps the two.
+Reversing orientation swaps the two. enumerate_X0 lists the beta = -1
+classes as integer rows (k, l, m, order), each with the homology order of
+the cover it selects; the class tables read the rows as they come.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import NotRealizable
 from .seifert import BrieskornParams, SeifertInvariant
-
-
-class X0Triple(NamedTuple):
-    k: int
-    l: int
-    m: int
 
 
 @dataclass(frozen=True)
@@ -65,27 +60,31 @@ class EulerClass:
         return f"({self.beta}; {self.beta1},{self.beta2},{self.beta3})"
 
 
-def enumerate_X0(params: BrieskornParams) -> list[X0Triple]:
-    """Lattice triples 0 < k < a1, 0 < l < a2, 0 < m < a3 with k/a1 + l/a2 + m/a3 < 1.
+def enumerate_X0(params: BrieskornParams) -> list[tuple[int, int, int, int]]:
+    """Lattice points 0 < k < a1, 0 < l < a2, 0 < m < a3 with k/a1 + l/a2 + m/a3 < 1, as rows.
 
-    The comparison is done on cleared denominators, so it is exact.
+    Each row is (k, l, m, order), with order = a - k*c1 - l*c2 - m*c3 and
+    c_i = a/a_i: the homology order of the cover that the class
+    (-1; k, l, m) selects, at least 1. The comparison is done on cleared
+    denominators, so it is exact, and each order is read off the remainder
+    the comparison already holds.
     """
     a1, a2, a3 = params.triple
     a = params.a
     c1, c2, c3 = a2 * a3, a1 * a3, a1 * a2
-    out: list[X0Triple] = []
+    out: list[tuple[int, int, int, int]] = []
     for k in range(1, a1):
         for l in range(1, a2):
             rem = a - k * c1 - l * c2
             # largest m with m*c3 < rem; provably below a3 already
             top = (rem - 1) // c3
-            out += [X0Triple(k, l, m) for m in range(1, top + 1)]
+            out += [(k, l, m, rem - m * c3) for m in range(1, top + 1)]
     return out
 
 
 def enumerate_E(params: BrieskornParams) -> list[EulerClass]:
-    """Classes -x0 + k*x1 + l*x2 + m*x3 for (k,l,m) in X0, in the same order."""
-    return [EulerClass(params, -1, k, l, m) for k, l, m in enumerate_X0(params)]
+    """Classes -x0 + k*x1 + l*x2 + m*x3 for the rows (k, l, m, order) of X0, in the same order."""
+    return [EulerClass(params, -1, k, l, m) for k, l, m, _ in enumerate_X0(params)]
 
 
 def enumerate_condition_b(params: BrieskornParams) -> list[tuple[int, int, int]]:

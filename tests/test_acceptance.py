@@ -10,19 +10,18 @@ import pytest
 
 from brieskorn.character import (
     ClassLabel,
+    PulledBackClasses,
+    TraceMemo,
     classify,
     count_report,
     enumerate_su2,
     kappa,
     phi_map,
-    reversed_trace_check,
 )
 from brieskorn.errors import InconsistentClassification
 from brieskorn.euler import (
-    EulerClass,
     enumerate_E,
     enumerate_condition_b,
-    reverse_orientation,
     seifert_from_euler,
 )
 from brieskorn.seifert import SeifertInvariant, canonicalize_params, h1_order
@@ -119,15 +118,29 @@ def test_criterion_6_partition_sweep(partition_sweep):
 
 
 def test_criterion_7_reversal_sweep(partition_sweep):
+    # on each sphere's pulled-back rows: (-1; k,l,m) reverses to (-2; a1-k, a2-l, a3-m),
+    # which maps the rows one to one onto the condition-b classes, and each partner's
+    # cover has the negated euler number, hence the same memo keys and epsilon.
+    # reverse_orientation and reversed_trace_check on class objects are tested apart,
+    # in test_properties.py, test_euler.py and test_character.py
     rows, _ = partition_sweep
     for params, sigma, _, pairs in rows:
-        reversed_classes = {EulerClass(params, -2, *row) for row in enumerate_condition_b(params)}
-        image = {reverse_orientation(eu) for eu, _ in pairs}
-        assert image == reversed_classes
-        assert len(image) == len(pairs)
-        for eu, triple in pairs:
-            assert reverse_orientation(reverse_orientation(eu)) == eu
-            assert reversed_trace_check(eu, reverse_orientation(eu), triple, sigma)
+        memo = TraceMemo(params, sigma)
+        pulled = PulledBackClasses(memo)
+        assert len(pulled.rows) == len(pairs)
+        a1, a2, a3 = params.triple
+        a = params.a
+        c1, c2, c3 = a2 * a3, a1 * a3, a1 * a2
+        partners = []
+        for (k, l, m, order), key in zip(pulled.rows, pulled.keys):
+            b1, b2, b3 = a1 - k, a2 - l, a3 - m
+            # a*e of the cover that (-2; b1,b2,b3) selects
+            cover = 2 * a - b1 * c1 - b2 * c2 - b3 * c3
+            assert cover == -order
+            assert memo._keys_for_order(abs(cover)) == key
+            partners.append((b1, b2, b3))
+        assert len(set(partners)) == len(partners)
+        assert sorted(partners) == enumerate_condition_b(params)
 
 
 def test_criterion_8_realization_sweep(realization_sweep):

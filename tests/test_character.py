@@ -209,7 +209,10 @@ def test_classify_refuses_margin_below_float_resolution():
 
 
 def key_memo(multiplicities):
-    """A memo-shaped object for hardest_real_row, over any multiplicities, sphere or not."""
+    """A memo-shaped object for hardest_real_row, over any multiplicities, sphere or not.
+
+    The caller sets its sigma, whose coefficients the parity test reads.
+    """
     return SimpleNamespace(
         params=SimpleNamespace(triple=multiplicities, a=math.prod(multiplicities)),
         generators=tuple(_GeneratorTraces(ai) for ai in multiplicities),
@@ -229,15 +232,20 @@ def test_hardest_real_row_refuses_exactly_what_classify_does_not_label_real(
     # refused by any check, so index 0 comes back exactly when the row before it is refused
     degenerate = (0, 0, 0, 1)
     labels = set()
-    for r1, r2, r3 in itertools.product(*(range(ai + 1) for ai in multiplicities)):
-        traces = (TraceValue(r, ai) for r, ai in zip((r1, r2, r3), multiplicities))
+    for rs in itertools.product(*(range(ai + 1) for ai in multiplicities)):
+        traces = (TraceValue(r, ai) for r, ai in zip(rs, multiplicities))
         try:
-            label = classify(CharacterTriple(*traces, epsilon=1))
+            label = classify(CharacterTriple(*traces, epsilon=-1))
         except (DegenerateAngle, InconsistentClassification) as exc:
             label = type(exc)
         labels.add(label)
-        refused = hardest_real_row(memo, [(r1, r2, r3, 1), degenerate]) == 0
-        assert refused == (label is not ClassLabel.SL2R), (r1, r2, r3, label)
+        # b_i = r_i mod 2 with epsilon -1 meets (-1)**r_i = epsilon**b_i, which classify
+        # does not test; b1 of the other parity breaks it, whatever the label
+        memo.sigma = SimpleNamespace(coefficients=tuple(r % 2 for r in rs))
+        refused = hardest_real_row(memo, [(*rs, -1), degenerate]) == 0
+        assert refused == (label is not ClassLabel.SL2R), (rs, label)
+        memo.sigma = SimpleNamespace(coefficients=(1 - rs[0] % 2, rs[1] % 2, rs[2] % 2))
+        assert hardest_real_row(memo, [(*rs, -1), degenerate]) == 0, rs
     assert {ClassLabel.SL2R, ClassLabel.SU2, DegenerateAngle} <= labels
     assert (ClassLabel.REDUCIBLE in labels) == (multiplicities in ((6, 6, 6), (4, 4, 6)))
 

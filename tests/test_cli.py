@@ -841,6 +841,31 @@ def test_pulled_back_check_refuses_a_corrupted_row(
     assert_refused(capsys, triple, max_a, kind, message)
 
 
+def test_pulled_back_parity_refuses_a_flipped_epsilon(monkeypatch, capsys):
+    # epsilon flipped on every pulled-back row whose cover order is divisible by 5: the
+    # traces still make a real class, so only the parity test (-1)**r_i = eps**b_i can
+    # refuse the row. (-1; 1,1,1) of (7,11,13) has cover order 5 and all keys even
+    keys_for_order = TraceMemo._keys_for_order
+
+    def flipped(memo, order):
+        r1, r2, r3, eps = keys_for_order(memo, order)
+        return r1, r2, r3, -eps if order % 5 == 0 else eps
+
+    monkeypatch.setattr(TraceMemo, "_keys_for_order", flipped)
+    assert run(capsys, "analyze", "7", "11", "13") == (
+        1,
+        "",
+        "assertion failure: pulled-back class (-1; 1,1,1) breaks (-1)**r_i = eps**b_i: "
+        "keys (6, 10, 12), eps -1\n",
+    )
+    code, out, err = run(capsys, "census", "3000", "--format", "json")
+    assert (code, len(out.splitlines())) == (1, 3)  # the spheres before (2,3,11)
+    assert err == (
+        "census aborted at (2,3,11): pulled-back class (-1; 1,1,1) breaks "
+        "(-1)**r_i = eps**b_i: keys (1, 2, 10), eps +1\n"
+    )
+
+
 def test_census_fails_when_a_unitary_row_is_missing(monkeypatch, capsys):
     # the census path scans X0 once, so CountReport.of is its one unitary count check
     class Short(UnitaryClasses):

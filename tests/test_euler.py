@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from brieskorn.character import PulledBackClasses, TraceMemo
 from brieskorn.cli import census_params
 from brieskorn.errors import NotRealizable
 from brieskorn.euler import (
@@ -14,19 +15,20 @@ from brieskorn.euler import (
     reverse_orientation,
     seifert_from_euler,
 )
-from brieskorn.seifert import canonicalize_params, cleared_euler_number, h1_order
+from brieskorn.seifert import canonicalize_params, cleared_euler_number, h1_order, solve_seifert
 
 
 def brute_x0(params):
-    """Triple loop over Fraction sums; the production code clears denominators."""
+    """Triple loop over Fraction sums, each point with a*(1 - sum); the production code clears denominators."""
     a1, a2, a3 = params.triple
-    return [
-        (k, l, m)
-        for k in range(1, a1)
-        for l in range(1, a2)
-        for m in range(1, a3)
-        if Fraction(k, a1) + Fraction(l, a2) + Fraction(m, a3) < 1
-    ]
+    rows = []
+    for k in range(1, a1):
+        for l in range(1, a2):
+            for m in range(1, a3):
+                gap = 1 - Fraction(k, a1) - Fraction(l, a2) - Fraction(m, a3)
+                if gap > 0:
+                    rows.append((k, l, m, int(gap * params.a)))
+    return rows
 
 
 def brute_condition_b(params):
@@ -45,20 +47,28 @@ def test_x0_empty_for_235():
 
 
 def test_x0_357_frozen():
+    # each row ends with the homology order of the cover its class selects
     got = enumerate_X0(canonicalize_params(3, 5, 7))
-    assert got == [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1)]
+    assert got == [(1, 1, 1, 34), (1, 1, 2, 19), (1, 1, 3, 4), (1, 2, 1, 13)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_x0_family_2_3_6n1(n):
+    # the cover of (-1; 1,1,k) has homology order 6(n - k) + 1
     params = canonicalize_params(2, 3, 6 * n + 1)
-    assert enumerate_X0(params) == [(1, 1, k) for k in range(1, n + 1)]
+    assert enumerate_X0(params) == [(1, 1, k, 6 * (n - k) + 1) for k in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("triple", [(2, 3, 35), (4, 5, 9), (3, 7, 11), (5, 7, 9)])
 def test_x0_matches_brute_force(triple):
     params = canonicalize_params(*triple)
-    assert [tuple(t) for t in enumerate_X0(params)] == brute_x0(params)
+    rows = enumerate_X0(params)
+    assert rows == brute_x0(params)
+    a1, a2, a3 = params.triple
+    for k, l, m, order in rows:
+        assert order == params.a - k * a2 * a3 - l * a1 * a3 - m * a1 * a2 > 0
+    # the pulled-back class table holds the scan's rows as they are
+    assert PulledBackClasses(TraceMemo(params, solve_seifert(params))).rows == rows
 
 
 @pytest.mark.parametrize("triple", [(2, 3, 7), (4, 5, 9), (3, 5, 7)])

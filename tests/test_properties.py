@@ -236,6 +236,27 @@ def reference_label(t1: Fraction, t2: Fraction, t3: Fraction) -> ClassLabel:
     return ClassLabel.SL2R
 
 
+def test_admissible_rows_are_exactly_the_two_class_tables():
+    # completeness: every row (r1, r2, r3, eps) with 0 < r_i < a_i, (-1)**r_i = eps**b_i
+    # and the third angle off the reducible walls of the other two, found by brute force,
+    # is a key of one of the two class tables, and the tables hold nothing else
+    for params in SWEEP:
+        sigma = solve_seifert(params)
+        admissible = {
+            (*rs, eps)
+            for eps in (-1, 1)
+            for rs in itertools.product(*(range(1, ai) for ai in params.triple))
+            if all((-1) ** r == eps ** abs(b) for r, b in zip(rs, sigma.coefficients))
+            and reference_label(*(Fraction(r, ai) for r, ai in zip(rs, params.triple)))
+            is not ClassLabel.REDUCIBLE
+        }
+        record = build_record(params, sigma, "canonical")
+        unitary, pulled = set(record.unitary.keys), set(record.pulled.keys)
+        assert unitary | pulled == admissible, params.triple
+        assert len(unitary) + len(pulled) == len(admissible)
+        assert len(admissible) == (params.a1 - 1) * (params.a2 - 1) * (params.a3 - 1) // 4
+
+
 OPEN_ANGLES = st.fractions(min_value=0, max_value=1, max_denominator=5000).filter(
     lambda t: 0 < t < 1
 )
@@ -358,15 +379,3 @@ def test_memoized_triples_match_fresh_folds_on_override_data(override, sign):
         assert sphere_convention_sign(sigma) == sign
         check_against_fresh_folds(params, sigma)
 
-
-def test_lattice_makers_build_what_the_public_constructors_build():
-    # the triple makers skip the sign check the public constructor makes; what
-    # they build must be the object that constructor builds, attributes and
-    # hash included
-    for params in census_params(1000):
-        sigma = solve_seifert(params)
-        for tri in [tri for _, tri in phi_map(params, sigma)] + enumerate_su2(params, sigma):
-            public = CharacterTriple(tri.tx, tri.ty, tri.tz, epsilon=tri.epsilon)
-            assert tri == public
-            assert hash(tri) == hash(public)
-            assert vars(tri) == vars(public)
