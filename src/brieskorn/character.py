@@ -3,9 +3,9 @@
 Traces of the three cone generators are numbers 2cos(pi*n/q) with integer
 n and q, so every fold and comparison here is integer arithmetic on cleared
 denominators; floating point only appears as a cross-check discriminant.
-A class names its traces by memo key: trace i is the TraceValue(r_i, a_i)
-held under key r_i in [0, a_i] of its generator's table in the sphere's
-TraceMemo.
+A class names its traces by memo key: trace i is 2cos(pi*r_i/a_i), entry
+r_i in [0, a_i] of its generator's float table in the sphere's TraceMemo,
+which has the bits of TraceValue(r_i, a_i).value.
 The module enumerates the unitary classes directly and produces the real
 (non-unitary) classes by pulling back rotations through the coverings that
 the euler classes select.
@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 from .errors import (
     CountMismatch,
@@ -238,7 +239,7 @@ def trace_triple_of(eu: EulerClass, sigma: SeifertInvariant) -> CharacterTriple:
     it. The covering space eu selects has first homology of order a*|e|; the
     central generator goes to a lift of rotation by that order times pi, so
     epsilon is -1 exactly when the order is odd. Trace i is
-    TraceValue(-order * b_i, a_i), looked up in the memo through the fold of
+    TraceValue(-order * b_i, a_i), made from its memo key, the fold of
     TraceMemo._keys_for_order.
 
     Each trace lies strictly inside (-2, 2) and sits on the angle beta_i/a_i
@@ -248,63 +249,60 @@ def trace_triple_of(eu: EulerClass, sigma: SeifertInvariant) -> CharacterTriple:
     +-beta_i modulo a_i, never 0.
     """
     memo = TraceMemo(eu.params, sigma)
-    return memo.triples([memo._keys_for_order(abs(eu.cover_euler_number()))])[0]
+    return memo.triples(memo._keys_for_order([abs(eu.cover_euler_number())]))[0]
 
 
-class _GeneratorTraces(dict):
-    """Folded traces 2cos(pi*r/q) of one generator, keyed by r in [0, q], filled on first lookup.
+def trace_table(q: int) -> list[float]:
+    """The traces 2cos(pi*r/q) of one generator, entry r for each key r in [0, q].
 
-    Every angle n/q folds onto one such r, so the memo never holds more than
-    q + 1 entries.
+    Entry r has the bits of TraceValue(r, q).value: r/q and the reduced n/q'
+    of that value are one rational, which the division rounds correctly, so
+    the cos reads the same float.
     """
-
-    def __init__(self, q: int) -> None:
-        super().__init__()
-        self.q = q
-
-    def __missing__(self, r: int) -> TraceValue:
-        tv = self[r] = TraceValue(r, self.q)
-        return tv
+    return [2.0 * math.cos(math.pi * (r / q)) for r in range(q + 1)]
 
 
 class TraceMemo:
-    """One sphere's trace values, each folded and evaluated once per generator.
+    """One sphere's trace tables: per generator, every trace evaluated once, when the memo is built.
 
     Building the memo checks the sphere data once; the triples it makes skip
-    that check.
+    that check. The tables live as long as the memo, and no longer.
     """
 
     def __init__(self, params: BrieskornParams, sigma: SeifertInvariant) -> None:
         _check_sphere_data(params, sigma)
         self.params = params
         self.sigma = sigma
-        self.generators = tuple(_GeneratorTraces(ai) for ai in params.triple)
-        # a_i and b_i, unpacked at once per class
-        self._fold = (*params.triple, *sigma.coefficients)
+        self.generators = tuple(trace_table(ai) for ai in params.triple)
+        # a_i, the b_i negated and the 2a_i, unpacked at once per fold
+        self._fold = (*params.triple, *(-bi for bi in sigma.coefficients), *(2 * ai for ai in params.triple))
 
-    def _keys_for_order(self, order):
-        """The three memo keys and epsilon of a class whose cover has homology of this order.
+    def _keys_for_order(self, orders) -> list[tuple[int, int, int, int]]:
+        """The three memo keys and epsilon of each class whose cover has homology of one of these orders.
 
         Each -order*b_i is reduced mod 2a_i to r, and r is mirrored into
         [0, a_i] as a_i - |a_i - r|, which is the memo's key for
         TraceValue(-order*b_i, a_i); epsilon is -1 exactly when the order is
         odd. This is the one trace fold.
         """
-        a1, a2, a3, b1, b2, b3 = self._fold
-        r1, r2, r3 = -order * b1 % (2 * a1), -order * b2 % (2 * a2), -order * b3 % (2 * a3)
-        return a1 - abs(a1 - r1), a2 - abs(a2 - r2), a3 - abs(a3 - r3), 1 - order % 2 * 2
+        a1, a2, a3, n1, n2, n3, m1, m2, m3 = self._fold
+        return [
+            (a1 - abs(a1 - o * n1 % m1), a2 - abs(a2 - o * n2 % m2), a3 - abs(a3 - o * n3 % m3),
+             1 - o % 2 * 2) for o in orders
+        ]
 
     def triples(self, keys) -> list[CharacterTriple]:
         """The CharacterTriple view of each (r1, r2, r3, epsilon) row of memo keys.
 
-        This is the one maker of CharacterTriple views from memo keys. A
-        lookup fills the memo with a key it lacks, so afterwards every key of
-        keys is in the memo's tables.
+        This is the one maker of CharacterTriple views from memo keys. Each
+        key the rows name gets one TraceValue(r_i, a_i), which the views of
+        this call share; the tables hold only floats.
         """
-        traces1, traces2, traces3 = self.generators
-        return [
-            CharacterTriple(traces1[r1], traces2[r2], traces3[r3], eps) for r1, r2, r3, eps in keys
-        ]
+        v1, v2, v3 = (
+            {r: TraceValue(r, ai) for r in set(map(itemgetter(i), keys))}
+            for i, ai in enumerate(self.params.triple)
+        )
+        return [CharacterTriple(v1[r1], v2[r2], v3[r3], eps) for r1, r2, r3, eps in keys]
 
 
 def _window(big1: int, big2: int, whole: int) -> tuple[int, int]:
@@ -318,7 +316,7 @@ def _window(big1: int, big2: int, whole: int) -> tuple[int, int]:
 
 
 def _kappa(t1: float, t2: float, t3: float) -> float:
-    """t1^2 + t2^2 + t3^2 - t1*t2*t3 - 4; hardest_real_row writes it inline, in this order."""
+    """t1^2 + t2^2 + t3^2 - t1*t2*t3 - 4; the table passes write it inline, in this order."""
     return t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 4.0
 
 
@@ -366,9 +364,10 @@ def hardest_real_row(memo: TraceMemo, keys) -> int:
     r3/a3 strictly outside the _window of r1/a1 and r2/a2, compared over the
     common denominator a as big_i = r_i*(a/a_i), so the row is neither
     unitary nor on a reducible wall; and the float cross check
-    kappa > KAPPA_TOLERANCE, on the memo's TraceValue floats, the bits
-    classify reads. The window and _kappa are written out inline, kappa in
-    _kappa's operation order, so its bits are _kappa's. Each row also gets
+    kappa > KAPPA_TOLERANCE, on the memo's table floats, which have the bits
+    of the TraceValues classify reads. The window and _kappa are written out
+    inline, kappa in _kappa's operation order, so its bits are _kappa's.
+    Each row also gets
     the parity test classify does not make: (-1)**r_i = epsilon**b_i for
     each i, with the b_i of memo.sigma, since X_i**a_i = (-1)**r_i * I must
     be rho(h)**(-b_i). In integers: the parities r_i & 1, packed into three
@@ -379,8 +378,8 @@ def hardest_real_row(memo: TraceMemo, keys) -> int:
     Returns the index of the row classify should read: the first row that
     fails or, if every row passes, the row of least kappa, the one nearest a
     reducible wall. classify cannot refuse a row that fails the parity test
-    alone, so the caller tests the row it gets back again. keys must not be
-    empty. Every key of a passing row is in the memo afterwards.
+    alone, nor one whose table floats alone fail the kappa test, so the
+    caller tests the row it gets back again. keys must not be empty.
     """
     a1, a2, a3 = memo.params.triple
     a = memo.params.a
@@ -399,7 +398,7 @@ def hardest_real_row(memo: TraceMemo, keys) -> int:
         ):
             return index
         big1, big2, big3 = r1 * f1, r2 * f2, r3 * f3
-        t1, t2, t3 = traces1[r1].value, traces2[r2].value, traces3[r3].value
+        t1, t2, t3 = traces1[r1], traces2[r2], traces3[r3]
         k = t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 4.0
         # inside the closed window, or a kappa that does not confirm a real class
         if abs(big1 - big2) <= big3 <= big1 + big2 and big3 <= two_a - big1 - big2 or not k > tol:
@@ -429,7 +428,7 @@ class PulledBackClasses:
         self.memo = memo
         params = memo.params
         self.rows = enumerate_X0(params)
-        self.keys = [memo._keys_for_order(row[3]) for row in self.rows]
+        self.keys = memo._keys_for_order(map(itemgetter(3), self.rows))
         if len({key[:3] for key in self.keys}) != len(self.keys):
             raise InjectivityViolation(
                 f"distinct euler classes of {params.triple} share a trace triple"
@@ -448,7 +447,7 @@ class UnitaryClasses:
     moved onto the parity, up to the last l3 below the upper end. The upper
     end is at most a, so l3 stays below a3. Each row must also pass
     classify's float cross-check, kappa < -KAPPA_TOLERANCE, on the memo's
-    trace values. The rows are in rotation-number order, and .keys is the
+    table floats. The rows are in rotation-number order, and .keys is the
     same list: a row holds its class's memo keys and epsilon, so
     memo.triples(keys) makes its CharacterTriple views.
 
@@ -479,10 +478,11 @@ class UnitaryClasses:
                     first += (first - starts[2]) % 2
                     rows += [(l1, l2, l3, eps) for l3 in range(first, (upper - 1) // f3 + 1, 2)]
         rows.sort()
-        # 0 < l_i < a_i is already a folded key
+        # 0 < l_i < a_i is already a folded key; kappa inline, in _kappa's operation order
         traces1, traces2, traces3 = memo.generators
         for l1, l2, l3, _ in rows:
-            k = _kappa(traces1[l1].value, traces2[l2].value, traces3[l3].value)
+            t1, t2, t3 = traces1[l1], traces2[l2], traces3[l3]
+            k = t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 4.0
             if not k < -KAPPA_TOLERANCE:
                 raise InconsistentClassification(f"unitary triple with kappa = {k}")
         # each row is its class's memo keys and epsilon, the columns certification reads

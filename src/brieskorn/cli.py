@@ -5,20 +5,21 @@ Nothing is colorized, so NO_COLOR is honored trivially.
 
 build_record is the one pass per sphere, on every command and format: it
 checks a sphere and returns a SphereRecord, which every writer reads. It
-checks the pulled-back classes in one pass over their memo keys, the
-parity of each key row against its epsilon included, and calls classify
-once per sphere, on one view. Every output is written from the sphere's
-integer class rows: the pulled-back rows are enumerate_X0's
-(k, l, m, order), which print the euler class and cover_h1 as they are,
-with no dict, EulerClass or CharacterTriple per class. The text and JSON
-writers fill one `%` template per class from its row and from the texts of
-its three trace values, looked up by the class's memo keys; each writer
-makes only the texts it prints, once per key. The seifert block is built
-by _seifert, only in the text and JSON writers that print it; the census
-text and CSV lines print the summary alone, and the CSV verify columns
-come with its verification block. render_json writes exactly what json.dumps writes for the
-record's dict form, which README.md lays out, and with compact the census
-JSON line.
+checks the pulled-back classes in one pass over their memo keys, on the
+float trace tables of the sphere's TraceMemo, the parity of each key row
+against its epsilon included, and calls classify once per sphere, on one
+view. Every output is written from the sphere's integer class rows: the
+pulled-back rows are enumerate_X0's (k, l, m, order), which print the
+euler class and cover_h1 as they are, with no dict, EulerClass or
+CharacterTriple per class. The text and JSON writers fill one `%` template
+per class from its row and from the texts of its three trace values,
+looked up by the class's memo keys; each writer makes only the texts it
+prints, once per key the rows name, from that key's TraceValue. The
+seifert block is built by _seifert, only in the text and JSON writers that
+print it; the census text and CSV lines print the summary alone, and the
+CSV verify columns come with its verification block. render_json writes
+exactly what json.dumps writes for the record's dict form, which README.md
+lays out, and with compact the census JSON line.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .character import (
+    KAPPA_TOLERANCE,
     ClassLabel,
     CountReport,
     PulledBackClasses,
@@ -41,6 +43,7 @@ from .character import (
     TraceValue,
     UnitaryClasses,
     classify,
+    _kappa,
     hardest_real_row,
 )
 from .errors import (
@@ -122,7 +125,7 @@ class SphereRecord(NamedTuple):
     it came from; _seifert builds the seifert block from them, only for the
     writers that print it. The classes stay the integer rows of the two
     tables, on the sphere's one TraceMemo, pulled.memo; each writer makes
-    the texts it prints once per memo key from that memo's generators. The certificates
+    the texts it prints once per memo key the rows name. The certificates
     hold the pulled-back stack, then the unitary one (none without verify).
     With condition b, partners holds the coefficients (a1-k, a2-l, a3-m) of
     the reversed partner of each pulled-back class, in the condition-b list's
@@ -165,13 +168,15 @@ def build_record(
     keys. It hands back the first row that fails, or else the row nearest a
     reducible wall; memo.triples makes the one view of that row, and
     classify labels it by its own route. classify reads no b_i, so the
-    row's parity, (-1)**r_i = epsilon**b_i, is tested again here. So a
-    failing row raises classify's own error, or a pulled-back error naming
-    the row, and a sphere with no pulled-back class calls no classify. With
-    verify, both tables are certified from their memo keys, and a unitary
-    CharacterTriple view is built only to name a class that fails; a
-    pulled-back class is named by its row. The seifert block is left to the
-    writers that print it.
+    row's parity, (-1)**r_i = epsilon**b_i, is tested again here; and the
+    view's TraceValues are made afresh, not read from the tables, so the
+    row's kappa is tested again here on the table floats the pass read. So
+    a failing row raises classify's own error, or a pulled-back error
+    naming the row, and a sphere with no pulled-back class calls no
+    classify. With verify, both tables are certified from their memo keys,
+    and a unitary CharacterTriple view is built only to name a class that
+    fails; a pulled-back class is named by its row. The seifert block is
+    left to the writers that print it.
 
     With condition_b, orientation reversal must map the pulled-back classes
     onto the brute-force condition-b classes, checked on the integer rows.
@@ -200,6 +205,10 @@ def build_record(
                 f"pulled-back class {name} breaks (-1)**r_i = eps**b_i: "
                 f"keys {key[:3]}, eps {eps:+d}"
             )
+        # the view's TraceValues are fresh, so kappa again on the table floats the pass read
+        kappa = _kappa(*map(list.__getitem__, memo.generators, key))
+        if not kappa > KAPPA_TOLERANCE:
+            raise InconsistentClassification(f"pulled-back class {name} has kappa = {kappa} on the trace tables")
     certificates = []
     if verify:
         from .realize import certify_columns  # numpy loads only when a class is certified
@@ -273,14 +282,16 @@ def _seifert(record: SphereRecord) -> dict:
 
 
 def _generator_leaves(record: SphereRecord, leaf) -> list[dict]:
-    """One dict per generator, mapping each memo key to leaf(its trace value).
+    """One dict per generator, mapping each memo key a class row names to leaf(its TraceValue).
 
-    The memo holds every trace value the two tables read, each once: the
-    unitary kappa check and the one-pass check of the pulled-back keys,
-    hardest_real_row, filled it. Every such value lies strictly inside
-    (-2, 2).
+    Each leaf is made once per key, from TraceValue(r, a_i), so the
+    TraceValue is the one route to a trace's texts. The unitary kappa check
+    and hardest_real_row passed every row, so every such value lies strictly
+    inside (-2, 2).
     """
-    return [{r: leaf(tv) for r, tv in traces.items()} for traces in record.pulled.memo.generators]
+    columns = zip(*record.pulled.keys, *record.unitary.rows)
+    triple = record.pulled.memo.params.triple
+    return [{r: leaf(TraceValue(r, ai)) for r in set(column)} for column, ai in zip(columns, triple)]
 
 
 def _pulled_fields(record: SphereRecord, leaves: list[dict]):
@@ -579,14 +590,7 @@ def _run_analyze(args) -> int:
         sigma, source = parse_seifert_override(args.seifert, params)
     else:
         sigma, source = solve_seifert(params), "canonical"
-    record = build_record(
-        params,
-        sigma,
-        source,
-        verify=args.verify,
-        tol=args.tol,
-        condition_b=args.condition_b,
-    )
+    record = build_record(params, sigma, source, args.verify, args.tol, args.condition_b)
     if args.format == "json":
         text = render_json(record)
     elif args.format == "csv":

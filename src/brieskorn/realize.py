@@ -15,12 +15,13 @@ for the stretch d >= 1 of `stretch_for_product_trace`.
 (n, 2, 2) stacks, runs every check once per stack, and returns one
 `Certificate`: an (n, 3) array of relation residuals and an (n,) array of
 irreducibility gaps. The classes come as integer columns. Each generator
-has a table, a mapping from key to TraceValue such as a TraceMemo
-generator, and the classes are (n, 4) integer rows: the keys of each
-class in the three tables, then its central sign epsilon. The cos, sin and
-trace of each table entry are evaluated once, by the math calls that made
-its TraceValue.value, so every class reads the bits of its own trace
-values. The rest of the solve (u, then h and sqrt(1 - h^2), or the stretch
+has a table, the list of traces 2cos(pi*r/q) for r in [0, q] that a
+TraceMemo generator is, and the classes are (n, 4) integer rows: the keys
+of each class in the three tables, then its central sign epsilon. A key
+is its entry's position. Each entry's cos is half its trace, and its sin
+is math.sin(math.pi * (r / q)), the math call a TraceValue of the entry
+would make, so every class reads the bits of its own trace values. The
+rest of the solve (u, then h and sqrt(1 - h^2), or the stretch
 d) is elementwise numpy in the operation order of the scalar formulas. X is
 a rotation fixed by its trace, so it is built, inverted and raised to its
 power once per entry of the first table, then gathered by the first index
@@ -43,21 +44,21 @@ stacked operation is the one a single class would get, so a stack gives
 the same bits as its classes taken one at a time.
 
 `certify_columns` on memo keys is the one stacked entry. `realize_su2` and
-`realize_sl2r` realize one CharacterTriple through one-entry tables and
-the row (0, 0, 0, epsilon). `verify_relations`, the one per-pair entry,
-checks a given pair as a stack of one, after the determinant and
-real-form checks on the caller's complex input.
+`realize_sl2r` realize one CharacterTriple through the tables of its three
+denominators and the row (n1, n2, n3, epsilon). `verify_relations`, the
+one per-pair entry, checks a given pair as a stack of one, after the
+determinant and real-form checks on the caller's complex input.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .character import CharacterTriple, ClassLabel, TraceValue
+from .character import CharacterTriple, ClassLabel, trace_table
 from .errors import NotRealizable
 from .seifert import SeifertInvariant
 
@@ -162,37 +163,36 @@ def stretch_for_product_trace(u):
     return np.sqrt((u + np.sqrt(u * u - 4.0)) / 2.0)
 
 
-def _table(traces: Mapping[int, TraceValue]) -> tuple:
-    """Each key's position, then the cos, sin and trace of each entry, of one generator's table."""
-    keys = np.fromiter(traces, dtype=np.intp, count=len(traces))
-    # a key the table lacks sits one past its entries, so a class that names
-    # it raises IndexError instead of reading another key's entry
-    position = np.full(keys.max(initial=-1) + 1, len(keys), dtype=np.intp)
-    position[keys] = np.arange(len(keys))
-    # value is 2.0 * math.cos(angle), so halving gives the cos exactly, and
-    # n / q rounds exactly as float(Fraction(n, q)) does
-    values = np.array([tv.value for tv in traces.values()], dtype=float)
-    sines = np.array([math.sin(math.pi * (tv.n / tv.q)) for tv in traces.values()], dtype=float)
-    return position, values / 2.0, sines, values
+def _table(traces: Sequence[float]) -> tuple:
+    """The cos, sin and trace of each entry of one generator's table 2cos(pi*r/q), r in [0, q]."""
+    q = len(traces) - 1
+    # an entry is 2.0 * math.cos(angle), so halving gives the cos exactly, and
+    # r / q rounds exactly as float(Fraction(r, q)) does
+    values = np.array(traces, dtype=float)
+    sines = np.array([math.sin(math.pi * (r / q)) for r in range(q + 1)], dtype=float)
+    return values / 2.0, sines, values
 
 
 def _rotations(c: np.ndarray, s: np.ndarray, dtype) -> np.ndarray:
     return np.stack((c, -s, s, c), axis=-1).reshape(-1, 2, 2).astype(dtype)
 
 
-def _realize_columns(tables: Sequence[Mapping], classes, real_form: ClassLabel) -> tuple:
+def _realize_columns(tables: Sequence[Sequence[float]], classes, real_form: ClassLabel) -> tuple:
     """X per entry of the first table, each class's row in it, the Y and XY stacks, and the epsilons.
 
     The traces and the forms of X and Y are checked. A class with no pair in
     real_form raises NotRealizable; the first such class names the error.
     """
     unitary = real_form is ClassLabel.SU2
-    (pos1, cos1, sin1, tr1), (pos2, cos2, sin2, tr2), (pos3, _, _, tr3) = map(_table, tables)
+    (cos1, sin1, tr1), (cos2, sin2, tr2) = map(_table, tables[:2])
     X = _rotations(cos1, sin1, complex if unitary else float)
     _check_form(X, real_form)  # first, so a real_form other than SU2 or SL2R raises first
     classes = np.asarray(classes, dtype=np.intp).reshape(-1, 4)
-    at, p2, p3 = pos1[classes[:, 0]], pos2[classes[:, 1]], pos3[classes[:, 2]]
-    c2, s2, ty, tz = cos2[p2], sin2[p2], tr2[p2], tr3[p3]
+    # numpy would read a negative key from the table's end, another key's entry
+    if (classes[:, :3] < 0).any():
+        raise IndexError("a class names a negative memo key")
+    at, p2, p3 = classes[:, 0], classes[:, 1], classes[:, 2]
+    c2, s2, ty, tz = cos2[p2], sin2[p2], tr2[p2], np.array(tables[2], dtype=float)[p3]
     sines = sin1[at] * s2
     degenerate = sines < 1e-15
     u = (2.0 * cos1[at] * c2 - tz) / np.where(degenerate, 1.0, sines)
@@ -255,7 +255,7 @@ def _certificate(X, at, Y, XY, epsilons, sigma, real_form, tol) -> Certificate:
     return Certificate(names, np.stack(residuals, axis=1), np.hypot(offset.real, offset.imag), tol)
 
 
-def certify_columns(tables: Sequence[Mapping[int, TraceValue]], classes, sigma: SeifertInvariant,
+def certify_columns(tables: Sequence[Sequence[float]], classes, sigma: SeifertInvariant,
                     real_form: ClassLabel, tol: float = RELATION_TOLERANCE) -> Certificate:
     """Realize every class in real_form and check its relations, all on one stack.
 
@@ -267,17 +267,17 @@ def certify_columns(tables: Sequence[Mapping[int, TraceValue]], classes, sigma: 
     in real_form (the first such class names the error), AssertionError
     when a pair misses its traces, ValueError when X, Y or Z fails its
     determinant or real-form check, and IndexError when a class names a key
-    its table lacks.
+    outside [0, q] of its table.
     """
     _check_relation_inputs(sigma, tol)
     return _certificate(*_realize_columns(tables, classes, real_form), sigma, real_form, tol)
 
 
 def _realize_one(c: CharacterTriple, real_form: ClassLabel) -> tuple[np.ndarray, np.ndarray]:
-    """The pair of one triple, realized through one-entry tables and the row (0, 0, 0, epsilon)."""
-    tables = ({0: c.tx}, {0: c.ty}, {0: c.tz})
-    X, _, Y, *_ = _realize_columns(tables, [(0, 0, 0, c.epsilon)], real_form)
-    return X[0], Y[0]
+    """The pair of one triple, realized through its denominators' tables and the row (n1, n2, n3, epsilon)."""
+    tables = [trace_table(tv.q) for tv in (c.tx, c.ty, c.tz)]
+    X, at, Y, *_ = _realize_columns(tables, [(c.tx.n, c.ty.n, c.tz.n, c.epsilon)], real_form)
+    return X[at[0]], Y[0]
 
 
 def realize_su2(c: CharacterTriple) -> tuple[np.ndarray, np.ndarray]:

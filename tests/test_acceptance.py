@@ -137,7 +137,7 @@ def test_criterion_7_reversal_sweep(partition_sweep):
             # a*e of the cover that (-2; b1,b2,b3) selects
             cover = 2 * a - b1 * c1 - b2 * c2 - b3 * c3
             assert cover == -order
-            assert memo._keys_for_order(abs(cover)) == key
+            assert memo._keys_for_order([abs(cover)]) == [key]
             partners.append((b1, b2, b3))
         assert len(set(partners)) == len(partners)
         assert sorted(partners) == enumerate_condition_b(params)

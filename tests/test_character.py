@@ -20,7 +20,6 @@ from brieskorn.character import (
     TraceMemo,
     TraceValue,
     UnitaryClasses,
-    _GeneratorTraces,
     casson_invariant,
     classify,
     count_report,
@@ -29,6 +28,7 @@ from brieskorn.character import (
     kappa,
     phi_map,
     reversed_trace_check,
+    trace_table,
     trace_triple_of,
 )
 from brieskorn.cli import census_params
@@ -215,7 +215,7 @@ def key_memo(multiplicities):
     """
     return SimpleNamespace(
         params=SimpleNamespace(triple=multiplicities, a=math.prod(multiplicities)),
-        generators=tuple(_GeneratorTraces(ai) for ai in multiplicities),
+        generators=tuple(trace_table(ai) for ai in multiplicities),
     )
 
 
@@ -259,8 +259,7 @@ def test_hardest_real_row_hands_back_the_row_nearest_a_wall_or_the_first_refused
             continue
         seen += 1
         index = hardest_real_row(memo, keys)
-        # every key of the passing rows is in the memo, for the writers
-        assert all(r in traces for key in keys for r, traces in zip(key, memo.generators))
+        # kappa of the fresh views, whose floats have the bits of the tables the pass read
         kappas = [kappa(tri) for tri in memo.triples(keys)]
         assert index == kappas.index(min(kappas))
         # a unitary row, then a degenerate one: the first refused row comes back
@@ -413,21 +412,28 @@ def test_trace_memo_holds_each_folded_trace_once():
     sigma = solve_seifert(params)
     memo = TraceMemo(params, sigma)
     classes = enumerate_E(params)
-    keys = [memo._keys_for_order(abs(eu.cover_euler_number())) for eu in classes]
+    keys = memo._keys_for_order([abs(eu.cover_euler_number()) for eu in classes])
     pairs = list(zip(classes, memo.triples(keys)))
-    for generator, ai in zip(memo.generators, params.triple):
-        assert 0 < len(generator) <= ai + 1
-        assert all(0 <= r <= ai and tv == TraceValue(r, ai) for r, tv in generator.items())
-    # the memo's fold against fresh TraceValues, over residues of both signs
-    for order in range(-300, 300):
-        [tri] = memo.triples([memo._keys_for_order(order)])
+    # one table entry per key r in [0, a_i], each trace evaluated once
+    assert [len(generator) for generator in memo.generators] == [ai + 1 for ai in params.triple]
+    # the memo's fold against fresh TraceValues, over residues of both signs, in one call
+    orders = range(-300, 300)
+    for order, tri in zip(orders, memo.triples(memo._keys_for_order(orders))):
         fresh = [TraceValue(-order * bi, ai) for bi, ai in zip(sigma.coefficients, params.triple)]
         assert [tri.tx, tri.ty, tri.tz] == fresh
         assert tri.epsilon == (-1 if order % 2 else 1)
-    # one object per distinct trace value
-    values = {id(tv) for _, tri in pairs for tv in (tri.tx, tri.ty, tri.tz)}
-    assert len(values) <= sum(len(generator) for generator in memo.generators)
     assert pairs == phi_map(params, sigma)
+
+
+def test_trace_tables_have_the_bits_of_trace_values():
+    # the tables replace TraceValue floats on every path, so every entry must be
+    # that value's float bit for bit: r/a_i and the reduced n/q are one rational
+    wide = [canonicalize_params(*t) for t in ((2, 3, 6007), (7, 11, 2003), (2, 5, 100003))]
+    for params in census_params(3000) + wide:
+        memo = TraceMemo(params, solve_seifert(params))
+        for generator, ai in zip(memo.generators, params.triple):
+            expected = [TraceValue(r, ai).value.hex() for r in range(ai + 1)]
+            assert [t.hex() for t in generator] == expected, (params.triple, ai)
 
 
 def test_trace_memo_refuses_another_sphere():

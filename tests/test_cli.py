@@ -800,10 +800,12 @@ def test_census_fails_when_a_pulled_back_class_is_classified_unitary(monkeypatch
 def _wall_value(memo, keys):
     # no key row of a sphere lies on a reducible wall: its a_i are pairwise
     # coprime, so r3/a3 is never a folded sum or difference of r1/a1 and
-    # r2/a2. So the row (1, 2, 6) keeps its keys, and the memo's trace under
-    # its second key becomes 2cos(11pi/21), with 1/3 + 11/21 = 6/7 on the
-    # upper wall; no other pulled-back row of (3,5,7) reads that key
-    memo.generators[1][2] = TraceValue(11, 21)
+    # r2/a2. So the row (1, 2, 6) keeps its keys, and the memo's table float
+    # under its second key becomes 2cos(11pi/21), with 1/3 + 11/21 = 6/7 on
+    # the upper wall; no other pulled-back row of (3,5,7) reads that key.
+    # classify reads fresh TraceValues of the keys, so it labels the row
+    # SL2R, and the kappa test again on the table floats refuses it
+    memo.generators[1][2] = TraceValue(11, 21).value
 
 
 def _raise_kappa_tolerance(monkeypatch):
@@ -820,7 +822,7 @@ def _raise_kappa_tolerance(monkeypatch):
         ("a_i key", (3, 5, 7), 105, DegenerateAngle,
          "classification needs all traces strictly inside (-2, 2)"),
         ("reducible wall", (3, 5, 7), 105, InconsistentClassification,
-         "pulled-back class (-1; 1,2,1) classified as Reducible"),
+         "pulled-back class (-1; 1,2,1) has kappa = 0.0 on the trace tables"),
         ("kappa", (2, 3, 13), 78, InconsistentClassification,
          "real-form triple with kappa = 0.1361294934623114"),
     ],
@@ -847,9 +849,12 @@ def test_pulled_back_parity_refuses_a_flipped_epsilon(monkeypatch, capsys):
     # refuse the row. (-1; 1,1,1) of (7,11,13) has cover order 5 and all keys even
     keys_for_order = TraceMemo._keys_for_order
 
-    def flipped(memo, order):
-        r1, r2, r3, eps = keys_for_order(memo, order)
-        return r1, r2, r3, -eps if order % 5 == 0 else eps
+    def flipped(memo, orders):
+        orders = list(orders)
+        return [
+            (r1, r2, r3, -eps if order % 5 == 0 else eps)
+            for order, (r1, r2, r3, eps) in zip(orders, keys_for_order(memo, orders))
+        ]
 
     monkeypatch.setattr(TraceMemo, "_keys_for_order", flipped)
     assert run(capsys, "analyze", "7", "11", "13") == (

@@ -344,8 +344,11 @@ def check_against_fresh_folds(params, sigma):
             expected = fresh_value(tv)
             assert tv.value == expected
             assert TraceValue(tv.n, tv.q).value == expected
-        # one object per distinct trace value: a memo is keyed by folded angles
-        assert len({id(tv) for tv in traces}) == len(set(traces))
+    # the table floats the kappa checks read, under every key a class row names
+    for keys in (pulled.keys, unitary.rows):
+        for key in keys:
+            for traces, r, ai in zip(memo.generators, key, params.triple):
+                assert traces[r] == fresh_value(TraceValue(r, ai))
 
 
 def negated(sigma):
@@ -360,8 +363,9 @@ def odd_b2(sigma):
 
 
 def test_memoized_triples_match_fresh_folds():
-    # each sphere's memo shares one TraceValue per distinct trace; the triples
-    # and every carried float must equal ones folded and evaluated afresh. The
+    # each sphere's memo holds one table float per key; the triples, every
+    # carried float and every table float a class row names must equal ones
+    # folded and evaluated afresh. The
     # last two spheres have a3 > 2000 and wide SU(2) windows.
     wide = [canonicalize_params(2, 3, 6007), canonicalize_params(7, 11, 2003)]
     for params in census_params(1000) + wide:

@@ -18,6 +18,7 @@ from brieskorn.character import (
     enumerate_su2,
     kappa,
     phi_map,
+    trace_table,
 )
 import brieskorn.realize
 from brieskorn.cli import build_record, census_params, parse_seifert_override
@@ -456,22 +457,25 @@ def test_frobenius_is_numpy_norm_bit_for_bit():
     assert frobenius(stack).tolist() == [np.linalg.norm(m) for m in stack]
 
 
-# hand-built tables for the stack tests: key -> TraceValue per generator
-HAND_TABLES = (
-    {0: TraceValue(1, 2), 1: TraceValue(1, 3), 2: TraceValue(0, 1)},
-    {0: TraceValue(2, 3), 1: TraceValue(4, 5), 2: TraceValue(1, 3)},
-    {0: TraceValue(1, 7), 1: TraceValue(3, 7), 2: TraceValue(2, 7), 3: TraceValue(1, 2)},
-)
+# hand-built tables for the stack tests: 2cos(pi*r/q) for r in [0, q], one q per generator
+HAND_Q = (6, 15, 14)
+HAND_TABLES = tuple(trace_table(q) for q in HAND_Q)
 # their class rows: keys in the three tables, then epsilon
-REAL = (0, 0, 0, -1)  # angles (1/2, 2/3, 1/7)
-UNITARY = (0, 0, 1, -1)  # (1/2, 2/3, 3/7), which has no SL(2,R) pair
-OTHER_REAL = (0, 1, 2, -1)  # (1/2, 4/5, 2/7)
-OTHER_UNITARY = (1, 2, 3, -1)  # (1/3, 1/3, 1/2)
-DEGENERATE = (2, 0, 0, -1)  # (0, 2/3, 1/7): trace x is 2
+REAL = (3, 10, 2, -1)  # angles (1/2, 2/3, 1/7)
+UNITARY = (3, 10, 6, -1)  # (1/2, 2/3, 3/7), which has no SL(2,R) pair
+OTHER_REAL = (3, 12, 4, -1)  # (1/2, 4/5, 2/7)
+OTHER_UNITARY = (2, 5, 7, -1)  # (1/3, 1/3, 1/2)
+DEGENERATE = (0, 10, 2, -1)  # (0, 2/3, 1/7): trace x is 2
 
 
 def hand_triple(row):
-    return CharacterTriple(*(t[k] for t, k in zip(HAND_TABLES, row[:3])), epsilon=row[3])
+    return CharacterTriple(*(TraceValue(r, q) for r, q in zip(row[:3], HAND_Q)), epsilon=row[3])
+
+
+def test_hand_tables_hold_the_trace_values_of_their_rows():
+    for row in (REAL, UNITARY, OTHER_REAL, OTHER_UNITARY, DEGENERATE):
+        c = hand_triple(row)
+        assert [t[r] for t, r in zip(HAND_TABLES, row[:3])] == list(c.values)
 
 
 def test_stack_raises_on_an_unrealizable_class():
@@ -503,11 +507,27 @@ def test_stack_error_names_the_first_class_without_a_pair():
 
 
 def test_stack_refuses_a_key_its_table_lacks():
-    # key 1 of the third table lies between its keys 0 and 3, and key 4 past them
-    for row in ((0, 0, 1, -1), (0, 0, 4, -1), (3, 0, 0, -1)):
-        with pytest.raises(IndexError):
-            certify_columns(HAND_TABLES[:2] + ({0: TraceValue(1, 7), 3: TraceValue(1, 2)},),
-                            [REAL, row], OVERRIDE_237, ClassLabel.SL2R)
+    # each table holds the keys 0..q: q + 1 and -1 lie past its ends
+    for i, q in enumerate(HAND_Q):
+        for key in (q + 1, -1):
+            row = REAL[:i] + (key,) + REAL[i + 1 :]
+            with pytest.raises(IndexError):
+                certify_columns(HAND_TABLES, [REAL, row], OVERRIDE_237, ClassLabel.SL2R)
+
+
+@pytest.mark.parametrize("real_form", [ClassLabel.SU2, ClassLabel.SL2R], ids=lambda f: f.value)
+def test_stack_refuses_a_memo_key_outside_zero_to_a_i(real_form):
+    # numpy reads index -1 from an array's end: a class with a negative key
+    # must not read another key's entry, here key a_i of (2,3,7), and pass.
+    # The memo is the one the command line certifies from
+    params = canonicalize_params(2, 3, 7)
+    memo = build_record(params, OVERRIDE_237, "override").pulled.memo
+    for i, ai in enumerate(params.triple):
+        for key in (-1, ai + 1):
+            row = [1, 2, 3, -1]
+            row[i] = key
+            with pytest.raises(IndexError):
+                certify_columns(memo.generators, [row], OVERRIDE_237, real_form)
 
 
 def test_stack_checks_its_inputs():
