@@ -10,11 +10,13 @@ The module enumerates the unitary classes directly and produces the real
 (non-unitary) classes by pulling back rotations through the coverings that
 the euler classes select.
 
-Each sphere's lattices are walked once, through one TraceMemo. Both kinds
-of class are integer rows on that memo: PulledBackClasses holds the
-beta = -1 classes as enumerate_X0's (k, l, m, order) rows and folds each
-row's memo keys from the cover order, and UnitaryClasses holds the unitary
-classes as (l1, l2, l3, epsilon) rows, which are their memo keys.
+Each sphere's lattices are walked once, through one TraceMemo, whose
+tables the memos of a census take from one store, so each trace is
+evaluated once per command. Both kinds of class are integer rows on that
+memo: PulledBackClasses holds the beta = -1 classes as enumerate_X0's
+(k, l, m, order) rows and folds each row's memo keys from the cover
+order, and UnitaryClasses holds the unitary classes as
+(l1, l2, l3, epsilon) rows, which are their memo keys.
 TraceMemo.triples makes CharacterTriple views from memo keys, with the
 class's one constructor; each caller asks it for the keys it needs. The
 command line writes every output from the rows and keys, certifies from
@@ -263,17 +265,24 @@ def trace_table(q: int) -> list[float]:
 
 
 class TraceMemo:
-    """One sphere's trace tables: per generator, every trace evaluated once, when the memo is built.
+    """One sphere's trace tables: per generator, every trace evaluated once, by this memo or its store.
 
     Building the memo checks the sphere data once; the triples it makes skip
-    that check. The tables live as long as the memo, and no longer.
+    that check. A table depends on a_i alone, so the memos of one command
+    may share a store, a dict from a_i to trace_table(a_i) that the caller
+    passes as tables: a memo takes each table from it, and fills what it
+    lacks. The tables are read only. Without a store the memo builds its
+    own, which lives as long as the memo; a store dies with its caller,
+    which may drop a table once no later memo reads it, and no cache
+    outlives both.
     """
 
-    def __init__(self, params: BrieskornParams, sigma: SeifertInvariant) -> None:
+    def __init__(self, params: BrieskornParams, sigma: SeifertInvariant, tables: dict | None = None) -> None:
         _check_sphere_data(params, sigma)
         self.params = params
         self.sigma = sigma
-        self.generators = tuple(trace_table(ai) for ai in params.triple)
+        tables = {} if tables is None else tables  # a table is never empty, so .get finds a stored one
+        self.generators = tuple(tables.get(ai) or tables.setdefault(ai, trace_table(ai)) for ai in params.triple)
         # a_i, the b_i negated and the 2a_i, unpacked at once per fold
         self._fold = (*params.triple, *(-bi for bi in sigma.coefficients), *(2 * ai for ai in params.triple))
 
@@ -296,8 +305,11 @@ class TraceMemo:
 
         This is the one maker of CharacterTriple views from memo keys. Each
         key the rows name gets one TraceValue(r_i, a_i), which the views of
-        this call share; the tables hold only floats.
+        this call share; the tables hold only floats. A single row, the view
+        classify reads, gets its three TraceValues directly.
         """
+        if len(keys) == 1:
+            return [CharacterTriple(*map(TraceValue, keys[0][:3], self.params.triple), keys[0][3])]
         v1, v2, v3 = (
             {r: TraceValue(r, ai) for r in set(map(itemgetter(i), keys))}
             for i, ai in enumerate(self.params.triple)
@@ -447,9 +459,12 @@ class UnitaryClasses:
     moved onto the parity, up to the last l3 below the upper end. The upper
     end is at most a, so l3 stays below a3. Each row must also pass
     classify's float cross-check, kappa < -KAPPA_TOLERANCE, on the memo's
-    table floats. The rows are in rotation-number order, and .keys is the
-    same list: a row holds its class's memo keys and epsilon, so
-    memo.triples(keys) makes its CharacterTriple views.
+    table floats, in the loop that makes it: kappa in _kappa's operation
+    order, so with its bits, with t1*t1 + t2*t2 and t1*t2 once per (l1, l2).
+    The first row that fails, in the order the loop makes them (epsilon -1
+    first), raises. The rows are then sorted into rotation-number order,
+    and .keys is the same list: a row holds its class's memo keys and
+    epsilon, so memo.triples(keys) makes its CharacterTriple views.
 
     The keys are distinct by construction: distinct 0 < l_i < a_i fold to
     distinct reduced pairs, and since sum b_i*a/a_i = +-1 the b_i are never
@@ -466,25 +481,29 @@ class UnitaryClasses:
         a1, a2, a3 = params.triple
         a = params.a
         f1, f2, f3 = a // a1, a // a2, a // a3
+        traces1, traces2, traces3 = memo.generators
+        tol = -KAPPA_TOLERANCE
         rows: list[tuple[int, int, int, int]] = []
         for eps in (-1, 1):
-            starts = [2 if (eps == 1 or bi % 2 == 0) else 1 for bi in sigma.coefficients]
-            for l1 in range(starts[0], a1, 2):
-                big1 = l1 * f1
-                for l2 in range(starts[1], a2, 2):
-                    lower, upper = _window(big1, l2 * f2, a)
-                    # the first l3 of the parity of starts[2] with l3*f3 > lower
-                    first = lower // f3 + 1
-                    first += (first - starts[2]) % 2
-                    rows += [(l1, l2, l3, eps) for l3 in range(first, (upper - 1) // f3 + 1, 2)]
+            s1, s2, s3 = (2 if (eps == 1 or bi % 2 == 0) else 1 for bi in sigma.coefficients)
+            for l1 in range(s1, a1, 2):
+                big1, t1 = l1 * f1, traces1[l1]
+                for l2 in range(s2, a2, 2):
+                    # the _window of big1 and big2 inline: the first l3 of the parity of s3
+                    # with l3*f3 above its lower end, up to the last below its upper end
+                    big2, t2 = l2 * f2, traces2[l2]
+                    upper = big1 + big2 if big1 + big2 <= a else 2 * a - big1 - big2
+                    first = abs(big1 - big2) // f3 + 1
+                    first += (first - s3) % 2
+                    # kappa in _kappa's operation order, with t1*t1 + t2*t2 and t1*t2 once per pair
+                    square, product = t1 * t1 + t2 * t2, t1 * t2
+                    for l3 in range(first, (upper - 1) // f3 + 1, 2):
+                        t3 = traces3[l3]
+                        k = square + t3 * t3 - product * t3 - 4.0
+                        if not k < tol:
+                            raise InconsistentClassification(f"unitary triple with kappa = {k}")
+                        rows.append((l1, l2, l3, eps))
         rows.sort()
-        # 0 < l_i < a_i is already a folded key; kappa inline, in _kappa's operation order
-        traces1, traces2, traces3 = memo.generators
-        for l1, l2, l3, _ in rows:
-            t1, t2, t3 = traces1[l1], traces2[l2], traces3[l3]
-            k = t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 4.0
-            if not k < -KAPPA_TOLERANCE:
-                raise InconsistentClassification(f"unitary triple with kappa = {k}")
         # each row is its class's memo keys and epsilon, the columns certification reads
         self.rows = self.keys = rows
 

@@ -12,11 +12,14 @@ view. Every output is written from the sphere's integer class rows: the
 pulled-back rows are enumerate_X0's (k, l, m, order), which print the
 euler class and cover_h1 as they are, with no dict, EulerClass or
 CharacterTriple per class. The text and JSON writers fill one `%` template
-per class from its row and from the texts of its three trace values,
-looked up by the class's memo keys; each writer makes only the texts it
-prints, once per key the rows name, from that key's TraceValue. The
-seifert block is built by _seifert, only in the text and JSON writers that
-print it; the census text and CSV lines print the summary alone, and the
+per class from its row and from the texts of its three traces, looked up
+by the class's memo keys; each writer makes only the texts it prints,
+once per key the rows name, from the key's table float and its angle
+r/a_i reduced, the texts its TraceValue would print. A census shares one
+store of trace tables among its spheres' memos, keyed by a_i, and drops
+each table after the last sphere that reads it, so each trace is
+evaluated once per command. The seifert block is built by _seifert, only
+in the text and JSON writers that print it; the census text and CSV lines print the summary alone, and the
 CSV verify columns come with its verification block. render_json writes
 exactly what json.dumps writes for the record's dict form, which README.md
 lays out, and with compact the census JSON line.
@@ -40,7 +43,6 @@ from .character import (
     CountReport,
     PulledBackClasses,
     TraceMemo,
-    TraceValue,
     UnitaryClasses,
     classify,
     _kappa,
@@ -153,13 +155,16 @@ def build_record(
     verify: bool = False,
     tol: float = 1e-9,
     condition_b: bool = False,
+    tables: dict | None = None,
 ) -> SphereRecord:
     """One pass over a sphere: enumerate, classify, count and (with verify) certify every class.
 
     One TraceMemo serves the sphere, so its data is checked once, and both
     tables read it: PulledBackClasses for the beta = -1 classes and
-    UnitaryClasses for the unitary ones. Each lattice is walked once, and
-    the classes stay integer rows. The unitary count is checked once, by
+    UnitaryClasses for the unitary ones. The memo takes its trace tables
+    from tables, a store from a_i to trace_table(a_i) that a census shares
+    among its spheres, or builds its own without one. Each lattice is
+    walked once, and the classes stay integer rows. The unitary count is checked once, by
     CountReport.of against the closed-form total: with sl2r = |X0|,
     total = su2 + sl2r is the check su2 = total - |X0|; CountReport.of also
     checks su2 = 2|lambda| against the Casson invariant. hardest_real_row
@@ -185,7 +190,7 @@ def build_record(
 
     Every assertion runs before the record is returned.
     """
-    memo = TraceMemo(params, sigma)
+    memo = TraceMemo(params, sigma, tables)
     pulled = PulledBackClasses(memo)
     unitary = UnitaryClasses(memo)
     counts = CountReport.of(params, su2=len(unitary.rows), sl2r=len(pulled.rows))
@@ -282,30 +287,28 @@ def _seifert(record: SphereRecord) -> dict:
 
 
 def _generator_leaves(record: SphereRecord, leaf) -> list[dict]:
-    """One dict per generator, mapping each memo key a class row names to leaf(its TraceValue).
+    """One dict per generator, mapping each memo key r a class row names to leaf(n, q, its trace).
 
-    Each leaf is made once per key, from TraceValue(r, a_i), so the
-    TraceValue is the one route to a trace's texts. The unitary kappa check
-    and hardest_real_row passed every row, so every such value lies strictly
-    inside (-2, 2).
+    n/q is r/a_i reduced, the pair TraceValue(r, a_i) holds, and the trace
+    is the table float, which has the bits of its value; each leaf is made
+    once per key. The unitary kappa check and hardest_real_row passed every
+    row, so every such trace lies strictly inside (-2, 2).
     """
+    memo = record.pulled.memo
     columns = zip(*record.pulled.keys, *record.unitary.rows)
-    triple = record.pulled.memo.params.triple
-    return [{r: leaf(TraceValue(r, ai)) for r in set(column)} for column, ai in zip(columns, triple)]
+    return [
+        {r: leaf(r // g, ai // g, table[r]) for r in set(column) for g in (math.gcd(r, ai),)}
+        for column, ai, table in zip(columns, memo.params.triple, memo.generators)
+    ]
 
 
-def _pulled_fields(record: SphereRecord, leaves: list[dict]):
-    """(k, l, m, cover order, epsilon, three trace leaves) of each pulled-back class."""
-    g1, g2, g3 = leaves
-    for (k, l, m, order), (r1, r2, r3, eps) in zip(record.pulled.rows, record.pulled.keys):
-        yield k, l, m, order, eps, g1[r1], g2[r2], g3[r3]
+# a trace 2cos(pi*n/q) as str(TraceValue) prints it, from its reduced angle n/q
+_TRACE_TEXT = "2cos(%dπ/%d)"
 
 
-def _unitary_fields(record: SphereRecord, leaves: list[dict]):
-    """(epsilon, three trace leaves) of each unitary class; each l_i is its generator's memo key."""
-    g1, g2, g3 = leaves
-    for l1, l2, l3, eps in record.unitary.rows:
-        yield eps, g1[l1], g2[l2], g3[l3]
+def _text_leaf(n: int, q: int, trace: float) -> tuple[str, str]:
+    """A trace's two texts in the text report: the trace and its value to 12 places."""
+    return _TRACE_TEXT % (n, q), "%.12f" % trace
 
 
 def _verify_columns(record: SphereRecord, text: bool) -> list:
@@ -346,8 +349,8 @@ def render_text(record: SphereRecord) -> str:
     ]
     suffix = _VERIFY_SUFFIX if record.certificates else ""
     pulled_checks, unitary_checks = _verify_columns(record, text=True)
-    # each trace value's two texts: the trace and its value to 12 places
-    leaves = _generator_leaves(record, lambda tv: (str(tv), "%.12f" % tv.value))
+    g1, g2, g3 = _generator_leaves(record, _text_leaf)
+    # each class's three leaves (x, y, z) by its memo keys; "for ... in (one,)" binds them
     line = _SL2R_LINE + suffix
     lines.append(
         "sl2r classes:"
@@ -356,13 +359,15 @@ def render_text(record: SphereRecord) -> str:
     )
     lines += [
         line % (k, l, m, order, eps, x[0], y[0], z[0], x[1], y[1], z[1], *v)
-        for (k, l, m, order, eps, x, y, z), v in zip(_pulled_fields(record, leaves), pulled_checks)
+        for (k, l, m, order), (r1, r2, r3, eps), v in zip(record.pulled.rows, record.pulled.keys, pulled_checks)
+        for x, y, z in ((g1[r1], g2[r2], g3[r3]),)
     ]
     line = _SU2_LINE + suffix
     lines.append("su2 classes:" if record.unitary.rows else "su2 classes: none")
     lines += [
         line % (eps, x[0], y[0], z[0], x[1], y[1], z[1], *v)
-        for (eps, x, y, z), v in zip(_unitary_fields(record, leaves), unitary_checks)
+        for (l1, l2, l3, eps), v in zip(record.unitary.rows, unitary_checks)
+        for x, y, z in ((g1[l1], g2[l2], g3[l3]),)
     ]
 
     if record.partners is not None:
@@ -424,13 +429,13 @@ def _entry_templates(compact: bool) -> dict:
 _TEMPLATES = (_entry_templates(False), _entry_templates(True))
 
 
-def _json_leaf(tv: TraceValue) -> tuple[str, str, str]:
-    """A trace value's three JSON texts: its angle, its trace and its float.
+def _json_leaf(n: int, q: int, trace: float) -> tuple[str, str, str]:
+    """A trace's three JSON texts: its angle, its trace and its float.
 
-    A value strictly inside (-2, 2) has an angle n/q with q > 1, which
-    prints as "n/q", and a finite float, which prints as its repr.
+    A trace strictly inside (-2, 2) has a reduced angle n/q with q > 1,
+    which prints as "n/q", and a finite float, which prints as its repr.
     """
-    return '"%d/%d"' % (tv.n, tv.q), _json_str(str(tv)), repr(tv.value)
+    return '"%d/%d"' % (n, q), _json_str(_TRACE_TEXT % (n, q)), repr(trace)
 
 
 def _class_lists(record: SphereRecord, compact: bool) -> dict[str, list[str]]:
@@ -438,17 +443,19 @@ def _class_lists(record: SphereRecord, compact: bool) -> dict[str, list[str]]:
     templates = _TEMPLATES[compact]
     verified = bool(record.certificates)
     pulled_checks, unitary_checks = _verify_columns(record, text=False)
-    leaves = _generator_leaves(record, _json_leaf)
+    g1, g2, g3 = _generator_leaves(record, _json_leaf)
     lists = {}
     entry = templates["sl2r_classes"][verified]
     lists["sl2r_classes"] = [
         entry % (x[0], y[0], z[0], order, eps, k, l, m, x[1], y[1], z[1], x[2], y[2], z[2], *v)
-        for (k, l, m, order, eps, x, y, z), v in zip(_pulled_fields(record, leaves), pulled_checks)
+        for (k, l, m, order), (r1, r2, r3, eps), v in zip(record.pulled.rows, record.pulled.keys, pulled_checks)
+        for x, y, z in ((g1[r1], g2[r2], g3[r3]),)
     ]
     entry = templates["su2_classes"][verified]
     lists["su2_classes"] = [
         entry % (x[0], y[0], z[0], eps, x[1], y[1], z[1], x[2], y[2], z[2], *v)
-        for (eps, x, y, z), v in zip(_unitary_fields(record, leaves), unitary_checks)
+        for (l1, l2, l3, eps), v in zip(record.unitary.rows, unitary_checks)
+        for x, y, z in ((g1[l1], g2[l2], g3[l3]),)
     ]
     if record.partners is not None:
         entry = templates["condition_b_classes"]
@@ -608,15 +615,23 @@ def _run_census(args) -> int:
     if args.format == "csv":
         writer = _csv_writer(out, args.verify)
     rows = sum_sl2r = 0
-    for params in census_params(args.max_a):
+    spheres = census_params(args.max_a)
+    # trace_table(a_i) by a_i, shared by the census's memos; last holds the
+    # index of the last sphere that reads each a_i, after which its table goes
+    tables = {}
+    last = {ai: index for index, params in enumerate(spheres) for ai in params.triple}
+    for index, params in enumerate(spheres):
         try:
-            record = build_record(params, solve_seifert(params), "canonical", args.verify, args.tol)
+            record = build_record(params, solve_seifert(params), "canonical", args.verify, args.tol, False, tables)
         except BrieskornError as exc:
             print(
                 f"census aborted at ({params.a1},{params.a2},{params.a3}): {exc}",
                 file=sys.stderr,
             )
             return 1
+        for ai in params.triple:
+            if last[ai] == index:
+                del tables[ai]
         rows += 1
         summary = record.summary
         sum_sl2r += summary["counts"]["sl2r"]

@@ -44,8 +44,9 @@ stacked operation is the one a single class would get, so a stack gives
 the same bits as its classes taken one at a time.
 
 `certify_columns` on memo keys is the one stacked entry. `realize_su2` and
-`realize_sl2r` realize one CharacterTriple through the tables of its three
-denominators and the row (n1, n2, n3, epsilon). `verify_relations`, the
+`realize_sl2r` realize one CharacterTriple from one entry per generator,
+its own trace value, which has the bits of entry n of the table of its
+denominator q, so the cost does not grow with q. `verify_relations`, the
 one per-pair entry, checks a given pair as a stack of one, after the
 determinant and real-form checks on the caller's complex input.
 """
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .character import CharacterTriple, ClassLabel, trace_table
+from .character import CharacterTriple, ClassLabel
 from .errors import NotRealizable
 from .seifert import SeifertInvariant
 
@@ -163,13 +164,12 @@ def stretch_for_product_trace(u):
     return np.sqrt((u + np.sqrt(u * u - 4.0)) / 2.0)
 
 
-def _table(traces: Sequence[float]) -> tuple:
-    """The cos, sin and trace of each entry of one generator's table 2cos(pi*r/q), r in [0, q]."""
-    q = len(traces) - 1
+def _table(traces: Sequence[float], keys: Sequence[int], q: int) -> tuple:
+    """The cos, sin and trace of each entry traces[j] = 2cos(pi*keys[j]/q) of one generator."""
     # an entry is 2.0 * math.cos(angle), so halving gives the cos exactly, and
     # r / q rounds exactly as float(Fraction(r, q)) does
     values = np.array(traces, dtype=float)
-    sines = np.array([math.sin(math.pi * (r / q)) for r in range(q + 1)], dtype=float)
+    sines = np.array([math.sin(math.pi * (r / q)) for r in keys], dtype=float)
     return values / 2.0, sines, values
 
 
@@ -177,14 +177,16 @@ def _rotations(c: np.ndarray, s: np.ndarray, dtype) -> np.ndarray:
     return np.stack((c, -s, s, c), axis=-1).reshape(-1, 2, 2).astype(dtype)
 
 
-def _realize_columns(tables: Sequence[Sequence[float]], classes, real_form: ClassLabel) -> tuple:
+def _realize_columns(first: tuple, second: tuple, third: Sequence[float], classes, real_form: ClassLabel) -> tuple:
     """X per entry of the first table, each class's row in it, the Y and XY stacks, and the epsilons.
 
-    The traces and the forms of X and Y are checked. A class with no pair in
+    first and second are the _table arrays of the first two generators, and
+    third the traces of the third; a class names its positions in them. The
+    traces and the forms of X and Y are checked. A class with no pair in
     real_form raises NotRealizable; the first such class names the error.
     """
     unitary = real_form is ClassLabel.SU2
-    (cos1, sin1, tr1), (cos2, sin2, tr2) = map(_table, tables[:2])
+    (cos1, sin1, tr1), (cos2, sin2, tr2) = first, second
     X = _rotations(cos1, sin1, complex if unitary else float)
     _check_form(X, real_form)  # first, so a real_form other than SU2 or SL2R raises first
     classes = np.asarray(classes, dtype=np.intp).reshape(-1, 4)
@@ -192,7 +194,7 @@ def _realize_columns(tables: Sequence[Sequence[float]], classes, real_form: Clas
     if (classes[:, :3] < 0).any():
         raise IndexError("a class names a negative memo key")
     at, p2, p3 = classes[:, 0], classes[:, 1], classes[:, 2]
-    c2, s2, ty, tz = cos2[p2], sin2[p2], tr2[p2], np.array(tables[2], dtype=float)[p3]
+    c2, s2, ty, tz = cos2[p2], sin2[p2], tr2[p2], np.array(third, dtype=float)[p3]
     sines = sin1[at] * s2
     degenerate = sines < 1e-15
     u = (2.0 * cos1[at] * c2 - tz) / np.where(degenerate, 1.0, sines)
@@ -270,14 +272,19 @@ def certify_columns(tables: Sequence[Sequence[float]], classes, sigma: SeifertIn
     outside [0, q] of its table.
     """
     _check_relation_inputs(sigma, tol)
-    return _certificate(*_realize_columns(tables, classes, real_form), sigma, real_form, tol)
+    first, second = (_table(traces, range(len(traces)), len(traces) - 1) for traces in tables[:2])
+    return _certificate(*_realize_columns(first, second, tables[2], classes, real_form), sigma, real_form, tol)
 
 
 def _realize_one(c: CharacterTriple, real_form: ClassLabel) -> tuple[np.ndarray, np.ndarray]:
-    """The pair of one triple, realized through its denominators' tables and the row (n1, n2, n3, epsilon)."""
-    tables = [trace_table(tv.q) for tv in (c.tx, c.ty, c.tz)]
-    X, at, Y, *_ = _realize_columns(tables, [(c.tx.n, c.ty.n, c.tz.n, c.epsilon)], real_form)
-    return X[at[0]], Y[0]
+    """The pair of one triple, realized from one entry per generator: its own trace value.
+
+    Entry n of the table of denominator q is TraceValue(n, q).value, so the
+    pair has the bits a full table of each denominator would give it.
+    """
+    first, second = (_table([tv.value], [tv.n], tv.q) for tv in (c.tx, c.ty))
+    X, _, Y, *_ = _realize_columns(first, second, [c.tz.value], [(0, 0, 0, c.epsilon)], real_form)
+    return X[0], Y[0]
 
 
 def realize_su2(c: CharacterTriple) -> tuple[np.ndarray, np.ndarray]:

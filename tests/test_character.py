@@ -436,6 +436,60 @@ def test_trace_tables_have_the_bits_of_trace_values():
             assert [t.hex() for t in generator] == expected, (params.triple, ai)
 
 
+class Traced:
+    """A float that carries the expression it was computed by; a < records itself and holds."""
+
+    def __init__(self, value, tree, seen):
+        self.value, self.tree, self.seen = value, tree, seen
+
+    def _apply(self, other, name, op):
+        if isinstance(other, Traced):
+            return Traced(op(self.value, other.value), (name, self.tree, other.tree), self.seen)
+        return Traced(op(self.value, other), (name, self.tree, repr(other)), self.seen)
+
+    def __add__(self, other):
+        return self._apply(other, "+", float.__add__)
+
+    def __sub__(self, other):
+        return self._apply(other, "-", float.__sub__)
+
+    def __mul__(self, other):
+        return self._apply(other, "*", float.__mul__)
+
+    def __lt__(self, other):
+        self.seen.append(self)
+        return True
+
+
+def test_unitary_kappa_check_has_the_bits_and_order_of_kappa_on_every_row():
+    # the tables' entries are Traced, named by generator and key, so each kappa
+    # the one-pass check compares carries the row it read and the operations it
+    # took; the comparison records it and passes. Every row must be compared
+    # once, by _kappa's expression tree, to _kappa's float bit for bit
+    for params in census_params(1000):
+        memo = TraceMemo(params, solve_seifert(params))
+        floats = memo.generators
+        seen = []
+        memo.generators = tuple(
+            [Traced(t, (i, r), seen) for r, t in enumerate(table)] for i, table in enumerate(floats)
+        )
+        rows = UnitaryClasses(memo).rows
+        assert len(seen) == len(rows)
+        compared = {}
+        for k in seen:
+            # a _kappa tree is ("-", ("-", ("+", ("+", t1*t1, t2*t2), t3*t3), t1*t2*t3), "4.0"):
+            # read the three leaves (generator, key) off its squares
+            squares = k.tree[1][1]
+            leaves = (squares[1][1][1], squares[1][2][1], squares[2][1])
+            assert [i for i, _ in leaves] == [0, 1, 2]
+            row = tuple(r for _, r in leaves)
+            expected = character._kappa(*(memo.generators[i][r] for i, r in leaves))
+            assert k.tree == expected.tree, (params.triple, row)
+            assert k.value.hex() == character._kappa(*map(list.__getitem__, floats, row)).hex()
+            compared[row] = k
+        assert sorted(compared) == [row[:3] for row in rows], params.triple
+
+
 def test_trace_memo_refuses_another_sphere():
     params, other = canonicalize_params(3, 5, 7), canonicalize_params(2, 3, 7)
     sigma = solve_seifert(params)

@@ -8,7 +8,9 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +29,9 @@ from brieskorn.character import (
     phi_map,
 )
 from brieskorn.cli import (
+    _generator_leaves,
+    _json_leaf,
+    _text_leaf,
     build_parser,
     build_record,
     census_params,
@@ -884,6 +889,85 @@ def test_census_fails_when_a_unitary_row_is_missing(monkeypatch, capsys):
     assert code == 1
     assert len(out.splitlines()) == 9  # the spheres before (3,5,7)
     assert err == "census aborted at (3,5,7): total 12 != su2 7 + sl2r 4\n"
+
+
+def test_unitary_check_refuses_a_corrupted_table_float(monkeypatch, capsys):
+    # generator 1's table float under the l1 of (7,11,13)'s first unitary row is
+    # made 100.0, so every row that reads it has kappa >= 100**2 - 4*100 - 4 > 0.
+    # The check makes the rows with epsilon -1 first, each key ascending, and
+    # names the kappa of the first row that fails, here that first row
+    params = canonicalize_params(7, 11, 13)
+    memo = TraceMemo(params, solve_seifert(params))
+    first = min(UnitaryClasses(memo).rows, key=lambda row: (row[3], row))
+    _, traces2, traces3 = memo.generators
+    kappa = brieskorn.character._kappa(100.0, traces2[first[1]], traces3[first[2]])
+    assert kappa > 0
+    trace_table = brieskorn.character.trace_table
+
+    def corrupted(q):
+        table = trace_table(q)
+        if q == 7:
+            table[first[0]] = 100.0
+        return table
+
+    monkeypatch.setattr(brieskorn.character, "trace_table", corrupted)
+    message = f"unitary triple with kappa = {kappa}"
+    assert run(capsys, "analyze", "7", "11", "13") == (1, "", f"assertion failure: {message}\n")
+
+
+def test_census_memos_share_one_trace_table_per_multiplicity(monkeypatch, capsys):
+    # census 1000 reads 1,239 generators of 413 spheres but only 95
+    # multiplicities: every memo of one command takes its tables from the
+    # command's one store, which holds a table from its first reader to its
+    # last. The output is that of records whose memos each built their own
+    # tables, which is build_record's default
+    built, memos, stored = build_record, [], []
+
+    def recording(*args):
+        # the store is build_record's last argument; what it holds once the
+        # previous sphere is done, then this sphere's memo
+        stored.append(set(args[-1]))
+        record = built(*args)
+        memos.append(record.pulled.memo)
+        return record
+
+    monkeypatch.setattr(brieskorn.cli, "build_record", recording)
+    code, out, _ = run(capsys, "census", "1000", "--verify", "--format", "json")
+    assert code == 0
+    by_multiplicity = {}
+    for memo in memos:
+        for ai, table in zip(memo.params.triple, memo.generators):
+            assert by_multiplicity.setdefault(ai, table) is table
+    assert (len(memos), len(by_multiplicity)) == (413, 95)
+    read = [set(memo.params.triple) for memo in memos]
+    for index, held in enumerate(stored):
+        assert held == set().union(*read[:index]) & set().union(*read[index:]), index
+    fresh = [built(params, solve_seifert(params), "canonical", True) for params in census_params(1000)]
+    assert fresh[0].pulled.memo.generators[0] is not fresh[1].pulled.memo.generators[0]
+    assert [memo.params for memo in memos] == [record.pulled.memo.params for record in fresh]
+    assert out == "".join(render_json(record, compact=True) for record in fresh)
+
+
+def test_writer_leaves_are_the_trace_value_texts():
+    # the writers make a printed trace's texts from its table float and its
+    # angle r/a_i reduced by the gcd: every key of every table a census store
+    # holds, and of three wide spheres, must print as its TraceValue does.
+    # Each table goes through _generator_leaves as a one-generator record
+    # whose rows name every key
+    tables = {}
+    wide = [canonicalize_params(*t) for t in ((2, 3, 6007), (7, 11, 2003), (2, 5, 100003))]
+    for params in census_params(3000) + wide:
+        TraceMemo(params, solve_seifert(params), tables)
+    for ai, table in tables.items():
+        memo = SimpleNamespace(params=SimpleNamespace(triple=(ai,)), generators=(table,))
+        keys = [(r,) for r in range(ai + 1)]
+        record = SimpleNamespace(pulled=SimpleNamespace(memo=memo, keys=keys), unitary=SimpleNamespace(rows=[]))
+        [text] = _generator_leaves(record, _text_leaf)
+        [json_texts] = _generator_leaves(record, _json_leaf)
+        assert len(text) == len(json_texts) == ai + 1
+        for r, tv in enumerate(map(TraceValue, range(ai + 1), repeat(ai))):
+            assert text[r] == (str(tv), "%.12f" % tv.value), (r, ai)
+            assert json_texts[r] == ('"%d/%d"' % (tv.n, tv.q), json.dumps(str(tv)), repr(tv.value)), (r, ai)
 
 
 def test_census_fails_when_su2_is_not_twice_the_casson_invariant(monkeypatch, capsys):

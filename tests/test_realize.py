@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -283,6 +284,33 @@ def test_stack_matches_one_class_wrappers(multiplicities, override):
             one = verify_relations(*realizer(c), sigma, real_form, c.epsilon)
             # residuals and gaps are never nan or -0.0, so == is bit equality
             assert outcome(one, 0) == outcome(cert, k)
+
+
+@pytest.mark.parametrize(
+    "realizer, real_form, angles",
+    [
+        (realize_su2, ClassLabel.SU2, (F(1, 2), F(2, 3), F(500001, 1000001))),
+        (realize_sl2r, ClassLabel.SL2R, (F(1, 2), F(2, 3), F(1, 1000001))),
+    ],
+    ids=["SU2", "SL2R"],
+)
+def test_one_class_realization_reads_only_its_own_entries(realizer, real_form, angles):
+    # a wide denominator costs one entry, not a table of q + 1 sines, and the
+    # pair has the bits the full tables of its denominators give it
+    c = triple(*angles, eps=1)
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        X, Y = realizer(c)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.005
+    table = brieskorn.realize._table
+    full = [trace_table(tv.q) for tv in (c.tx, c.ty, c.tz)]
+    first, second = (table(traces, range(len(traces)), len(traces) - 1) for traces in full[:2])
+    row = [(c.tx.n, c.ty.n, c.tz.n, c.epsilon)]
+    X_full, at, Y_full, *_ = brieskorn.realize._realize_columns(first, second, full[2], row, real_form)
+    assert X.tobytes() == X_full[at[0]].tobytes() and X.dtype == X_full.dtype
+    assert Y.tobytes() == Y_full[0].tobytes() and Y.dtype == Y_full.dtype
 
 
 def reference_pair(c, real_form):

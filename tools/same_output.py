@@ -13,6 +13,9 @@ number, then the old and the new line, each cut to 160 characters from a
 little before the first differing character. The command set:
 
 - census 3000 and census 1000 --verify, each in text, csv and json;
+- census 4000 --verify in text and json, which abort at (4,3,127) on the
+  known float64 certificate failure, after 758 spheres, so they pin a
+  census that stops partway;
 - analyze 4 3 127 --verify and analyze 2 3 7 --verify --tol 1e-16;
 - analyze 2 3 6007 --verify and analyze 7 11 2003 --verify, which exit 1
   on the known float64 certificate failures and print the failing
@@ -32,7 +35,7 @@ little before the first differing character. The command set:
   each of 60 equal slices of census_params(6000), the spheres the
   benchmark samples.
 
-341 commands in all.
+343 commands in all.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ def commands(census_params) -> list[list[str]]:
     out = []
     for base in (["census", "3000"], ["census", "1000", "--verify"]):
         out += [base, base + ["--format", "csv"], base + ["--format", "json"]]
+    out += [["census", "4000", "--verify"], ["census", "4000", "--verify", "--format", "json"]]
     out += [
         ["analyze", "4", "3", "127", "--verify"],
         ["analyze", "2", "3", "7", "--verify", "--tol", "1e-16"],
