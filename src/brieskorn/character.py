@@ -10,10 +10,10 @@ The module enumerates the unitary classes directly and produces the real
 (non-unitary) classes by pulling back rotations through the coverings that
 the euler classes select.
 
-Each sphere's lattices are walked once, through one TraceMemo, whose
-tables the memos of a census take from one store, so each trace is
-evaluated once per command. Both kinds of class are integer rows on that
-memo: PulledBackClasses holds the beta = -1 classes as enumerate_X0's
+Each sphere's lattices are walked once, through one TraceMemo, which
+takes the tables of a census's smaller multiplicities from one store of
+that command. Both kinds of class are integer rows on that memo:
+PulledBackClasses holds the beta = -1 classes as enumerate_X0's
 (k, l, m, order) rows and folds each row's memo keys from the cover
 order, and UnitaryClasses holds the unitary classes as
 (l1, l2, l3, epsilon) rows, which are their memo keys.
@@ -74,6 +74,10 @@ from .seifert import (
 # any irreducible label must clear it with the right sign
 KAPPA_TOLERANCE = 1e-9
 
+# a trace 2cos(pi*n/q) as text, from its reduced angle n/q: str(TraceValue)
+# and the writers print it with this one format
+_TRACE_TEXT = "2cos(%dπ/%d)"
+
 
 @dataclass(frozen=True, init=False)
 class TraceValue:
@@ -104,7 +108,7 @@ class TraceValue:
         )
 
     def __str__(self) -> str:
-        return f"2cos({self.n}π/{self.q})"
+        return _TRACE_TEXT % (self.n, self.q)
 
 
 class ClassLabel(Enum):
@@ -270,19 +274,18 @@ class TraceMemo:
     Building the memo checks the sphere data once; the triples it makes skip
     that check. A table depends on a_i alone, so the memos of one command
     may share a store, a dict from a_i to trace_table(a_i) that the caller
-    passes as tables: a memo takes each table from it, and fills what it
-    lacks. The tables are read only. Without a store the memo builds its
-    own, which lives as long as the memo; a store dies with its caller,
-    which may drop a table once no later memo reads it, and no cache
-    outlives both.
+    passes as tables: a memo takes each table the store holds and builds
+    the others, which live as long as the memo. The memo only reads the
+    store: it adds no table and changes none, and no cache outlives the
+    caller.
     """
 
     def __init__(self, params: BrieskornParams, sigma: SeifertInvariant, tables: dict | None = None) -> None:
         _check_sphere_data(params, sigma)
         self.params = params
         self.sigma = sigma
-        tables = {} if tables is None else tables  # a table is never empty, so .get finds a stored one
-        self.generators = tuple(tables.get(ai) or tables.setdefault(ai, trace_table(ai)) for ai in params.triple)
+        tables = tables or {}  # a table is never empty, so .get finds a stored one
+        self.generators = tuple(tables.get(ai) or trace_table(ai) for ai in params.triple)
         # a_i, the b_i negated and the 2a_i, unpacked at once per fold
         self._fold = (*params.triple, *(-bi for bi in sigma.coefficients), *(2 * ai for ai in params.triple))
 
@@ -304,17 +307,19 @@ class TraceMemo:
         """The CharacterTriple view of each (r1, r2, r3, epsilon) row of memo keys.
 
         This is the one maker of CharacterTriple views from memo keys. Each
-        key the rows name gets one TraceValue(r_i, a_i), which the views of
-        this call share; the tables hold only floats. A single row, the view
-        classify reads, gets its three TraceValues directly.
+        key the rows name gets one TraceValue(r_i, a_i), made where a row
+        first names it, which the views of this call share; the tables hold
+        only floats. So one row, the view classify reads, costs three
+        TraceValues and no set or dict comprehension.
         """
-        if len(keys) == 1:
-            return [CharacterTriple(*map(TraceValue, keys[0][:3], self.params.triple), keys[0][3])]
-        v1, v2, v3 = (
-            {r: TraceValue(r, ai) for r in set(map(itemgetter(i), keys))}
-            for i, ai in enumerate(self.params.triple)
-        )
-        return [CharacterTriple(v1[r1], v2[r2], v3[r3], eps) for r1, r2, r3, eps in keys]
+        a1, a2, a3 = self.params.triple
+        v1, v2, v3 = {}, {}, {}  # a TraceValue is never falsy, so .get finds a made one
+        return [
+            CharacterTriple(v1.get(r1) or v1.setdefault(r1, TraceValue(r1, a1)),
+                            v2.get(r2) or v2.setdefault(r2, TraceValue(r2, a2)),
+                            v3.get(r3) or v3.setdefault(r3, TraceValue(r3, a3)), eps)
+            for r1, r2, r3, eps in keys
+        ]
 
 
 def _window(big1: int, big2: int, whole: int) -> tuple[int, int]:
@@ -489,11 +494,10 @@ class UnitaryClasses:
             for l1 in range(s1, a1, 2):
                 big1, t1 = l1 * f1, traces1[l1]
                 for l2 in range(s2, a2, 2):
-                    # the _window of big1 and big2 inline: the first l3 of the parity of s3
-                    # with l3*f3 above its lower end, up to the last below its upper end
-                    big2, t2 = l2 * f2, traces2[l2]
-                    upper = big1 + big2 if big1 + big2 <= a else 2 * a - big1 - big2
-                    first = abs(big1 - big2) // f3 + 1
+                    t2 = traces2[l2]
+                    lower, upper = _window(big1, l2 * f2, a)
+                    # the first l3 of the parity of s3 with l3*f3 > lower
+                    first = lower // f3 + 1
                     first += (first - s3) % 2
                     # kappa in _kappa's operation order, with t1*t1 + t2*t2 and t1*t2 once per pair
                     square, product = t1 * t1 + t2 * t2, t1 * t2

@@ -16,13 +16,14 @@ per class from its row and from the texts of its three traces, looked up
 by the class's memo keys; each writer makes only the texts it prints,
 once per key the rows name, from the key's table float and its angle
 r/a_i reduced, the texts its TraceValue would print. A census shares one
-store of trace tables among its spheres' memos, keyed by a_i, and drops
-each table after the last sphere that reads it, so each trace is
-evaluated once per command. The seifert block is built by _seifert, only
-in the text and JSON writers that print it; the census text and CSV lines print the summary alone, and the
-CSV verify columns come with its verification block. render_json writes
-exactly what json.dumps writes for the record's dict form, which README.md
-lays out, and with compact the census JSON line.
+read-only store of trace tables among its spheres' memos, keyed by q,
+for every q with q*q <= max_a: the two smaller multiplicities of every
+sphere, in about max_a/2 floats. The seifert block is built by _seifert,
+only in the text and JSON writers that print it; the census text and CSV
+lines print the summary alone, and the CSV verify columns come with its
+verification block. render_json writes exactly what json.dumps writes
+for the record's dict form, which README.md lays out, and with compact
+the census JSON line.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ from .character import (
     UnitaryClasses,
     classify,
     _kappa,
+    _TRACE_TEXT,
     hardest_real_row,
+    trace_table,
 )
 from .errors import (
     BrieskornError,
@@ -161,27 +164,27 @@ def build_record(
 
     One TraceMemo serves the sphere, so its data is checked once, and both
     tables read it: PulledBackClasses for the beta = -1 classes and
-    UnitaryClasses for the unitary ones. The memo takes its trace tables
-    from tables, a store from a_i to trace_table(a_i) that a census shares
-    among its spheres, or builds its own without one. Each lattice is
-    walked once, and the classes stay integer rows. The unitary count is checked once, by
-    CountReport.of against the closed-form total: with sl2r = |X0|,
-    total = su2 + sl2r is the check su2 = total - |X0|; CountReport.of also
-    checks su2 = 2|lambda| against the Casson invariant. hardest_real_row
-    checks every pulled-back key row in one pass, reading only the keys,
-    the a_i, the b_i and the memo, never the cover order that made the
-    keys. It hands back the first row that fails, or else the row nearest a
-    reducible wall; memo.triples makes the one view of that row, and
-    classify labels it by its own route. classify reads no b_i, so the
-    row's parity, (-1)**r_i = epsilon**b_i, is tested again here; and the
-    view's TraceValues are made afresh, not read from the tables, so the
-    row's kappa is tested again here on the table floats the pass read. So
-    a failing row raises classify's own error, or a pulled-back error
-    naming the row, and a sphere with no pulled-back class calls no
-    classify. With verify, both tables are certified from their memo keys,
-    and a unitary CharacterTriple view is built only to name a class that
-    fails; a pulled-back class is named by its row. The seifert block is
-    left to the writers that print it.
+    UnitaryClasses for the unitary ones. The memo takes the trace tables
+    that tables holds, a read-only store from a_i to trace_table(a_i) that
+    a census shares among its spheres, and builds the others. Each lattice
+    is walked once, and the classes stay integer rows. The unitary count is
+    checked once, by CountReport.of against the closed-form total: with
+    sl2r = |X0|, total = su2 + sl2r is the check su2 = total - |X0|;
+    CountReport.of also checks su2 = 2|lambda| against the Casson
+    invariant. hardest_real_row checks every pulled-back key row in one
+    pass, reading only the keys, the a_i, the b_i and the memo, never the
+    cover order that made the keys. It hands back the first row that fails,
+    or else the row nearest a reducible wall; memo.triples makes the one
+    view of that row, and classify labels it by its own route. classify
+    reads no b_i, so the row's parity, (-1)**r_i = epsilon**b_i, is tested
+    again here; and the view's TraceValues are made afresh, not read from
+    the tables, so the row's kappa is tested again here on the table floats
+    the pass read. So a failing row raises classify's own error, or a
+    pulled-back error naming the row, and a sphere with no pulled-back
+    class calls no classify. With verify, both tables are certified from
+    their memo keys, and a unitary CharacterTriple view is built only to
+    name a class that fails; a pulled-back class is named by its row. The
+    seifert block is left to the writers that print it.
 
     With condition_b, orientation reversal must map the pulled-back classes
     onto the brute-force condition-b classes, checked on the integer rows.
@@ -300,10 +303,6 @@ def _generator_leaves(record: SphereRecord, leaf) -> list[dict]:
         {r: leaf(r // g, ai // g, table[r]) for r in set(column) for g in (math.gcd(r, ai),)}
         for column, ai, table in zip(columns, memo.params.triple, memo.generators)
     ]
-
-
-# a trace 2cos(pi*n/q) as str(TraceValue) prints it, from its reduced angle n/q
-_TRACE_TEXT = "2cos(%dπ/%d)"
 
 
 def _text_leaf(n: int, q: int, trace: float) -> tuple[str, str]:
@@ -615,12 +614,11 @@ def _run_census(args) -> int:
     if args.format == "csv":
         writer = _csv_writer(out, args.verify)
     rows = sum_sl2r = 0
-    spheres = census_params(args.max_a)
-    # trace_table(a_i) by a_i, shared by the census's memos; last holds the
-    # index of the last sphere that reads each a_i, after which its table goes
-    tables = {}
-    last = {ai: index for index, params in enumerate(spheres) for ai in params.triple}
-    for index, params in enumerate(spheres):
+    # the census's memos read trace_table(q) here for q*q <= max_a: of a
+    # sphere's multiplicities a_i < a_j < a_k, a_j*a_j < a <= max_a, so only
+    # the largest may be built per sphere, and the store holds max_a/2 floats
+    tables = {q: trace_table(q) for q in range(2, math.isqrt(args.max_a) + 1)}
+    for params in census_params(args.max_a):
         try:
             record = build_record(params, solve_seifert(params), "canonical", args.verify, args.tol, False, tables)
         except BrieskornError as exc:
@@ -629,9 +627,6 @@ def _run_census(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        for ai in params.triple:
-            if last[ai] == index:
-                del tables[ai]
         rows += 1
         summary = record.summary
         sum_sl2r += summary["counts"]["sl2r"]

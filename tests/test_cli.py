@@ -27,6 +27,7 @@ from brieskorn.character import (
     UnitaryClasses,
     enumerate_su2,
     phi_map,
+    trace_table,
 )
 from brieskorn.cli import (
     _generator_leaves,
@@ -915,18 +916,18 @@ def test_unitary_check_refuses_a_corrupted_table_float(monkeypatch, capsys):
     assert run(capsys, "analyze", "7", "11", "13") == (1, "", f"assertion failure: {message}\n")
 
 
-def test_census_memos_share_one_trace_table_per_multiplicity(monkeypatch, capsys):
-    # census 1000 reads 1,239 generators of 413 spheres but only 95
-    # multiplicities: every memo of one command takes its tables from the
-    # command's one store, which holds a table from its first reader to its
-    # last. The output is that of records whose memos each built their own
+def test_census_memos_share_the_tables_of_the_smaller_multiplicities(monkeypatch, capsys):
+    # census 1000 reads 1,239 generators of 413 spheres. Every memo takes
+    # trace_table(q) for q*q <= 1000 from the command's one store, which
+    # holds the two smaller multiplicities of every sphere and nothing
+    # more; the table of a larger a_i is the memo's own. The store is read
+    # only. The output is that of records whose memos each built their own
     # tables, which is build_record's default
-    built, memos, stored = build_record, [], []
+    built, memos, stores = build_record, [], []
 
     def recording(*args):
-        # the store is build_record's last argument; what it holds once the
-        # previous sphere is done, then this sphere's memo
-        stored.append(set(args[-1]))
+        # the store is build_record's last argument
+        stores.append(args[-1])
         record = built(*args)
         memos.append(record.pulled.memo)
         return record
@@ -934,14 +935,14 @@ def test_census_memos_share_one_trace_table_per_multiplicity(monkeypatch, capsys
     monkeypatch.setattr(brieskorn.cli, "build_record", recording)
     code, out, _ = run(capsys, "census", "1000", "--verify", "--format", "json")
     assert code == 0
-    by_multiplicity = {}
+    store = stores[0]
+    assert all(held is store for held in stores) and len(memos) == 413
+    assert sorted(store) == list(range(2, 32))
+    assert all(table == trace_table(q) for q, table in store.items())
     for memo in memos:
+        assert all(ai in store for ai in sorted(memo.params.triple)[:2]), memo.params.triple
         for ai, table in zip(memo.params.triple, memo.generators):
-            assert by_multiplicity.setdefault(ai, table) is table
-    assert (len(memos), len(by_multiplicity)) == (413, 95)
-    read = [set(memo.params.triple) for memo in memos]
-    for index, held in enumerate(stored):
-        assert held == set().union(*read[:index]) & set().union(*read[index:]), index
+            assert (table is store.get(ai)) == (ai * ai <= 1000), memo.params.triple
     fresh = [built(params, solve_seifert(params), "canonical", True) for params in census_params(1000)]
     assert fresh[0].pulled.memo.generators[0] is not fresh[1].pulled.memo.generators[0]
     assert [memo.params for memo in memos] == [record.pulled.memo.params for record in fresh]
@@ -950,14 +951,12 @@ def test_census_memos_share_one_trace_table_per_multiplicity(monkeypatch, capsys
 
 def test_writer_leaves_are_the_trace_value_texts():
     # the writers make a printed trace's texts from its table float and its
-    # angle r/a_i reduced by the gcd: every key of every table a census store
-    # holds, and of three wide spheres, must print as its TraceValue does.
+    # angle r/a_i reduced by the gcd: every key of every table census 3000
+    # reads, and of three wide spheres, must print as its TraceValue does.
     # Each table goes through _generator_leaves as a one-generator record
     # whose rows name every key
-    tables = {}
     wide = [canonicalize_params(*t) for t in ((2, 3, 6007), (7, 11, 2003), (2, 5, 100003))]
-    for params in census_params(3000) + wide:
-        TraceMemo(params, solve_seifert(params), tables)
+    tables = {ai: trace_table(ai) for params in census_params(3000) + wide for ai in params.triple}
     for ai, table in tables.items():
         memo = SimpleNamespace(params=SimpleNamespace(triple=(ai,)), generators=(table,))
         keys = [(r,) for r in range(ai + 1)]
