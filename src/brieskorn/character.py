@@ -20,13 +20,15 @@ order, and UnitaryClasses holds the unitary classes as
 TraceMemo.triples makes CharacterTriple views from memo keys, with the
 class's one constructor; each caller asks it for the keys it needs. The
 command line writes every output from the rows and keys, certifies from
-the keys, and builds no EulerClass: a pulled-back row names its class. It
-checks the pulled-back rows with hardest_real_row, in one pass over the
-keys, and hands classify the one view of the row that pass returns, so a
-sphere makes at most one CharacterTriple and one classify call. phi_map
-and enumerate_su2 build the views over a fresh memo, phi_map its
-EulerClass views from the rows. casson_invariant is the Fintushel-Stern
-lambda in integers, which CountReport.of checks the SU(2) count against.
+the keys, and builds no EulerClass: a pulled-back row names its class.
+hardest_real_row is the one verdict on the pulled-back rows: one pass over
+the keys that raises on the first row it refuses. The command line hands
+classify the one view of the row that pass returns, as an independent
+check, so a sphere makes at most one CharacterTriple and one classify
+call. phi_map and enumerate_su2 build the views over a fresh memo,
+phi_map its EulerClass views from the rows. casson_invariant is the
+Fintushel-Stern lambda in integers, which CountReport.of checks the SU(2)
+count against.
 
 Why the two tables are the whole character set. For data with b = 0, the
 irreducible SL(2,C) classes are the admissible rows (r1, r2, r3, epsilon):
@@ -50,9 +52,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import (
+    BrieskornError,
     CountMismatch,
     DegenerateAngle,
     InconsistentClassification,
@@ -77,6 +81,8 @@ KAPPA_TOLERANCE = 1e-9
 # a trace 2cos(pi*n/q) as text, from its reduced angle n/q: str(TraceValue)
 # and the writers print it with this one format
 _TRACE_TEXT = "2cos(%dπ/%d)"
+# the euler class (-1; k, l, m) of a pulled-back row (k, l, m, order), as str(EulerClass) prints it
+_SL2R_NAME = "(-1; %d,%d,%d)"
 
 
 @dataclass(frozen=True, init=False)
@@ -277,17 +283,22 @@ class TraceMemo:
     passes as tables: a memo takes each table the store holds and builds
     the others, which live as long as the memo. The memo only reads the
     store: it adds no table and changes none, and no cache outlives the
-    caller.
+    caller. The tables are taken or built when .generators is first read,
+    so a memo that only folds keys and makes views builds none.
     """
 
     def __init__(self, params: BrieskornParams, sigma: SeifertInvariant, tables: dict | None = None) -> None:
         _check_sphere_data(params, sigma)
         self.params = params
         self.sigma = sigma
-        tables = tables or {}  # a table is never empty, so .get finds a stored one
-        self.generators = tuple(tables.get(ai) or trace_table(ai) for ai in params.triple)
+        self._store = tables or {}  # a table is never empty, so .get finds a stored one
         # a_i, the b_i negated and the 2a_i, unpacked at once per fold
         self._fold = (*params.triple, *(-bi for bi in sigma.coefficients), *(2 * ai for ai in params.triple))
+
+    @cached_property
+    def generators(self) -> tuple[list[float], ...]:
+        """Per generator, trace_table(a_i): the store's if it holds one, else built once, here."""
+        return tuple(self._store.get(ai) or trace_table(ai) for ai in self.params.triple)
 
     def _keys_for_order(self, orders) -> list[tuple[int, int, int, int]]:
         """The three memo keys and epsilon of each class whose cover has homology of one of these orders.
@@ -374,8 +385,8 @@ def classify(c: CharacterTriple) -> ClassLabel:
     return ClassLabel.SL2R
 
 
-def hardest_real_row(memo: TraceMemo, keys) -> int:
-    """Check every (r1, r2, r3, epsilon) row of memo keys as a real class, in one pass.
+def hardest_real_row(table: PulledBackClasses) -> int:
+    """Check every (r1, r2, r3, epsilon) key row of the table as a real class, in one pass.
 
     Each row gets classify's three tests: every 0 < r_i < a_i; the angle
     r3/a3 strictly outside the _window of r1/a1 and r2/a2, compared over the
@@ -384,20 +395,20 @@ def hardest_real_row(memo: TraceMemo, keys) -> int:
     kappa > KAPPA_TOLERANCE, on the memo's table floats, which have the bits
     of the TraceValues classify reads. The window and _kappa are written out
     inline, kappa in _kappa's operation order, so its bits are _kappa's.
-    Each row also gets
-    the parity test classify does not make: (-1)**r_i = epsilon**b_i for
-    each i, with the b_i of memo.sigma, since X_i**a_i = (-1)**r_i * I must
-    be rho(h)**(-b_i). In integers: the parities r_i & 1, packed into three
-    bits, must be 0 for epsilon = +1 and the packed b_i & 1 for
-    epsilon = -1. The test reads only the keys, the a_i, the b_i and the
-    memo, never the cover order that made the keys.
+    Each row also gets the parity test classify does not make:
+    (-1)**r_i = epsilon**b_i for each i, with the b_i of memo.sigma, since
+    X_i**a_i = (-1)**r_i * I must be rho(h)**(-b_i). In integers: the
+    parities r_i & 1, packed into three bits, must be 0 for epsilon = +1
+    and the packed b_i & 1 for epsilon = -1. The tests read only the keys,
+    the a_i, the b_i and the memo, never the cover order that made the keys.
 
-    Returns the index of the row classify should read: the first row that
-    fails or, if every row passes, the row of least kappa, the one nearest a
-    reducible wall. classify cannot refuse a row that fails the parity test
-    alone, nor one whose table floats alone fail the kappa test, so the
-    caller tests the row it gets back again. keys must not be empty.
+    The first row refused raises, named by its class (-1; k, l, m):
+    DegenerateAngle for a key outside (0, a_i), BrieskornError for the
+    parity, InconsistentClassification for the window or kappa. When every
+    row passes, returns the index of the row of least kappa, the one nearest
+    a reducible wall. The keys must not be empty.
     """
+    memo, keys = table.memo, table.keys
     a1, a2, a3 = memo.params.triple
     a = memo.params.a
     f1, f2, f3 = a // a1, a // a2, a // a3
@@ -410,20 +421,28 @@ def hardest_real_row(memo: TraceMemo, keys) -> int:
     least, hardest = math.inf, 0
     index = 0
     for r1, r2, r3, eps in keys:
-        if not (0 < r1 < a1 and 0 < r2 < a2 and 0 < r3 < a3) or (
-            r1 & 1 | (r2 & 1) << 1 | (r3 & 1) << 2 != parities[eps]
-        ):
-            return index
+        if not (0 < r1 < a1 and 0 < r2 < a2 and 0 < r3 < a3):
+            raise DegenerateAngle(_refusal(table, index, "has a key outside (0, a_i)"))
+        if r1 & 1 | (r2 & 1) << 1 | (r3 & 1) << 2 != parities[eps]:
+            raise BrieskornError(_refusal(table, index, "breaks (-1)**r_i = eps**b_i"))
         big1, big2, big3 = r1 * f1, r2 * f2, r3 * f3
+        if abs(big1 - big2) <= big3 <= big1 + big2 and big3 <= two_a - big1 - big2:
+            raise InconsistentClassification(_refusal(table, index, "lies in the closed unitary window"))
         t1, t2, t3 = traces1[r1], traces2[r2], traces3[r3]
         k = t1 * t1 + t2 * t2 + t3 * t3 - t1 * t2 * t3 - 4.0
-        # inside the closed window, or a kappa that does not confirm a real class
-        if abs(big1 - big2) <= big3 <= big1 + big2 and big3 <= two_a - big1 - big2 or not k > tol:
-            return index
+        if not k > tol:
+            name = _SL2R_NAME % table.rows[index][:3]
+            raise InconsistentClassification(f"pulled-back class {name} has kappa = {k} on the trace tables")
         if k < least:
             least, hardest = k, index
         index += 1
     return hardest
+
+
+def _refusal(table: PulledBackClasses, index: int, test: str) -> str:
+    """The error text of the table's row index, refused by test: its class, then its keys and epsilon."""
+    key = table.keys[index]
+    return f"pulled-back class {_SL2R_NAME % table.rows[index][:3]} {test}: keys {key[:3]}, eps {key[3]:+d}"
 
 
 class PulledBackClasses:
@@ -467,9 +486,10 @@ class UnitaryClasses:
     table floats, in the loop that makes it: kappa in _kappa's operation
     order, so with its bits, with t1*t1 + t2*t2 and t1*t2 once per (l1, l2).
     The first row that fails, in the order the loop makes them (epsilon -1
-    first), raises. The rows are then sorted into rotation-number order,
-    and .keys is the same list: a row holds its class's memo keys and
-    epsilon, so memo.triples(keys) makes its CharacterTriple views.
+    first), raises, named by its keys and epsilon. The rows are then sorted
+    into rotation-number order, and .keys is the same list: a row holds its
+    class's memo keys and epsilon, so memo.triples(keys) makes its
+    CharacterTriple views.
 
     The keys are distinct by construction: distinct 0 < l_i < a_i fold to
     distinct reduced pairs, and since sum b_i*a/a_i = +-1 the b_i are never
@@ -505,7 +525,9 @@ class UnitaryClasses:
                         t3 = traces3[l3]
                         k = square + t3 * t3 - product * t3 - 4.0
                         if not k < tol:
-                            raise InconsistentClassification(f"unitary triple with kappa = {k}")
+                            raise InconsistentClassification(
+                                f"unitary triple with kappa = {k}: keys {(l1, l2, l3)}, eps {eps:+d}"
+                            )
                         rows.append((l1, l2, l3, eps))
         rows.sort()
         # each row is its class's memo keys and epsilon, the columns certification reads

@@ -4,26 +4,28 @@ Output is deterministic: identical arguments produce byte-identical stdout.
 Nothing is colorized, so NO_COLOR is honored trivially.
 
 build_record is the one pass per sphere, on every command and format: it
-checks a sphere and returns a SphereRecord, which every writer reads. It
-checks the pulled-back classes in one pass over their memo keys, on the
-float trace tables of the sphere's TraceMemo, the parity of each key row
-against its epsilon included, and calls classify once per sphere, on one
-view. Every output is written from the sphere's integer class rows: the
-pulled-back rows are enumerate_X0's (k, l, m, order), which print the
-euler class and cover_h1 as they are, with no dict, EulerClass or
-CharacterTriple per class. The text and JSON writers fill one `%` template
-per class from its row and from the texts of its three traces, looked up
-by the class's memo keys; each writer makes only the texts it prints,
-once per key the rows name, from the key's table float and its angle
-r/a_i reduced, the texts its TraceValue would print. A census shares one
-read-only store of trace tables among its spheres' memos, keyed by q,
-for every q with q*q <= max_a: the two smaller multiplicities of every
-sphere, in about max_a/2 floats. The seifert block is built by _seifert,
-only in the text and JSON writers that print it; the census text and CSV
-lines print the summary alone, and the CSV verify columns come with its
-verification block. render_json writes exactly what json.dumps writes
-for the record's dict form, which README.md lays out, and with compact
-the census JSON line.
+checks a sphere and returns a SphereRecord, which every writer reads.
+character.hardest_real_row checks the pulled-back classes in one pass over
+their memo keys, on the float trace tables of the sphere's TraceMemo, the
+parity of each key row against its epsilon included, and raises on the
+first row it refuses; build_record then calls classify once per sphere,
+on one view, as an independent check of that pass. Every output is
+written from the sphere's integer class rows: the pulled-back rows are
+enumerate_X0's (k, l, m, order), which print the euler class and cover_h1
+as they are, with no dict, EulerClass or CharacterTriple per class. The
+text and JSON writers fill one `%` template per class from its row and
+from the texts of its three traces, looked up by the class's memo keys;
+each writer makes only the texts it prints, once per key the rows name,
+from the key's table float and its angle r/a_i reduced, the texts its
+TraceValue would print. A census shares one read-only store of trace
+tables among its spheres' memos, keyed by q, for every q with
+q*q <= max_a: the two smaller multiplicities of every sphere, in about
+max_a/2 floats. The seifert block is built by _seifert, only in the text
+and JSON writers that print it; the census text and CSV lines print the
+summary alone, and the CSV verify columns come with its verification
+block. render_json writes exactly what json.dumps writes for the
+record's dict form, which README.md lays out, and with compact the census
+JSON line.
 """
 
 from __future__ import annotations
@@ -39,14 +41,13 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .character import (
-    KAPPA_TOLERANCE,
     ClassLabel,
     CountReport,
     PulledBackClasses,
     TraceMemo,
     UnitaryClasses,
     classify,
-    _kappa,
+    _SL2R_NAME,
     _TRACE_TEXT,
     hardest_real_row,
     trace_table,
@@ -147,8 +148,6 @@ class SphereRecord(NamedTuple):
 
 
 _json_str = json.encoder.encode_basestring_ascii
-# the euler class of a pulled-back row (k, l, m, order), as str(EulerClass) prints it
-_SL2R_NAME = "(-1; %d,%d,%d)"
 
 
 def build_record(
@@ -173,18 +172,16 @@ def build_record(
     CountReport.of also checks su2 = 2|lambda| against the Casson
     invariant. hardest_real_row checks every pulled-back key row in one
     pass, reading only the keys, the a_i, the b_i and the memo, never the
-    cover order that made the keys. It hands back the first row that fails,
-    or else the row nearest a reducible wall; memo.triples makes the one
-    view of that row, and classify labels it by its own route. classify
-    reads no b_i, so the row's parity, (-1)**r_i = epsilon**b_i, is tested
-    again here; and the view's TraceValues are made afresh, not read from
-    the tables, so the row's kappa is tested again here on the table floats
-    the pass read. So a failing row raises classify's own error, or a
-    pulled-back error naming the row, and a sphere with no pulled-back
-    class calls no classify. With verify, both tables are certified from
-    their memo keys, and a unitary CharacterTriple view is built only to
-    name a class that fails; a pulled-back class is named by its row. The
-    seifert block is left to the writers that print it.
+    cover order that made the keys, and raises on the first row it refuses,
+    naming it. So it is the one verdict on a row. When every row passes, it
+    hands back the row nearest a reducible wall; memo.triples makes the one
+    view of that row, from fresh TraceValues, and classify labels it by its
+    own route, an independent check that raises unless the label is SL2R.
+    A sphere with no pulled-back class calls no classify. With verify, both
+    tables are certified from their memo keys, and a unitary
+    CharacterTriple view is built only to name a class that fails; a
+    pulled-back class is named by its row. The seifert block is left to
+    the writers that print it.
 
     With condition_b, orientation reversal must map the pulled-back classes
     onto the brute-force condition-b classes, checked on the integer rows.
@@ -197,31 +194,18 @@ def build_record(
     pulled = PulledBackClasses(memo)
     unitary = UnitaryClasses(memo)
     counts = CountReport.of(params, su2=len(unitary.rows), sl2r=len(pulled.rows))
-    sl2r = ClassLabel.SL2R
     if pulled.keys:
-        # one pass checks every pulled-back row; classify labels the one it hands back
-        k = hardest_real_row(memo, pulled.keys)
-        key = pulled.keys[k]
-        label = classify(memo.triples([key])[0])
-        name = _SL2R_NAME % pulled.rows[k][:3]
-        if label is not sl2r:
+        # the pass raises on the first row it refuses; classify labels the one it hands back
+        k = hardest_real_row(pulled)
+        label = classify(memo.triples(pulled.keys[k : k + 1])[0])
+        if label is not ClassLabel.SL2R:
+            name = _SL2R_NAME % pulled.rows[k][:3]
             raise InconsistentClassification(f"pulled-back class {name} classified as {label.value}")
-        # classify reads no b_i: a row refused for its parity alone is labelled SL2R
-        eps = key[3]
-        if any((-1) ** r != eps ** (b % 2) for r, b in zip(key, sigma.coefficients)):
-            raise BrieskornError(
-                f"pulled-back class {name} breaks (-1)**r_i = eps**b_i: "
-                f"keys {key[:3]}, eps {eps:+d}"
-            )
-        # the view's TraceValues are fresh, so kappa again on the table floats the pass read
-        kappa = _kappa(*map(list.__getitem__, memo.generators, key))
-        if not kappa > KAPPA_TOLERANCE:
-            raise InconsistentClassification(f"pulled-back class {name} has kappa = {kappa} on the trace tables")
     certificates = []
     if verify:
         from .realize import certify_columns  # numpy loads only when a class is certified
 
-        for table, real_form in ((pulled, sl2r), (unitary, ClassLabel.SU2)):
+        for table, real_form in ((pulled, ClassLabel.SL2R), (unitary, ClassLabel.SU2)):
             # each class as its memo keys and epsilon, on the memo's tables
             cert = certify_columns(memo.generators, table.keys, sigma, real_form, tol)
             passed = cert.passed
@@ -294,8 +278,9 @@ def _generator_leaves(record: SphereRecord, leaf) -> list[dict]:
 
     n/q is r/a_i reduced, the pair TraceValue(r, a_i) holds, and the trace
     is the table float, which has the bits of its value; each leaf is made
-    once per key. The unitary kappa check and hardest_real_row passed every
-    row, so every such trace lies strictly inside (-2, 2).
+    once per key. The unitary rows have keys in (0, a_i) by construction,
+    and hardest_real_row raises on a pulled-back row with a key outside it,
+    so every trace of a printed row lies strictly inside (-2, 2).
     """
     memo = record.pulled.memo
     columns = zip(*record.pulled.keys, *record.unitary.rows)

@@ -165,12 +165,11 @@ def stretch_for_product_trace(u):
 
 
 def _table(traces: Sequence[float], keys: Sequence[int], q: int) -> tuple:
-    """The cos, sin and trace of each entry traces[j] = 2cos(pi*keys[j]/q) of one generator."""
+    """The cos and sin of each entry traces[j] = 2cos(pi*keys[j]/q) of one generator."""
     # an entry is 2.0 * math.cos(angle), so halving gives the cos exactly, and
     # r / q rounds exactly as float(Fraction(r, q)) does
-    values = np.array(traces, dtype=float)
     sines = np.array([math.sin(math.pi * (r / q)) for r in keys], dtype=float)
-    return values / 2.0, sines, values
+    return np.array(traces, dtype=float) / 2.0, sines
 
 
 def _rotations(c: np.ndarray, s: np.ndarray, dtype) -> np.ndarray:
@@ -182,11 +181,14 @@ def _realize_columns(first: tuple, second: tuple, third: Sequence[float], classe
 
     first and second are the _table arrays of the first two generators, and
     third the traces of the third; a class names its positions in them. The
-    traces and the forms of X and Y are checked. A class with no pair in
-    real_form raises NotRealizable; the first such class names the error.
+    trace of XY, which tests the solve for u, and the forms of X and Y are
+    checked. The traces of X and Y are their table entries by construction:
+    each diagonal is (c, c), with c half the entry, and doubling c is exact.
+    A class with no pair in real_form raises NotRealizable; the first such
+    class names the error.
     """
     unitary = real_form is ClassLabel.SU2
-    (cos1, sin1, tr1), (cos2, sin2, tr2) = first, second
+    (cos1, sin1), (cos2, sin2) = first, second
     X = _rotations(cos1, sin1, complex if unitary else float)
     _check_form(X, real_form)  # first, so a real_form other than SU2 or SL2R raises first
     classes = np.asarray(classes, dtype=np.intp).reshape(-1, 4)
@@ -194,7 +196,7 @@ def _realize_columns(first: tuple, second: tuple, third: Sequence[float], classe
     if (classes[:, :3] < 0).any():
         raise IndexError("a class names a negative memo key")
     at, p2, p3 = classes[:, 0], classes[:, 1], classes[:, 2]
-    c2, s2, ty, tz = cos2[p2], sin2[p2], tr2[p2], np.array(third, dtype=float)[p3]
+    c2, s2, tz = cos2[p2], sin2[p2], np.array(third, dtype=float)[p3]
     sines = sin1[at] * s2
     degenerate = sines < 1e-15
     u = (2.0 * cos1[at] * c2 - tz) / np.where(degenerate, 1.0, sines)
@@ -219,9 +221,8 @@ def _realize_columns(first: tuple, second: tuple, third: Sequence[float], classe
     Y[:, 0, 1] *= lam_sq
     Y[:, 1, 0] *= 1.0 / lam_sq
     XY = _mul(X[at], Y)
-    for m, target in ((X, tr1), (Y, ty), (XY, tz)):
-        if not (np.abs((m[:, 0, 0] + m[:, 1, 1]).real - target) < TRACE_TOLERANCE).all():
-            raise AssertionError("realized traces miss the trace triple")
+    if not (np.abs((XY[:, 0, 0] + XY[:, 1, 1]).real - tz) < TRACE_TOLERANCE).all():
+        raise AssertionError("realized traces miss the trace triple")
     _check_form(Y, real_form)
     return X, at, Y, XY, classes[:, 3]
 
@@ -267,7 +268,7 @@ def certify_columns(tables: Sequence[Sequence[float]], classes, sigma: SeifertIn
     whose relations fail has a row that did not pass. Every other failed
     check raises for the whole stack: NotRealizable when a class has no pair
     in real_form (the first such class names the error), AssertionError
-    when a pair misses its traces, ValueError when X, Y or Z fails its
+    when a pair's product misses its trace, ValueError when X, Y or Z fails its
     determinant or real-form check, and IndexError when a class names a key
     outside [0, q] of its table.
     """

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -33,6 +34,7 @@ from brieskorn.character import (
 )
 from brieskorn.cli import census_params
 from brieskorn.errors import (
+    BrieskornError,
     CountMismatch,
     DegenerateAngle,
     InconsistentClassification,
@@ -208,15 +210,26 @@ def test_classify_refuses_margin_below_float_resolution():
         classify(triple(F(1, 3), F(1, 3), wall))
 
 
-def key_memo(multiplicities):
-    """A memo-shaped object for hardest_real_row, over any multiplicities, sphere or not.
+def key_table(multiplicities):
+    """A one-row PulledBackClasses-shaped object for hardest_real_row, over any multiplicities, sphere or not.
 
-    The caller sets its sigma, whose coefficients the parity test reads.
+    Its row names the class (-1; 1,2,3). The caller sets its keys and its
+    memo's sigma, whose coefficients the parity test reads.
     """
-    return SimpleNamespace(
+    memo = SimpleNamespace(
         params=SimpleNamespace(triple=multiplicities, a=math.prod(multiplicities)),
         generators=tuple(trace_table(ai) for ai in multiplicities),
     )
+    return SimpleNamespace(memo=memo, rows=[(1, 2, 3, 0)], keys=None)
+
+
+def refusal(table):
+    """The type and text of the error hardest_real_row raises on the table, or None when it passes."""
+    try:
+        hardest_real_row(table)
+    except BrieskornError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 @pytest.mark.parametrize("tolerance", [KAPPA_TOLERANCE, -math.inf], ids=["kappa", "no kappa"])
@@ -228,9 +241,7 @@ def test_hardest_real_row_refuses_exactly_what_classify_does_not_label_real(
     # integer tests decide alone; (6,6,6) and (4,4,6) share factors, so
     # their rows reach the reducible walls that no sphere's key rows reach
     monkeypatch.setattr(character, "KAPPA_TOLERANCE", tolerance)
-    memo = key_memo(multiplicities)
-    # refused by any check, so index 0 comes back exactly when the row before it is refused
-    degenerate = (0, 0, 0, 1)
+    table = key_table(multiplicities)
     labels = set()
     for rs in itertools.product(*(range(ai + 1) for ai in multiplicities)):
         traces = (TraceValue(r, ai) for r, ai in zip(rs, multiplicities))
@@ -239,13 +250,24 @@ def test_hardest_real_row_refuses_exactly_what_classify_does_not_label_real(
         except (DegenerateAngle, InconsistentClassification) as exc:
             label = type(exc)
         labels.add(label)
+        # the pass raises DegenerateAngle where classify does, and InconsistentClassification
+        # on every other label but SL2R
+        expected = None if label is ClassLabel.SL2R else (
+            DegenerateAngle if label is DegenerateAngle else InconsistentClassification
+        )
+        table.keys = [(*rs, -1)]
         # b_i = r_i mod 2 with epsilon -1 meets (-1)**r_i = epsilon**b_i, which classify
         # does not test; b1 of the other parity breaks it, whatever the label
-        memo.sigma = SimpleNamespace(coefficients=tuple(r % 2 for r in rs))
-        refused = hardest_real_row(memo, [(*rs, -1), degenerate]) == 0
-        assert refused == (label is not ClassLabel.SL2R), (rs, label)
-        memo.sigma = SimpleNamespace(coefficients=(1 - rs[0] % 2, rs[1] % 2, rs[2] % 2))
-        assert hardest_real_row(memo, [(*rs, -1), degenerate]) == 0, rs
+        table.memo.sigma = SimpleNamespace(coefficients=tuple(r % 2 for r in rs))
+        refused = refusal(table)
+        assert (refused and refused[0]) == expected, (rs, label)
+        table.memo.sigma = SimpleNamespace(coefficients=(1 - rs[0] % 2, rs[1] % 2, rs[2] % 2))
+        kind, message = refusal(table)
+        if expected is DegenerateAngle:  # the range test comes first
+            assert kind is DegenerateAngle, rs
+        else:
+            assert kind is BrieskornError, rs
+            assert message == "pulled-back class (-1; 1,2,3) breaks (-1)**r_i = eps**b_i: keys %s, eps -1" % (rs,)
     assert {ClassLabel.SL2R, ClassLabel.SU2, DegenerateAngle} <= labels
     assert (ClassLabel.REDUCIBLE in labels) == (multiplicities in ((6, 6, 6), (4, 4, 6)))
 
@@ -254,20 +276,30 @@ def test_hardest_real_row_hands_back_the_row_nearest_a_wall_or_the_first_refused
     seen = 0
     for params in census_params(300):
         memo = TraceMemo(params, solve_seifert(params))
-        keys = PulledBackClasses(memo).keys
+        table = PulledBackClasses(memo)
+        keys, rows = table.keys, table.rows
         if len(keys) < 3:
             continue
         seen += 1
-        index = hardest_real_row(memo, keys)
+        index = hardest_real_row(table)
         # kappa of the fresh views, whose floats have the bits of the tables the pass read
         kappas = [kappa(tri) for tri in memo.triples(keys)]
         assert index == kappas.index(min(kappas))
-        # a unitary row, then a degenerate one: the first refused row comes back
-        refused = list(keys)
-        refused[1] = UnitaryClasses(memo).keys[0]
-        refused[-1] = (0, *keys[-1][1:])
-        assert hardest_real_row(memo, refused) == 1
-        assert hardest_real_row(memo, refused[2:]) == len(refused) - 3
+        # a unitary row, then a degenerate one: the first refused row raises, named
+        unitary = UnitaryClasses(memo).keys[0]
+        degenerate = (0, *keys[-1][1:])
+        refused = SimpleNamespace(memo=memo, rows=rows, keys=[*keys[:1], unitary, *keys[2:-1], degenerate])
+        name = "(-1; %d,%d,%d)" % rows[1][:3]
+        assert refusal(refused) == (
+            InconsistentClassification,
+            f"pulled-back class {name} lies in the closed unitary window: keys {unitary[:3]}, eps {unitary[3]:+d}",
+        )
+        refused.rows, refused.keys = rows[2:], refused.keys[2:]
+        name = "(-1; %d,%d,%d)" % rows[-1][:3]
+        assert refusal(refused) == (
+            DegenerateAngle,
+            f"pulled-back class {name} has a key outside (0, a_i): keys {degenerate[:3]}, eps {degenerate[3]:+d}",
+        )
     assert seen > 10
 
 
@@ -423,6 +455,24 @@ def test_trace_memo_holds_each_folded_trace_once():
         assert [tri.tx, tri.ty, tri.tz] == fresh
         assert tri.epsilon == (-1 if order % 2 else 1)
     assert pairs == phi_map(params, sigma)
+
+
+def test_trace_triple_of_builds_no_trace_table():
+    # trace_triple_of folds keys and makes one view, which read no table, so a
+    # wide a_i costs nothing: the memo builds its tables only when they are read
+    params = canonicalize_params(2, 3, 1000001)
+    sigma = solve_seifert(params)
+    eu = EulerClass(params, -1, 1, 1, 1)
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        tri = trace_triple_of(eu, sigma)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.005
+    order = abs(eu.cover_euler_number())
+    fresh = [TraceValue(-order * bi, ai) for bi, ai in zip(sigma.coefficients, params.triple)]
+    assert tri == CharacterTriple(*fresh, epsilon=-1 if order % 2 else 1)
+    assert [t.value.hex() for t in (tri.tx, tri.ty, tri.tz)] == [t.value.hex() for t in fresh]
 
 
 def test_trace_tables_have_the_bits_of_trace_values():

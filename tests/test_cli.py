@@ -26,6 +26,7 @@ from brieskorn.character import (
     TraceValue,
     UnitaryClasses,
     enumerate_su2,
+    hardest_real_row,
     phi_map,
     trace_table,
 )
@@ -792,14 +793,14 @@ def assert_refused(capsys, triple, max_a, kind, message):
 
 def test_census_fails_when_a_pulled_back_class_is_classified_unitary(monkeypatch, capsys):
     # the last of (3,5,7)'s four pulled-back rows, (-1; 1,2,1), made the key
-    # row of a unitary class: the one-pass check finds it, and classify labels it
+    # row of a unitary class: the one-pass check refuses it on its window
     def unitary(memo, keys):
         keys[-1] = UnitaryClasses(memo).keys[0]
 
     corrupt_pulled_back_row(monkeypatch, (3, 5, 7), unitary)
     assert_refused(
         capsys, (3, 5, 7), 105, InconsistentClassification,
-        "pulled-back class (-1; 1,2,1) classified as SU2",
+        "pulled-back class (-1; 1,2,1) lies in the closed unitary window: keys (1, 2, 2), eps -1",
     )
 
 
@@ -809,8 +810,8 @@ def _wall_value(memo, keys):
     # r2/a2. So the row (1, 2, 6) keeps its keys, and the memo's table float
     # under its second key becomes 2cos(11pi/21), with 1/3 + 11/21 = 6/7 on
     # the upper wall; no other pulled-back row of (3,5,7) reads that key.
-    # classify reads fresh TraceValues of the keys, so it labels the row
-    # SL2R, and the kappa test again on the table floats refuses it
+    # The window test reads the keys, so the row passes it, and the kappa
+    # test on the table floats refuses it
     memo.generators[1][2] = TraceValue(11, 21).value
 
 
@@ -824,13 +825,13 @@ def _raise_kappa_tolerance(monkeypatch):
     "way, triple, max_a, kind, message",
     [
         ("zero key", (3, 5, 7), 105, DegenerateAngle,
-         "classification needs all traces strictly inside (-2, 2)"),
+         "pulled-back class (-1; 1,2,1) has a key outside (0, a_i): keys (0, 2, 6), eps -1"),
         ("a_i key", (3, 5, 7), 105, DegenerateAngle,
-         "classification needs all traces strictly inside (-2, 2)"),
+         "pulled-back class (-1; 1,2,1) has a key outside (0, a_i): keys (1, 5, 6), eps -1"),
         ("reducible wall", (3, 5, 7), 105, InconsistentClassification,
          "pulled-back class (-1; 1,2,1) has kappa = 0.0 on the trace tables"),
         ("kappa", (2, 3, 13), 78, InconsistentClassification,
-         "real-form triple with kappa = 0.1361294934623114"),
+         "pulled-back class (-1; 1,1,2) has kappa = 0.1361294934623114 on the trace tables"),
     ],
     ids=["zero key", "a_i key", "reducible wall", "kappa"],
 )
@@ -877,6 +878,44 @@ def test_pulled_back_parity_refuses_a_flipped_epsilon(monkeypatch, capsys):
     )
 
 
+def test_one_pass_refuses_a_row_that_classify_would_pass(monkeypatch, capsys):
+    # the last pulled-back row of (3,5,7), (-1; 1,2,1), gets the keys (1, 0, 6): r2 keeps
+    # its parity and the table kappa is 7.85, so only the key range refuses the row.
+    # classify is made to label every view SL2R, so the one pass alone must refuse it
+    params = canonicalize_params(3, 5, 7)
+    assert PulledBackClasses(TraceMemo(params, solve_seifert(params))).keys[-1] == (1, 2, 6, -1)
+    kappa = brieskorn.character._kappa(*(trace_table(ai)[r] for ai, r in zip((3, 5, 7), (1, 0, 6))))
+    assert round(kappa, 2) == 7.85
+    corrupt_pulled_back_row(monkeypatch, (3, 5, 7), lambda memo, keys: keys.__setitem__(-1, (1, 0, 6, -1)))
+    monkeypatch.setattr(brieskorn.cli, "classify", lambda triple: ClassLabel.SL2R)
+    assert_refused(
+        capsys, (3, 5, 7), 105, DegenerateAngle,
+        "pulled-back class (-1; 1,2,1) has a key outside (0, a_i): keys (1, 0, 6), eps -1",
+    )
+
+
+def test_classify_checks_the_row_the_pass_hands_back(monkeypatch, capsys):
+    # classify labels one view per sphere with pulled-back classes, the row
+    # nearest a wall, and any label but SL2R refuses the sphere; (2,3,5) has
+    # no pulled-back class, so census 42 calls it on (2,3,7) alone
+    views = []
+
+    def unitary(triple):
+        views.append(triple)
+        return ClassLabel.SU2
+
+    monkeypatch.setattr(brieskorn.cli, "classify", unitary)
+    params = canonicalize_params(2, 3, 7)
+    memo = TraceMemo(params, solve_seifert(params))
+    table = PulledBackClasses(memo)
+    hardest = hardest_real_row(table)
+    assert_refused(
+        capsys, (2, 3, 7), 42, InconsistentClassification,
+        "pulled-back class (-1; %d,%d,%d) classified as SU2" % table.rows[hardest][:3],
+    )
+    assert views == memo.triples(table.keys[hardest : hardest + 1]) * 3
+
+
 def test_census_fails_when_a_unitary_row_is_missing(monkeypatch, capsys):
     # the census path scans X0 once, so CountReport.of is its one unitary count check
     class Short(UnitaryClasses):
@@ -896,7 +935,7 @@ def test_unitary_check_refuses_a_corrupted_table_float(monkeypatch, capsys):
     # generator 1's table float under the l1 of (7,11,13)'s first unitary row is
     # made 100.0, so every row that reads it has kappa >= 100**2 - 4*100 - 4 > 0.
     # The check makes the rows with epsilon -1 first, each key ascending, and
-    # names the kappa of the first row that fails, here that first row
+    # names the kappa, keys and epsilon of the first row that fails, here that first row
     params = canonicalize_params(7, 11, 13)
     memo = TraceMemo(params, solve_seifert(params))
     first = min(UnitaryClasses(memo).rows, key=lambda row: (row[3], row))
@@ -912,7 +951,7 @@ def test_unitary_check_refuses_a_corrupted_table_float(monkeypatch, capsys):
         return table
 
     monkeypatch.setattr(brieskorn.character, "trace_table", corrupted)
-    message = f"unitary triple with kappa = {kappa}"
+    message = f"unitary triple with kappa = {kappa}: keys {first[:3]}, eps {first[3]:+d}"
     assert run(capsys, "analyze", "7", "11", "13") == (1, "", f"assertion failure: {message}\n")
 
 

@@ -369,6 +369,10 @@ def test_stack_matches_numpy_reference(multiplicities, override):
             X, Y = reference_pair(c, real_form)
             realized_X, realized_Y = realizer(c)
             assert np.array_equal(realized_X, X) and np.array_equal(realized_Y, Y)
+            # the traces of X and Y are their table entries bit for bit, which is why
+            # the realization checks only the trace of XY
+            traces = [(m[0, 0] + m[1, 1]).real.hex() for m in (realized_X, realized_Y)]
+            assert traces == [c.tx.value.hex(), c.ty.value.hex()]
             row = []
             for mat, (ai, bi) in zip((X, Y, sl2_inverse(X @ Y)), sigma.pairs):
                 center = -np.eye(2) if (c.epsilon == -1 and bi % 2) else np.eye(2)
