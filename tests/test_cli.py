@@ -1065,7 +1065,8 @@ def test_parse_seifert_override_rejects_garbage():
 # each trace value was folded once per sphere, and the last from before the
 # checks that restate other checks were dropped. The six commands with
 # --verify date from the SU(2) stacks' products on their entry arrays, which
-# moved the last bits of SU(2) residuals and gaps.
+# moved the last bits of SU(2) residuals and gaps. The last entry dates from
+# before the SU(2) stacks became four separate entry arrays.
 PINNED_STDOUT = {
     ("census", "1000"): "1119ad93483e3995215ace91f56781803534538ad7351bbc8be4d1fc62f8c529",
     ("census", "1000", "--format", "csv"): (
@@ -1112,6 +1113,10 @@ PINNED_STDOUT = {
     # the reversal listing and every shared trace value as text
     ("analyze", "7", "11", "13", "--condition-b"): (
         "65760d3d47e02592923f66a8f6e31232f3ddd623fb8996e7fe88d3e879e04344"
+    ),
+    # SU(2) bits at stack scale: every residual and gap of 474 SU(2) and 702 SL(2,R) classes
+    ("analyze", "8", "25", "29", "--verify", "--format", "json"): (
+        "d7cd599c34de30c56c2e2b18ee24ee0c4b6b66267721c0a37b812d59f9847229"
     ),
 }
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -172,12 +173,29 @@ def chebyshev_power(m: np.ndarray, n: int) -> np.ndarray:
     return (cmath.sin(n * psi) / s) * m - (cmath.sin((n - 1) * psi) / s) * np.eye(2)
 
 
+def entries(stack: np.ndarray) -> tuple:
+    """The entry arrays (m00, m01, m10, m11) of an (n, 2, 2) stack, contiguous as an SU(2) stack holds them."""
+    return tuple(np.ascontiguousarray(stack[:, i, j]) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+def matrix_of(stack, k: int) -> np.ndarray:
+    """Matrix k of a certificate stack, four SU(2) entry arrays or an (n, 2, 2) array, as a 2x2 array."""
+    if isinstance(stack, tuple):
+        return np.array([[stack[0][k], stack[1][k]], [stack[2][k], stack[3][k]]])
+    return stack[k]
+
+
+def entry_power(m: np.ndarray, n: int) -> np.ndarray:
+    """m^n by the products the certificates power an SU(2) stack's entry arrays with."""
+    return matrix_of(brieskorn.realize._power(entries(m[None]), n), 0)
+
+
 def test_matrix_powers_match_eigenvalue_form():
-    # an SL(2,R) pair by numpy's matrix_power, and an SU(2) pair by the
-    # entry-array products the certificates power their complex stacks with
+    # an SL(2,R) pair by numpy's matrix_power, as its certificates take it, and
+    # an SU(2) pair by the products on four entry arrays
     for realizer, angles, power in (
         (realize_sl2r, (F(1, 2), F(2, 3), F(1, 7)), np.linalg.matrix_power),
-        (realize_su2, (F(1, 2), F(2, 3), F(3, 7)), brieskorn.realize._power),
+        (realize_su2, (F(1, 2), F(2, 3), F(3, 7)), entry_power),
     ):
         X, Y = realizer(triple(*angles))
         Z = sl2_inverse(X @ Y)
@@ -309,8 +327,9 @@ def test_one_class_realization_reads_only_its_own_entries(realizer, real_form, a
     first, second = (table(traces, range(len(traces)), len(traces) - 1) for traces in full[:2])
     row = [(c.tx.n, c.ty.n, c.tz.n, c.epsilon)]
     X_full, at, Y_full, *_ = brieskorn.realize._realize_columns(first, second, full[2], row, real_form)
-    assert X.tobytes() == X_full[at[0]].tobytes() and X.dtype == X_full.dtype
-    assert Y.tobytes() == Y_full[0].tobytes() and Y.dtype == Y_full.dtype
+    for one, stack, k in ((X, X_full, at[0]), (Y, Y_full, 0)):
+        in_full = matrix_of(stack, k)
+        assert one.tobytes() == in_full.tobytes() and one.dtype == in_full.dtype
 
 
 def reference_pair(c, real_form):
@@ -427,7 +446,7 @@ def reference_certificate(triples, sigma, real_form):
     residuals = []
     for stack, (ai, bi) in zip((X, Y, inverse(XY)), sigma.pairs):
         center = np.where((odd_sign & (bi % 2 == 1))[:, None, None], -identity, identity)
-        residuals.append(frobenius(np.linalg.matrix_power(stack, ai) - center))
+        residuals.append(frobenius(entries(np.linalg.matrix_power(stack, ai) - center)))
     commutator = XY @ inverse(X) @ inverse(Y)
     offset = commutator[:, 0, 0] + commutator[:, 1, 1] - 2.0
     return np.stack(residuals, axis=1), np.hypot(offset.real, offset.imag)
@@ -486,7 +505,10 @@ def test_frobenius_is_numpy_norm_bit_for_bit():
     rng = np.random.default_rng(7)
     stack = rng.standard_normal((2000, 2, 2)) + 1j * rng.standard_normal((2000, 2, 2))
     stack *= 10.0 ** rng.integers(-12, 12, size=(2000, 1, 1))
-    assert frobenius(stack).tolist() == [np.linalg.norm(m) for m in stack]
+    # on the entry arrays of complex matrices, and of float64 ones, which norm as
+    # their complex128 casts: the imaginary parts add 0.0
+    for matrices in (stack, stack.real):
+        assert frobenius(entries(matrices)).tolist() == [np.linalg.norm(m.astype(complex)) for m in matrices]
 
 
 # hand-built tables for the stack tests: 2cos(pi*r/q) for r in [0, q], one q per generator
@@ -575,6 +597,20 @@ def test_stack_checks_its_inputs():
             verify_relations(X, Y, OVERRIDE_237, ClassLabel.SL2R, c.epsilon, tol=tol)
     with pytest.raises(ValueError, match="SU2 or SL2R"):
         certify_columns(HAND_TABLES, [REAL], OVERRIDE_237, ClassLabel.REDUCIBLE)
+    # a central sign other than +-1 is refused, naming the first such row, for either real form
+    for real_form, row in ((ClassLabel.SL2R, REAL), (ClassLabel.SU2, UNITARY)):
+        for epsilon in (0, 2, 7):
+            bad = row[:3] + (epsilon,)
+            with pytest.raises(ValueError, match=re.escape(f"epsilon must be +1 or -1: class row 1, {list(bad)}")):
+                certify_columns(HAND_TABLES, [row, bad, row[:3] + (3,)], OVERRIDE_237, real_form)
+    # rows of other lengths are refused, even when their entries add up to four per class
+    with pytest.raises(ValueError, match="three keys and epsilon"):
+        certify_columns(HAND_TABLES, [REAL[:3], REAL + (1,)], OVERRIDE_237, ClassLabel.SL2R)
+    # an (n, 4) integer array certifies as its rows do
+    rows = [REAL, OTHER_REAL]
+    as_rows, as_array = (certify_columns(HAND_TABLES, c, OVERRIDE_237, ClassLabel.SL2R) for c in (rows, np.array(rows)))
+    assert as_array.residuals.tobytes() == as_rows.residuals.tobytes()
+    assert as_array.gaps.tobytes() == as_rows.gaps.tobytes()
     empty = certify_columns(HAND_TABLES, [], OVERRIDE_237, ClassLabel.SU2)
     assert len(empty) == 0 and empty.residuals.shape == (0, 3)
     assert empty.max_residual == 0.0 and empty.min_gap == math.inf

@@ -35,7 +35,7 @@ little before the first differing character. The command set:
   each of 60 equal slices of census_params(6000), the spheres the
   benchmark samples.
 
-343 commands in all.
+344 commands in all.
 """
 
 from __future__ import annotations
